@@ -29,7 +29,7 @@ from .ingest import (
     HalfHourSeries,
     LogReturnSeries,
     RejectedRow,
-    TickRecord,
+    TickColumns,
     log_returns,
     parse_ticks,
     resample,
@@ -80,7 +80,7 @@ __all__ = [
     "SegmentationConfig",
     "SegmentationResult",
     "Shock",
-    "TickRecord",
+    "TickColumns",
     "TradingCalendar",
     "assign_phases",
     "best_split",

@@ -123,9 +123,6 @@ class TradingCalendar:
     def _day_index(self) -> dict[dt.date, int]:
         return {d: i for i, d in enumerate(self.days)}
 
-    def day_of_index(self, i: int) -> dt.date:
-        return self.days[i // self.samples_per_day]
-
     def first_index_of_day(self, day: dt.date) -> int:
         """Grid index of the session open on ``day``."""
         try:

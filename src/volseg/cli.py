@@ -119,42 +119,55 @@ def _read_calendar(path: Path) -> TradingCalendar:
 # subcommands
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def _utc_date(t_us: int) -> dt.date:
+    return (dt.datetime(1970, 1, 1) + dt.timedelta(microseconds=t_us)).date()
+
+
+def _ingest(args: argparse.Namespace) -> list[str]:
+    """Run the ingest step; returns the sectors written, sorted."""
     outdir = Path(args.out)
     series_dir = outdir / "series"
-    series_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict[str, dict] = {}
 
     parsed = []
+    sources: dict[str, Path] = {}
     for path in args.inputs:
         path = Path(path)
         if not path.exists():
             raise DataError(f"input file not found: {path}")
         with open(path) as fh:
-            records, rejects = ingest.parse_ticks(fh)
-        if not records:
+            try:
+                ticks, rejects = ingest.parse_ticks(fh)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from exc
+        if not len(ticks):
             raise DataError(f"{path}: no parseable tick records")
-        parsed.append((path, records, rejects))
+        sector = ingest.sector_from_ric(ticks.ric)
+        if sector in sources:
+            raise DataError(f"{sources[sector]} and {path} both hold sector {sector}")
+        sources[sector] = path
+        parsed.append((path, ticks, rejects))
 
     holidays = load_holidays(args.holidays) if args.holidays else ()
     if args.start and args.end:
         start, end = dt.date.fromisoformat(args.start), dt.date.fromisoformat(args.end)
     else:
-        stamps = [t.timestamp.date() for _, recs, _ in parsed for t in recs]
-        start, end = min(stamps), max(stamps)
+        start = _utc_date(min(int(t.t_us.min()) for _, t, _ in parsed))
+        end = _utc_date(max(int(t.t_us.max()) for _, t, _ in parsed))
     cal = TradingCalendar.from_range(start, end, holidays, args.samples_per_day)
 
     grace = dt.timedelta(minutes=args.pre_open_grace_min)
+    series_dir.mkdir(parents=True, exist_ok=True)
 
     def work(item):
-        path, records, rejects = item
-        series = ingest.resample(records, cal, grace)
+        path, ticks, rejects = item
+        series = ingest.resample(ticks, cal, grace)
         ingest.series_to_csv(series, series_dir / f"{series.sector}.csv")
         ingest.series_to_json(series, series_dir / f"{series.sector}.json")
         ingest.write_reject_log(rejects, series_dir / f"{series.sector}.rejects.csv")
         return series.sector, {
             "source": str(path),
-            "ticks": len(records),
+            "ticks": len(ticks),
             "rejects": len(rejects),
             "samples": series.n,
         }
@@ -167,6 +180,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for sector in sorted(manifest):
         m = manifest[sector]
         print(f"{sector}: {m['ticks']} ticks -> {m['samples']} samples, {m['rejects']} rejects")
+    return sorted(manifest)
+
+
+def cmd_ingest(args: argparse.Namespace) -> int:
+    _ingest(args)
     return EXIT_OK
 
 
@@ -389,15 +407,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     original = dict(vars(args))
-    rc = cmd_ingest(args)
-    if rc != EXIT_OK:
-        return rc
-    series_paths = sorted((outdir / "series").glob("*.json"))
+    # later stages read exactly the sectors this run ingested, never
+    # leftovers of an earlier run into the same directory
+    sectors = _ingest(args)
+    series_paths = sorted(outdir / "series" / f"{s}.json" for s in sectors)
     args.inputs = [str(p) for p in series_paths]
     rc = cmd_segment(args)
     if rc != EXIT_OK:
         return rc
-    seg_paths = sorted((outdir / "segments").glob("*.json"))
+    seg_paths = sorted(outdir / "segments" / f"{s}.json" for s in sectors)
     args.inputs = [str(p) for p in seg_paths]
     rc = cmd_cluster(args)
     if rc != EXIT_OK:

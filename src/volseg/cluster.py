@@ -148,11 +148,6 @@ class Dendrogram:
         hi = heights[idx] if idx < len(heights) else math.inf
         return lo, hi
 
-    def top_branches(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Leaf sets of the two children of the root merge."""
-        root = self.merges[-1]
-        return self.members(root.a), self.members(root.b)
-
 
 def complete_link(stats: Sequence[SegmentStats]) -> Dendrogram:
     """Agglomerate segments; inter-cluster distance = max pairwise distance.

@@ -26,11 +26,11 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .calendar import TradingCalendar
+from .calendar import HALF_HOUR, TradingCalendar
 
 log = logging.getLogger(__name__)
 
@@ -39,14 +39,21 @@ DEFAULT_PRE_OPEN_GRACE = dt.timedelta(minutes=30)
 
 
 @dataclass(frozen=True)
-class TickRecord:
-    """One raw transaction row."""
+class TickColumns:
+    """The accepted rows of one tick file as columns, in file order."""
 
     ric: str
-    timestamp: dt.datetime  # aware, UTC, millisecond precision
-    gmt_offset: int
-    kind: str
-    price: float
+    t_us: np.ndarray  # int64 microseconds since the epoch, UTC
+    price: np.ndarray  # float64
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "t_us", np.asarray(self.t_us, dtype=np.int64))
+        object.__setattr__(self, "price", np.asarray(self.price, dtype=np.float64))
+        if self.t_us.ndim != 1 or self.t_us.shape != self.price.shape:
+            raise ValueError("t_us and price must be 1-d columns of equal length")
+
+    def __len__(self) -> int:
+        return len(self.t_us)
 
 
 @dataclass(frozen=True)
@@ -64,49 +71,185 @@ def sector_from_ric(ric: str) -> str:
     return code
 
 
-def parse_ticks(
-    stream: Iterable[str] | TextIO,
-) -> tuple[list[TickRecord], list[RejectedRow]]:
-    """Parse a Table-2-format stream into records plus a reject log.
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_US = dt.timedelta(microseconds=1)
+# A price of at most 15 digits is an integer below 2**53 over an exact
+# power of ten, so one IEEE division rounds it exactly as float() does.
+_MAX_PRICE_DIGITS = 15
+_MAX_PRICE_LEN = _MAX_PRICE_DIGITS + 1  # with the decimal point
+_POW10 = 10.0 ** np.arange(_MAX_PRICE_DIGITS + 1)
+_MAX_OFFSET_LEN = 3
+_PAD = _MAX_PRICE_LEN  # zero bytes after the text, so field windows never index past it
 
-    Lines starting with ``#`` (the header) emit no record.  A malformed
-    row is recorded with its 1-based line number and a reason, never
-    silently dropped.
+
+def _parse_row(lineno: int, line: str) -> tuple[str, int, float] | RejectedRow | None:
+    """The full per-row checks: ``(ric, t_us, price)``, a reject, or None
+    for a blank line."""
+    if not line.strip():
+        return None
+    fields = line.split(",")
+    if len(fields) != 6:
+        return RejectedRow(lineno, f"expected 6 fields, got {len(fields)}", line)
+    ric, date_s, time_s, offset_s, _kind, price_s = (f.strip() for f in fields)
+    try:
+        ts = dt.datetime.strptime(f"{date_s} {time_s}", "%m/%d/%Y %H:%M:%S.%f")
+    except ValueError:
+        return RejectedRow(lineno, f"unparseable date/time {date_s!r} {time_s!r}", line)
+    try:
+        int(offset_s)
+    except ValueError:
+        return RejectedRow(lineno, f"unparseable GMT offset {offset_s!r}", line)
+    try:
+        price = float(price_s)
+    except ValueError:
+        return RejectedRow(lineno, f"unparseable price {price_s!r}", line)
+    if not math.isfinite(price) or price <= 0.0:
+        return RejectedRow(lineno, f"non-positive price {price_s!r}", line)
+    return ric, (ts.replace(tzinfo=dt.timezone.utc) - _EPOCH) // _US, price
+
+
+def _is_digit(b: np.ndarray) -> np.ndarray:
+    return b - ord("0") < 10  # uint8 arithmetic: bytes below '0' wrap past 9
+
+
+def _digits(buf: np.ndarray, pos: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``width`` bytes at each ``pos`` read as a decimal number, and
+    whether they all are ASCII digits."""
+    value = np.zeros(len(pos), dtype=np.int64)
+    ok = np.ones(len(pos), dtype=bool)
+    for j in range(width):
+        b = buf[pos + j]
+        ok &= _is_digit(b)
+        value = value * 10 + (b - ord("0"))
+    return value, ok
+
+
+def _decode_timestamps(
+    buf: np.ndarray, c0: np.ndarray, c1: np.ndarray, c2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fields ``MM/DD/YYYY`` between commas ``c0`` and ``c1`` and
+    ``HH:MM:SS.fff`` between ``c1`` and ``c2`` as epoch microseconds, and
+    whether both are valid."""
+    ok = (c1 - c0 == 11) & (buf[c0 + 3] == ord("/")) & (buf[c0 + 6] == ord("/"))
+    month, ok_m = _digits(buf, c0 + 1, 2)
+    day, ok_d = _digits(buf, c0 + 4, 2)
+    year, ok_y = _digits(buf, c0 + 7, 4)
+    ok &= ok_m & ok_d & ok_y & (month >= 1) & (month <= 12) & (day >= 1) & (year >= 1)
+    # a civil date survives the round trip through its month
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
+    days = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) + day - 1
+    ok &= days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) == months
+
+    t = c1 + 1
+    ok &= (c2 - c1 == 13) & (buf[t + 2] == ord(":")) & (buf[t + 5] == ord(":")) & (buf[t + 8] == ord("."))
+    hour, ok_h = _digits(buf, t, 2)
+    minute, ok_mi = _digits(buf, t + 3, 2)
+    second, ok_s = _digits(buf, t + 6, 2)
+    milli, ok_ms = _digits(buf, t + 9, 3)
+    ok &= ok_h & ok_mi & ok_s & ok_ms & (hour <= 23) & (minute <= 59) & (second <= 59)
+    return ((days * 86400 + hour * 3600 + minute * 60 + second) * 1000 + milli) * 1000, ok
+
+
+def _valid_offsets(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Whether each field is an optional sign followed by digits."""
+    lead = buf[start]
+    signed = (lead == ord("+")) | (lead == ord("-"))
+    ok = (length >= 1) & (length <= _MAX_OFFSET_LEN) & (_is_digit(lead) | (signed & (length > 1)))
+    for j in range(1, _MAX_OFFSET_LEN):
+        ok &= (length <= j) | _is_digit(buf[start + j])
+    return ok
+
+
+def _decode_prices(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fields of digits with at most one inner decimal point as exactly
+    rounded positive floats, and whether each is such a field."""
+    mantissa = np.zeros(len(start), dtype=np.int64)
+    dots = np.zeros(len(start), dtype=np.int64)
+    dot_at = np.zeros(len(start), dtype=np.int64)
+    ok = (length >= 1) & (length <= _MAX_PRICE_LEN)
+    for j in range(min(_MAX_PRICE_LEN, int(length.max(initial=0)))):
+        b = buf[start + j]
+        inside = length > j
+        is_digit = inside & _is_digit(b)
+        is_dot = inside & (b == ord("."))
+        ok &= ~inside | is_digit | is_dot
+        mantissa = np.where(is_digit, mantissa * 10 + (b - ord("0")), mantissa)
+        dots += is_dot
+        dot_at = np.where(is_dot, j, dot_at)
+    has_dot = dots == 1
+    ok &= (dots <= 1) & (length - dots <= _MAX_PRICE_DIGITS) & (mantissa > 0)
+    ok &= ~has_dot | ((dot_at > 0) & (dot_at < length - 1))
+    frac_digits = np.where(ok & has_dot, length - 1 - dot_at, 0)
+    return mantissa / _POW10[frac_digits], ok
+
+
+def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
+    """Parse a Table-2-format stream into tick columns plus a reject log.
+
+    Lines starting with ``#`` (the header) emit no row.  A malformed row
+    is recorded with its 1-based line number and a reason, never
+    silently dropped.  Rows in the canonical form
+    ``RIC,MM/DD/YYYY,HH:MM:SS.fff,[+-]D,Type,D[.D]`` (no spaces around
+    fields, an offset of at most 3 characters, a positive price of at
+    most 15 digits) are decoded as whole arrays; every other line goes
+    through the per-row checks of ``_parse_row``, so both give the same
+    rows and rejects.  Accepted rows with more than one instrument code
+    raise ``ValueError``.
     """
-    records: list[TickRecord] = []
+    text = stream.read()
+    raw = text.encode("utf-8", "surrogatepass")
+    n = len(raw)
+    buf = np.frombuffer(raw + bytes(_PAD), dtype=np.uint8)
+    newlines = np.flatnonzero(buf[:n] == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, n)
+    ends -= (buf[ends - 1] == ord("\r")) & (ends > starts)
+    skipped = (ends == starts) | (buf[starts] == ord("#"))
+
+    commas = np.flatnonzero(buf[:n] == ord(","))
+    first_comma = np.searchsorted(commas, starts)
+    rows = np.flatnonzero(~skipped & (np.searchsorted(commas, ends) - first_comma == 5))
+    s = starts[rows]
+    c0, c1, c2, c3, c4 = (commas[first_comma[rows] + k] for k in range(5))
+    # an instrument code without surrounding whitespace, which strip() keeps as is
+    ok = (c0 > s) & (buf[s] > 0x20) & (buf[s] < 0x7F) & (buf[c0 - 1] > 0x20) & (buf[c0 - 1] < 0x7F)
+    t_us, ok_t = _decode_timestamps(buf, c0, c1, c2)
+    price, ok_p = _decode_prices(buf, c4 + 1, ends[rows] - c4 - 1)
+    ok &= ok_t & _valid_offsets(buf, c2 + 1, c3 - c2 - 1) & ok_p
+    rows, s, c0, t_us, price = rows[ok], s[ok], c0[ok], t_us[ok], price[ok]
+
+    rics: set[str] = set()
+    if len(rows):
+        ric = buf[s[0] : c0[0]].tobytes()
+        same = c0 - s == len(ric)
+        for j, byte in enumerate(ric):
+            same &= buf[np.minimum(s + j, n)] == byte  # clipped where lengths differ
+        odd = np.flatnonzero(~same)
+        rics = {buf[s[i] : c0[i]].tobytes().decode("utf-8", "surrogatepass") for i in odd}
+        rics.add(ric.decode("utf-8", "surrogatepass"))
+
     rejects: list[RejectedRow] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 6:
-            rejects.append(RejectedRow(lineno, f"expected 6 fields, got {len(fields)}", line))
-            continue
-        ric, date_s, time_s, offset_s, kind, price_s = (f.strip() for f in fields)
-        try:
-            ts = dt.datetime.strptime(f"{date_s} {time_s}", "%m/%d/%Y %H:%M:%S.%f")
-            ts = ts.replace(tzinfo=dt.timezone.utc)
-        except ValueError:
-            rejects.append(RejectedRow(lineno, f"unparseable date/time {date_s!r} {time_s!r}", line))
-            continue
-        try:
-            offset = int(offset_s)
-        except ValueError:
-            rejects.append(RejectedRow(lineno, f"unparseable GMT offset {offset_s!r}", line))
-            continue
-        try:
-            price = float(price_s)
-        except ValueError:
-            rejects.append(RejectedRow(lineno, f"unparseable price {price_s!r}", line))
-            continue
-        if not math.isfinite(price) or price <= 0.0:
-            rejects.append(RejectedRow(lineno, f"non-positive price {price_s!r}", line))
-            continue
-        records.append(TickRecord(ric, ts, offset, kind, price))
-    return records, rejects
+    fallback = ~skipped
+    fallback[rows] = False
+    fallback = np.flatnonzero(fallback)
+    if len(fallback):
+        lines = text.split("\n")
+        accepted: list[tuple[int, int, float]] = []
+        for i in fallback.tolist():
+            row = _parse_row(i + 1, lines[i].rstrip("\r"))
+            if isinstance(row, RejectedRow):
+                rejects.append(row)
+            elif row is not None:
+                rics.add(row[0])
+                accepted.append((i, row[1], row[2]))
+        if accepted:
+            more_rows, more_t, more_price = zip(*accepted)
+            order = np.argsort(np.concatenate((rows, more_rows)), kind="stable")
+            t_us = np.concatenate((t_us, np.array(more_t, dtype=np.int64)))[order]
+            price = np.concatenate((price, more_price))[order]
+    if len(rics) > 1:
+        raise ValueError(f"mixed instrument codes in one tick file: {sorted(rics)}")
+    return TickColumns(rics.pop() if rics else "", t_us, price), rejects
 
 
 def write_reject_log(rejects: list[RejectedRow], path: str | Path) -> None:
@@ -159,7 +302,7 @@ class LogReturnSeries:
 
 
 def resample(
-    ticks: list[TickRecord],
+    ticks: TickColumns,
     cal: TradingCalendar,
     pre_open_grace: dt.timedelta = DEFAULT_PRE_OPEN_GRACE,
 ) -> HalfHourSeries:
@@ -170,57 +313,45 @@ def resample(
     with no qualifying tick are fully carried forward (with a warning);
     grid points before the first usable tick are backfilled from it.
     """
-    if not ticks:
+    if not len(ticks):
         raise ValueError("empty tick set")
-    rics = {t.ric for t in ticks}
-    if len(rics) > 1:
-        raise ValueError(f"mixed instrument codes in one resample call: {sorted(rics)}")
-    sector = sector_from_ric(ticks[0].ric)
-    ordered = sorted(ticks, key=lambda t: t.timestamp)
+    sector = sector_from_ric(ticks.ric)
+    order = np.argsort(ticks.t_us, kind="stable")  # ties keep file order
+    t = ticks.t_us[order]
+    spd = cal.samples_per_day
+    step = HALF_HOUR // _US
+    opens = np.array([(g - _EPOCH) // _US for g in cal.grid[::spd]], dtype=np.int64)
+    grid = (opens[:, None] + step * np.arange(spd)).ravel()
 
-    values: list[float | None] = []
-    prev: float | None = None
-    i = 0
-    n_ticks = len(ordered)
-    for day in cal.days:
-        day_open = cal.session_open(day)
-        day_close = cal.session_close(day)
-        earliest = day_open - pre_open_grace
-        # skip ticks before this session's window
-        while i < n_ticks and ordered[i].timestamp < earliest:
-            i += 1
-        day_start = i
-        grid_t = day_open
-        last: float | None = None
-        used_any = False
-        for _ in range(cal.samples_per_day):
-            while i < n_ticks and ordered[i].timestamp < grid_t and ordered[i].timestamp <= day_close:
-                last = ordered[i].price
-                used_any = True
-                i += 1
-            if last is not None:
-                prev = last
-            values.append(prev)
-            grid_t += dt.timedelta(minutes=30)
-        # drop the rest of the day's ticks (post-close stragglers)
-        while i < n_ticks and ordered[i].timestamp <= day_close:
-            i += 1
-        if not used_any and i == day_start:
-            log.warning("%s: no qualifying ticks on %s, carrying forward", sector, day)
+    # A cursor walks the sorted ticks: each day it skips those before
+    # open - grace, takes those before each grid time, then skips those
+    # up to the close.  It never moves back, so its position after each
+    # skip is a running maximum of the skip targets.
+    cursor = np.empty(2 * len(opens), dtype=np.int64)
+    cursor[0::2] = np.searchsorted(t, opens - pre_open_grace // _US, side="left")
+    cursor[1::2] = np.searchsorted(t, opens + step * (spd - 1), side="right")
+    np.maximum.accumulate(cursor, out=cursor)
+    day_start, day_end = cursor[0::2], cursor[1::2]
+    for d in np.flatnonzero(day_end == day_start):
+        log.warning("%s: no qualifying ticks on %s, carrying forward", sector, cal.days[d])
 
-    first_real = next((j for j, v in enumerate(values) if v is not None), None)
-    if first_real is None:
+    day_start = np.repeat(day_start, spd)
+    taken = np.maximum(np.searchsorted(t, grid, side="left"), day_start)
+    fresh = taken > day_start  # a tick of this day precedes this grid time
+    if not fresh.any():
         raise ValueError(f"{sector}: no tick falls inside any trading session")
+    source = np.where(fresh, np.arange(len(grid)), 0)
+    np.maximum.accumulate(source, out=source)  # carry forward
+    first_real = int(np.argmax(fresh))
     if first_real > 0:
         log.warning(
             "%s: first %d grid points precede the first usable tick, backfilled",
             sector,
             first_real,
         )
-        fill = values[first_real]
-        for j in range(first_real):
-            values[j] = fill
-    return HalfHourSeries(sector, cal.grid, np.array(values, dtype=np.float64))
+        source[:first_real] = first_real
+    values = ticks.price[order[taken[source] - 1]]
+    return HalfHourSeries(sector, cal.grid, values)
 
 
 def log_returns(series: HalfHourSeries) -> LogReturnSeries:

@@ -59,6 +59,15 @@ class TestIngestCommand:
         assert run(["ingest"]) == 1
         assert run(["frobnicate"]) == 1
 
+    def test_duplicate_sector_is_data_error(self, corpus, tmp_path, capsys):
+        copy = tmp_path / "BM-copy.csv"
+        copy.write_bytes(Path(corpus["ticks"][0]).read_bytes())
+        out = tmp_path / "o"
+        assert run(["ingest", corpus["ticks"][0], str(copy), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert corpus["ticks"][0] in err and str(copy) in err
+        assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+
     def test_reject_log_written(self, tmp_path):
         tick_file = tmp_path / "BM.csv"
         tick_file.write_text(
@@ -319,6 +328,17 @@ class TestPipelineComposition:
         assert run(argv) == 0
         again = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert snapshot == again
+
+    def test_rerun_with_fewer_sectors_reports_only_those(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        assert run(["pipeline", *corpus["ticks"], "--out", str(out), "--holidays", corpus["holidays"]]) == 0
+        assert run(["pipeline", corpus["ticks"][0], "--out", str(out), "--holidays", corpus["holidays"]]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        plotted = {
+            line.split(",")[0]
+            for line in (out / "analysis" / "plotdata.csv").read_text().splitlines()[1:]
+        }
+        assert plotted == set(manifest) == {"BM"}
 
     def test_workers_do_not_change_output(self, corpus, tmp_path):
         outs = {1: tmp_path / "w1", 3: tmp_path / "w3"}

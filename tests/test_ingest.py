@@ -9,7 +9,7 @@ from conftest import weekday_calendar
 from volseg.calendar import TradingCalendar, load_holidays
 from volseg.ingest import (
     HalfHourSeries,
-    TickRecord,
+    TickColumns,
     log_returns,
     parse_ticks,
     resample,
@@ -23,8 +23,14 @@ from volseg.ingest import (
 UTC = dt.timezone.utc
 
 
-def tick(ts: str, price: float, ric: str = ".DJUSBM") -> TickRecord:
-    return TickRecord(ric, dt.datetime.fromisoformat(ts).replace(tzinfo=UTC), 0, "Index", price)
+def epoch_us(ts: dt.datetime) -> int:
+    return (ts - dt.datetime(1970, 1, 1, tzinfo=UTC)) // dt.timedelta(microseconds=1)
+
+
+def ticks(*rows: tuple[str, float], ric: str = ".DJUSBM") -> TickColumns:
+    """Tick columns from (ISO time in UTC, price) rows."""
+    stamps = [epoch_us(dt.datetime.fromisoformat(ts).replace(tzinfo=UTC)) for ts, _ in rows]
+    return TickColumns(ric, stamps, [price for _, price in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -89,23 +95,23 @@ class TestParseTicks:
         records, rejects = parse_ticks(
             io.StringIO(HEADER + "\n.DJUSBM,02/14/2000,14:30:29.829,+0,Index,149.93\n")
         )
+        # the offset and type fields are checked but not stored: the row
+        # is accepted with no reject
         assert rejects == []
-        (r,) = records
-        assert r.ric == ".DJUSBM"
-        assert r.timestamp == dt.datetime(2000, 2, 14, 14, 30, 29, 829000, tzinfo=UTC)
-        assert r.gmt_offset == 0
-        assert r.kind == "Index"
-        assert r.price == 149.93
+        assert len(records) == 1
+        assert records.ric == ".DJUSBM"
+        assert records.t_us[0] == epoch_us(dt.datetime(2000, 2, 14, 14, 30, 29, 829000, tzinfo=UTC))
+        assert records.price[0] == 149.93
 
     def test_header_emits_no_record(self):
         records, rejects = parse_ticks(io.StringIO(HEADER + "\n"))
-        assert records == [] and rejects == []
+        assert len(records) == 0 and rejects == []
 
     def test_unparseable_price_rejected_with_line_number(self):
         records, rejects = parse_ticks(
             io.StringIO(HEADER + "\n.DJUSBM,02/14/2000,14:30:29.829,+0,Index,abc\n")
         )
-        assert records == []
+        assert len(records) == 0
         (rej,) = rejects
         assert rej.line == 2
         assert "price" in rej.reason
@@ -120,6 +126,15 @@ class TestParseTicks:
         _, rejects = parse_ticks(io.StringIO(HEADER + "\n.DJUSBM,02/14/2000,14:30:29.829\n"))
         assert len(rejects) == 1 and "6 fields" in rejects[0].reason
 
+    def test_unparseable_gmt_offset_rejected(self):
+        records, rejects = parse_ticks(
+            io.StringIO(HEADER + "\n.DJUSBM,02/14/2000,14:30:29.829,+x,Index,149.93\n")
+        )
+        assert len(records) == 0
+        (rej,) = rejects
+        assert rej.line == 2
+        assert rej.reason == "unparseable GMT offset '+x'"
+
     def test_non_positive_price_rejected(self):
         _, rejects = parse_ticks(
             io.StringIO(HEADER + "\n.DJUSBM,02/14/2000,14:30:29.829,+0,Index,-5\n")
@@ -131,7 +146,7 @@ class TestParseTicks:
             f".DJUSBM,02/14/2000,14:3{i}:00.000,+0,Index,10{i}" for i in range(5)
         )
         records, _ = parse_ticks(io.StringIO(text))
-        assert [r.price for r in records] == [100, 101, 102, 103, 104]
+        assert list(records.price) == [100, 101, 102, 103, 104]
 
     def test_sector_from_ric(self):
         assert sector_from_ric(".DJUSBM") == "BM"
@@ -148,85 +163,84 @@ def one_day_cal() -> TradingCalendar:
 
 class TestResample:
     def test_open_value_is_last_tick_before_open(self):
-        ticks = [
-            tick("2000-02-14T11:54:20.434", 149.92),  # correction hours before open
-            tick("2000-02-14T14:25:50.259", 149.92),
-            tick("2000-02-14T14:30:29.829", 149.93),
-        ]
-        series = resample(ticks, one_day_cal())
+        series = resample(
+            ticks(
+                ("2000-02-14T11:54:20.434", 149.92),  # correction hours before open
+                ("2000-02-14T14:25:50.259", 149.92),
+                ("2000-02-14T14:30:29.829", 149.93),
+            ),
+            one_day_cal(),
+        )
         assert series.values[0] == 149.92
         assert series.grid[0].strftime("%H:%M") == "14:30"
 
     def test_early_correction_does_not_supply_open(self):
         # only a record 2.5 hours before the open exists until mid-session:
         # the open sample must not take the correction price
-        ticks = [
-            tick("2000-02-14T12:00:00.000", 999.0),
-            tick("2000-02-14T14:40:00.000", 150.0),
-        ]
-        series = resample(ticks, one_day_cal())
+        series = resample(
+            ticks(("2000-02-14T12:00:00.000", 999.0), ("2000-02-14T14:40:00.000", 150.0)),
+            one_day_cal(),
+        )
         assert series.values[0] == 150.0  # backfilled from first usable tick
         assert series.values[1] == 150.0
 
     def test_tick_exactly_at_grid_time_counts_for_next_sample(self):
-        ticks = [
-            tick("2000-02-14T14:29:00.000", 100.0),
-            tick("2000-02-14T15:00:00.000", 200.0),
-        ]
-        series = resample(ticks, one_day_cal())
+        series = resample(
+            ticks(("2000-02-14T14:29:00.000", 100.0), ("2000-02-14T15:00:00.000", 200.0)),
+            one_day_cal(),
+        )
         # 15:00 sample: strictly-before rule keeps the 14:29 price
         assert series.values[1] == 100.0
         assert series.values[2] == 200.0
 
     def test_post_close_tick_excluded_everywhere(self):
-        ticks = [
-            tick("2000-02-14T14:29:00.000", 150.0),
-            tick("2000-02-14T21:03:00.000", 150.15),  # ~0.1% off, after close
-        ]
-        series = resample(ticks, one_day_cal())
+        series = resample(
+            ticks(
+                ("2000-02-14T14:29:00.000", 150.0),
+                ("2000-02-14T21:03:00.000", 150.15),  # ~0.1% off, after close
+            ),
+            one_day_cal(),
+        )
         assert np.all(series.values == 150.0)
 
     def test_gap_carries_previous_grid_value_forward(self):
-        ticks = [
-            tick("2000-02-14T14:29:00.000", 150.0),
-            tick("2000-02-14T16:10:00.000", 151.0),
-        ]
-        series = resample(ticks, one_day_cal())
+        series = resample(
+            ticks(("2000-02-14T14:29:00.000", 150.0), ("2000-02-14T16:10:00.000", 151.0)),
+            one_day_cal(),
+        )
         # 15:00, 15:30, 16:00 have no new tick -> carry 150.0
         assert list(series.values[:5]) == [150.0, 150.0, 150.0, 150.0, 151.0]
 
     def test_day_with_no_ticks_warns_and_carries(self, caplog):
         cal = TradingCalendar.from_range(dt.date(2000, 2, 14), dt.date(2000, 2, 15))
-        ticks = [tick("2000-02-14T14:29:00.000", 150.0)]
         with caplog.at_level("WARNING"):
-            series = resample(ticks, cal)
+            series = resample(ticks(("2000-02-14T14:29:00.000", 150.0)), cal)
         assert np.all(series.values == 150.0)
         assert series.n == 28
         assert any("no qualifying ticks" in r.message for r in caplog.records)
 
     def test_empty_tick_set_is_error(self):
         with pytest.raises(ValueError, match="empty tick set"):
-            resample([], one_day_cal())
+            resample(ticks(), one_day_cal())
 
     def test_mixed_instruments_rejected(self):
-        ticks = [tick("2000-02-14T14:29:00.000", 1.0), tick("2000-02-14T14:31:00.000", 2.0, ric=".DJUSCY")]
+        # one tick column set holds one instrument, so the parse refuses the mix
+        text = (
+            HEADER
+            + "\n.DJUSBM,02/14/2000,14:29:00.000,+0,Index,1"
+            + "\n.DJUSCY,02/14/2000,14:31:00.000,+0,Index,2\n"
+        )
         with pytest.raises(ValueError, match="mixed instrument"):
-            resample(ticks, one_day_cal())
+            parse_ticks(io.StringIO(text))
 
     def test_idempotent_on_own_output(self):
         rng = np.random.default_rng(5)
         cal = weekday_calendar(dt.date(2000, 2, 14), 3)
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 1e-3, len(cal.grid))))
-        ticks = [
-            TickRecord(".DJUSBM", g - dt.timedelta(seconds=1), 0, "Index", float(p))
-            for g, p in zip(cal.grid, prices)
-        ]
-        first = resample(ticks, cal)
+        stamps = [epoch_us(g - dt.timedelta(seconds=1)) for g in cal.grid]
+        first = resample(TickColumns(".DJUSBM", stamps, prices), cal)
         again = resample(
-            [
-                TickRecord(".DJUSBM", g - dt.timedelta(seconds=1), 0, "Index", float(v))
-                for g, v in zip(first.grid, first.values)
-            ],
+            TickColumns(".DJUSBM", [epoch_us(g - dt.timedelta(seconds=1)) for g in first.grid], first.values),
             cal,
         )
         assert np.array_equal(first.values, again.values)
