@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import analysis, cluster, ingest, segmenter
 from .calendar import TradingCalendar, load_holidays
-from .divergence import Boundary, SegmentStats
+from .divergence import VARIANCE_FLOOR, Boundary, SegmentStats
 
 log = logging.getLogger(__name__)
 
@@ -244,7 +244,7 @@ def _stats_from_rows(rows: list[dict[str, object]]) -> list[SegmentStats]:
                 stdev=stdev,
                 mean_err=float(row["mean_err"]),
                 stdev_err=float(row["stdev_err"]),
-                degenerate=stdev <= 0.0,
+                degenerate=stdev**2 <= VARIANCE_FLOOR,
             )
         )
     return stats

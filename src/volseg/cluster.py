@@ -22,6 +22,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,6 +51,69 @@ PHASE_BY_COLOR = {
 }
 
 
+def _square(x: np.ndarray) -> np.ndarray:
+    # Python's ``**`` (libm pow) and ``x * x`` round apart in about 1 of
+    # 1,000 cells; the distances follow the scalar formula's ``**``
+    return np.fromiter(map(pow, x.tolist(), repeat(2)), np.float64, x.size)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # ``np.log`` and ``math.log`` round apart in one or two cells per 10,000
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+class _SegmentColumns:
+    """Per-segment terms of the distance formula, computed with Python
+    floats exactly as the scalar formula computes them."""
+
+    def __init__(self, stats: Sequence[SegmentStats]) -> None:
+        if any(s.n < 2 for s in stats):
+            raise ValueError("segments need at least 2 points each")
+        if not all(math.isfinite(s.mean) and math.isfinite(s.stdev) for s in stats):
+            raise ValueError("segment mean and stdev must be finite")
+        var = [s.stdev**2 for s in stats]
+        self.count = np.array([s.n for s in stats], dtype=np.int64)
+        self.weighted_mean = np.array([s.n * s.mean for s in stats], dtype=np.float64)
+        self.weighted_m2 = np.array(
+            [s.n * (v + s.mean**2) for s, v in zip(stats, var)], dtype=np.float64
+        )
+        self.flat = np.array([v <= VARIANCE_FLOOR for v in var], dtype=bool)
+        self.weighted_log_var = np.array(
+            [0.0 if v <= VARIANCE_FLOOR else s.n * math.log(v) for s, v in zip(stats, var)],
+            dtype=np.float64,
+        )
+        # position in canonical (n, mean, stdev) operand order
+        order = sorted(range(len(stats)), key=lambda i: (stats[i].n, stats[i].mean, stats[i].stdev))
+        self.rank = np.empty(len(stats), dtype=np.int64)
+        self.rank[order] = np.arange(len(stats))
+
+    def distances(self, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distances of the pairs (first[k], second[k]) and which of them
+        are degenerate (+inf).
+
+        Each pair is put in canonical order, so a distance is exactly
+        symmetric; squares and logs are taken per element with Python's
+        ``**`` and ``math.log``, so a cell is the same float whatever the
+        batch it is computed in.
+        """
+        swap = self.rank[first] > self.rank[second]
+        a = np.where(swap, second, first)
+        b = np.where(swap, first, second)
+        n = self.count[a] + self.count[b]
+        pooled_mean = (self.weighted_mean[a] + self.weighted_mean[b]) / n
+        pooled_m2 = (self.weighted_m2[a] + self.weighted_m2[b]) / n
+        pooled_var = np.maximum(pooled_m2 - _square(pooled_mean), 0.0)
+        degenerate = (pooled_var <= VARIANCE_FLOOR) | self.flat[a] | self.flat[b]
+        ok = ~degenerate
+        a, b = a[ok], b[ok]
+        dist = np.full(n.shape, np.inf)
+        dist[ok] = (
+            0.5 * (n[ok] * _log(pooled_var[ok]) - self.weighted_log_var[a] - self.weighted_log_var[b])
+            + 0.5
+        )
+        return dist, degenerate
+
+
 def segment_distance(a: SegmentStats, b: SegmentStats) -> float:
     """Divergence between two segments from sufficient statistics only.
 
@@ -57,22 +121,10 @@ def segment_distance(a: SegmentStats, b: SegmentStats) -> float:
     Degenerate inputs (zero variance on either side or pooled) give
     +inf so they merge last.
     """
-    if a.n < 2 or b.n < 2:
-        raise ValueError("segments need at least 2 points each")
-    # canonical operand order makes the result exactly symmetric in (a, b)
-    a, b = sorted((a, b), key=lambda s: (s.n, s.mean, s.stdev))
-    n = a.n + b.n
-    pooled_mean = (a.n * a.mean + b.n * b.mean) / n
-    pooled_m2 = (a.n * (a.stdev**2 + a.mean**2) + b.n * (b.stdev**2 + b.mean**2)) / n
-    pooled_var = max(pooled_m2 - pooled_mean**2, 0.0)
-    var_a = a.stdev**2
-    var_b = b.stdev**2
-    if min(pooled_var, var_a, var_b) <= VARIANCE_FLOOR:
+    dist, degenerate = _SegmentColumns((a, b)).distances(np.array([0]), np.array([1]))
+    if degenerate[0]:
         log.warning("degenerate segment pair in distance computation")
-        return math.inf
-    return 0.5 * (
-        n * math.log(pooled_var) - a.n * math.log(var_a) - b.n * math.log(var_b)
-    ) + 0.5
+    return float(dist[0])
 
 
 @dataclass(frozen=True)
@@ -104,10 +156,16 @@ class Dendrogram:
         return self.merges[-1].height if self.merges else 0.0
 
     def members(self, cluster_id: int) -> tuple[int, ...]:
-        if cluster_id < self.n_leaves:
-            return (cluster_id,)
-        m = self.merges[cluster_id - self.n_leaves]
-        return tuple(sorted(self.members(m.a) + self.members(m.b)))
+        leaves = []
+        stack = [cluster_id]
+        while stack:
+            c = stack.pop()
+            if c < self.n_leaves:
+                leaves.append(c)
+            else:
+                m = self.merges[c - self.n_leaves]
+                stack += (m.a, m.b)
+        return tuple(sorted(leaves))
 
     def cut(self, threshold: float) -> list[int]:
         """Cluster label per leaf after merging everything at or below
@@ -149,39 +207,88 @@ class Dendrogram:
         return lo, hi
 
 
+_PAIR_BLOCK = 1 << 12
+
+
+def _row_minima(
+    dist: np.ndarray, rows: np.ndarray, ids: np.ndarray, alive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the least distance to a live cluster of larger id and
+    the slot of that cluster (smallest id among ties; -1 when the row
+    has no such cluster, with distance +inf)."""
+    upper = alive & (ids > ids[rows, None])
+    vals = np.where(upper, dist[rows], np.inf)
+    best = vals.min(axis=1)
+    ties = upper & (vals == best[:, None])
+    slot = np.where(ties, ids, len(ids) * 2).argmin(axis=1)
+    slot[~upper.any(axis=1)] = -1
+    return best, slot
+
+
 def complete_link(stats: Sequence[SegmentStats]) -> Dendrogram:
     """Agglomerate segments; inter-cluster distance = max pairwise distance.
 
     Distance ties resolve toward the smallest (a, b) cluster-id pair.
+    Each live cluster keeps its least distance to a live cluster of
+    larger id; a merge rewrites one row with the elementwise max of the
+    two merged rows and rescans only the rows whose cached partner was
+    merged, so a run costs O(n^2) numpy work in the common case.
     """
     n = len(stats)
     if n < 2:
         raise ValueError("need at least 2 segments to cluster")
-    total = 2 * n - 1
-    dist = np.full((total, total), np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = segment_distance(stats[i], stats[j])
+    columns = _SegmentColumns(stats)
+    # slot s holds cluster ids[s]; a merge reuses the slot of its first member
+    dist = np.full((n, n), np.inf)
+    ids = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    row_min = np.empty(n)
+    row_arg = np.empty(n, dtype=np.int64)
+    n_degenerate = 0
+    # fill the upper triangle a block of rows at a time, so temporaries
+    # stay near _PAIR_BLOCK pairs
+    block = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n, block):
+        rows = np.arange(lo, min(lo + block, n))
+        first, second = np.nonzero(rows[:, None] < ids)
+        first += lo
+        values, degenerate = columns.distances(first, second)
+        n_degenerate += int(degenerate.sum())
+        dist[first, second] = values
+        dist[second, first] = values
+        row_min[rows], row_arg[rows] = _row_minima(dist, rows, ids, alive)
+    if n_degenerate:
+        log.warning(
+            "%d of %d segment pairs are degenerate; their distance is +inf",
+            n_degenerate,
+            n * (n - 1) // 2,
+        )
 
-    active: list[int] = list(range(n))
     merges: list[Merge] = []
     for step in range(n - 1):
-        best: tuple[float, int, int] | None = None
-        for ii, a in enumerate(active):
-            for b in active[ii + 1 :]:
-                d = dist[a, b]
-                if best is None or d < best[0] or (d == best[0] and (a, b) < (best[1], best[2])):
-                    best = (d, a, b)
-        assert best is not None
-        d, a, b = best
-        new = n + step
-        merges.append(Merge(a, b, float(d)))
-        for c in active:
-            if c != a and c != b:
-                dist[new, c] = dist[c, new] = max(dist[a, c], dist[b, c])
-        active.remove(a)
-        active.remove(b)
-        active.append(new)
+        # least (distance, a, b); rows without a partner hold +inf and
+        # rank last among +inf ties
+        d = row_min.min()
+        cand = np.flatnonzero(row_min == d)
+        sa = int(cand[np.where(row_arg[cand] >= 0, ids[cand], 2 * n).argmin()])
+        sb = int(row_arg[sa])
+        merges.append(Merge(int(ids[sa]), int(ids[sb]), float(d)))
+
+        merged = np.maximum(dist[sa], dist[sb])
+        dist[sa] = merged
+        dist[:, sa] = merged
+        ids[sa] = n + step
+        alive[sb] = False
+        row_min[sb], row_arg[sb] = np.inf, -1
+        # the new cluster has the largest id, so it joins every other
+        # live row's candidates and an equal value keeps the older
+        # partner; row sa itself (partner sb) is rescanned and finds none
+        stale = alive & ((row_arg == sa) | (row_arg == sb))
+        closer = alive & ~stale & ((merged < row_min) | (row_arg < 0))
+        row_min[closer] = merged[closer]
+        row_arg[closer] = sa
+        rows = np.flatnonzero(stale)
+        row_min[rows], row_arg[rows] = _row_minima(dist, rows, ids, alive)
     return Dendrogram(n, tuple(merges))
 
 
@@ -440,20 +547,43 @@ def assign_phases(
 # file formats
 
 
-def dendrogram_to_json(tree: Dendrogram, path: str | Path, sector: str = "") -> None:
-    def node(cid: int) -> dict:
+def _tree_json(tree: Dendrogram) -> str:
+    """The nested ``"tree"`` value as ``json.dumps(..., indent=1)`` lays
+    it out one level below the top, built with an explicit stack so a
+    chain-shaped tree of any depth can be written."""
+    out: list[str] = []
+    todo: list[str | tuple[int, int]] = [(2 * tree.n_leaves - 2 if tree.n_leaves > 1 else 0, 1)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        cid, depth = item
+        pad, inner, child = " " * depth, " " * (depth + 1), " " * (depth + 2)
         if cid < tree.n_leaves:
-            return {"leaf": cid}
+            out.append(f'{{\n{inner}"leaf": {cid}\n{pad}}}')
+            continue
         m = tree.merges[cid - tree.n_leaves]
-        return {"height": m.height, "children": [node(m.a), node(m.b)]}
+        todo += (
+            f'\n{inner}],\n{inner}"height": {json.dumps(m.height)}\n{pad}}}',
+            (m.b, depth + 2),
+            f",\n{child}",
+            (m.a, depth + 2),
+            f'{{\n{inner}"children": [\n{child}',
+        )
+    return "".join(out)
 
+
+def dendrogram_to_json(tree: Dendrogram, path: str | Path, sector: str = "") -> None:
     payload = {
         "sector": sector,
         "n_leaves": tree.n_leaves,
         "merges": [{"a": m.a, "b": m.b, "height": m.height} for m in tree.merges],
-        "tree": node(2 * tree.n_leaves - 2) if tree.n_leaves > 1 else {"leaf": 0},
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    # "tree" sorts last among the keys, so it is spliced in before the
+    # closing brace instead of going through the recursive encoder
+    head = json.dumps(payload, sort_keys=True, indent=1)[: -len("\n}")]
+    Path(path).write_text(f'{head},\n "tree": {_tree_json(tree)}\n}}\n')
 
 
 def write_merges_csv(tree: Dendrogram, path: str | Path) -> None:

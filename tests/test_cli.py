@@ -7,6 +7,7 @@ import pytest
 
 from conftest import weekday_calendar
 from volseg import cli, ingest, segmenter
+from volseg.divergence import segment_stats
 from volseg.synthetic import (
     levels_from_returns,
     make_demo_corpus,
@@ -207,6 +208,51 @@ class TestClusterCommand:
             assert run(["cluster", str(path), "--out", str(out)]) == 0
         payload = (out / "clusters" / "ONE.assignment.csv").read_text()
         assert "blue" in payload
+
+
+    @staticmethod
+    def table_row(m: int, n: int, stdev: float) -> dict[str, object]:
+        return {
+            "m": m,
+            "start": 1,
+            "end": n,
+            "duration": n,
+            "start_date": "03/01/2005",
+            "mean": 0.0,
+            "mean_err": stdev / n**0.5,
+            "stdev": stdev,
+            "stdev_err": stdev / (2 * (n - 1)) ** 0.5,
+            "delta": "",
+            "delta_err": "",
+            "flag": "",
+        }
+
+    def test_many_leaves_with_geometric_stdevs(self, tmp_path):
+        n_rows = 1500
+        rows = [self.table_row(i + 1, 40 + i % 7, 1e-3 * 1.002**i) for i in range(n_rows)]
+        path = tmp_path / "GEO.json"
+        segmenter.write_segment_json(rows, path, "GEO")
+        out = tmp_path / "out"
+        assert run(["cluster", str(path), "--out", str(out), "--policy", "per-branch"]) == 0
+        tree = json.loads((out / "clusters" / "GEO.dendrogram.json").read_text())
+        assert tree["n_leaves"] == n_rows and len(tree["merges"]) == n_rows - 1
+        merges = (out / "clusters" / "GEO.merges.csv").read_text().splitlines()
+        assert len(merges) == n_rows
+
+    def test_non_finite_statistics_are_data_error(self, tmp_path, capsys):
+        rows = [self.table_row(i + 1, 50, sd) for i, sd in enumerate([1e-3, 2e-3, float("nan"), 3e-3])]
+        path = tmp_path / "NAN.json"
+        segmenter.write_segment_json(rows, path, "NAN")
+        assert run(["cluster", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_degeneracy_follows_the_variance_floor(self):
+        # stdev 1e-16 is positive, but its variance 1e-32 is below the
+        # floor, so the segmenter flags such a window degenerate too
+        window = segment_stats([0.0, 2e-16])
+        assert window.degenerate and window.stdev > 0.0
+        rows = [self.table_row(1, 2, window.stdev), self.table_row(2, 30, 1e-14), self.table_row(3, 30, 0.0)]
+        assert [s.degenerate for s in cli._stats_from_rows(rows)] == [True, False, True]
 
 
 class TestAnalyzeCommand:

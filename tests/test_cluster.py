@@ -1,4 +1,7 @@
+import json
+import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,12 +12,15 @@ from volseg.cluster import (
     ClusterAssignment,
     Dendrogram,
     Merge,
+    _best_branch_split,
+    _SegmentColumns,
     assign_phases,
     complete_link,
+    dendrogram_to_json,
     extract_clusters,
     segment_distance,
 )
-from volseg.divergence import SegmentStats, js_divergence, segment_stats
+from volseg.divergence import VARIANCE_FLOOR, SegmentStats, js_divergence, segment_stats
 
 
 def stats_of(rng, n, mean, stdev) -> SegmentStats:
@@ -23,8 +29,10 @@ def stats_of(rng, n, mean, stdev) -> SegmentStats:
 
 def brute_force_agglomeration(stats):
     """Re-derive every inter-cluster distance from raw member pairs each
-    round; ties break on the smallest (a, b) id pair."""
+    round (leaf distances come from ``segment_distance`` once); ties
+    break on the smallest (a, b) id pair."""
     n = len(stats)
+    leaf = {(i, j): segment_distance(stats[i], stats[j]) for i in range(n) for j in range(i + 1, n)}
     clusters = {i: (i,) for i in range(n)}
     merges = []
     next_id = n
@@ -34,11 +42,7 @@ def brute_force_agglomeration(stats):
             for b in sorted(clusters):
                 if b <= a:
                     continue
-                d = max(
-                    segment_distance(stats[min(i, j)], stats[max(i, j)])
-                    for i in clusters[a]
-                    for j in clusters[b]
-                )
+                d = max(leaf[min(i, j), max(i, j)] for i in clusters[a] for j in clusters[b])
                 if best is None or d < best[0] or (d == best[0] and (a, b) < best[1:]):
                     best = (d, a, b)
         d, a, b = best
@@ -47,6 +51,65 @@ def brute_force_agglomeration(stats):
         merges.append(Merge(a, b, d))
         next_id += 1
     return merges
+
+
+def reference_distance(a: SegmentStats, b: SegmentStats) -> float:
+    """The scalar ``segment_distance`` formula as it stood before the
+    distance matrix was vectorized, verbatim but for its log warning."""
+    a, b = sorted((a, b), key=lambda s: (s.n, s.mean, s.stdev))
+    n = a.n + b.n
+    pooled_mean = (a.n * a.mean + b.n * b.mean) / n
+    pooled_m2 = (a.n * (a.stdev**2 + a.mean**2) + b.n * (b.stdev**2 + b.mean**2)) / n
+    pooled_var = max(pooled_m2 - pooled_mean**2, 0.0)
+    var_a = a.stdev**2
+    var_b = b.stdev**2
+    if min(pooled_var, var_a, var_b) <= VARIANCE_FLOOR:
+        return math.inf
+    return 0.5 * (
+        n * math.log(pooled_var) - a.n * math.log(var_a) - b.n * math.log(var_b)
+    ) + 0.5
+
+
+def edge_case_stats(rng, m: int) -> list[SegmentStats]:
+    """Segments drawn so that equal lengths, equal means, zero and
+    below-floor variances, and pooled variances lost to cancellation
+    (mean 1 with stdev 1e-9) all occur often."""
+    out = []
+    for _ in range(m):
+        n = int(rng.choice([2, 3, 50, 120, int(rng.integers(2, 400))]))
+        mean = float(rng.choice([0.0, 1e-4, -2e-4, 1.0, rng.normal() * 1e-3, rng.normal()]))
+        u = rng.random()
+        if u < 0.05:
+            stdev = 0.0
+        elif u < 0.08:
+            stdev = 1e-16
+        elif u < 0.12:
+            mean, stdev = 1.0, 1e-9
+        else:
+            stdev = float(10 ** rng.uniform(-5, -1))
+        out.append(SegmentStats(n, mean, stdev, 0.0, 0.0))
+    return out
+
+
+class TestDistanceKernel:
+    def test_matrix_equals_scalar_formula_bit_for_bit(self):
+        stats = edge_case_stats(np.random.default_rng(4242), 300)
+        first, second = np.triu_indices(len(stats), 1)
+        want = np.array(
+            [reference_distance(stats[i], stats[j]) for i, j in zip(first.tolist(), second.tolist())]
+        )
+        columns = _SegmentColumns(stats)
+        for pairs in ((first, second), (second, first)):
+            got, degenerate = columns.distances(*pairs)
+            assert np.array_equal(got, want)  # exact, +inf included
+            assert np.array_equal(degenerate, np.isinf(want))
+        assert 0 < np.isinf(want).sum() < want.size
+
+    def test_one_pair_case_equals_scalar_formula(self):
+        stats = edge_case_stats(np.random.default_rng(4243), 400)
+        for a, b in zip(stats[::2], stats[1::2]):
+            assert segment_distance(a, b) == reference_distance(a, b)
+            assert segment_distance(b, a) == reference_distance(a, b)
 
 
 class TestSegmentDistance:
@@ -132,6 +195,141 @@ class TestCompleteLink:
     def test_needs_two_segments(self, rng):
         with pytest.raises(ValueError):
             complete_link([stats_of(rng, 10, 0, 1e-3)])
+
+
+def oracle_sets(seed: int, kind: str) -> list[list[SegmentStats]]:
+    """Seeded segment sets of 2-40 leaves for the agglomeration oracle."""
+    rng = np.random.default_rng(seed)
+    flat = SegmentStats(30, 1e-4, 0.0, 0.0, 0.0)
+    sets = []
+    for m in (2, 3, 4, 7, 12, 23, 40):
+        stats = [
+            stats_of(rng, int(rng.integers(8, 120)), rng.normal() * 1e-4, 10 ** rng.uniform(-3.5, -2))
+            for _ in range(m)
+        ]
+        if kind == "duplicates":
+            # repeats of a few segments give exact distance ties
+            pool = stats[: max(1, m // 3)]
+            stats = [pool[int(i)] for i in rng.integers(0, len(pool), m)]
+        elif kind == "one-flat":
+            stats[int(rng.integers(m))] = flat
+        elif kind == "flat-mixed":
+            for i in rng.choice(m, size=max(1, m // 2), replace=False):
+                stats[int(i)] = SegmentStats(int(rng.integers(2, 60)), 0.0, float(rng.choice([0.0, 1e-16])), 0.0, 0.0)
+        elif kind == "all-degenerate":
+            stats = [
+                SegmentStats(int(rng.integers(2, 60)), float(rng.normal()), float(rng.choice([0.0, 1e-16])), 0.0, 0.0)
+                for _ in range(m)
+            ]
+        sets.append(stats)
+    return sets
+
+
+class TestCompleteLinkTiesAndDegenerates:
+    @pytest.mark.parametrize(
+        "seed, kind",
+        [(1, "duplicates"), (2, "one-flat"), (3, "flat-mixed"), (4, "all-degenerate"), (5, "plain")],
+    )
+    def test_matches_brute_force_oracle(self, seed, kind):
+        for stats in oracle_sets(seed, kind):
+            tree = complete_link(stats)
+            assert list(tree.merges) == brute_force_agglomeration(stats)
+
+    def test_all_degenerate_merges_in_id_order(self):
+        # every distance is +inf, so each step takes the smallest live pair
+        stats = [SegmentStats(10, 0.0, 0.0, 0.0, 0.0)] * 5
+        tree = complete_link(stats)
+        assert [(m.a, m.b) for m in tree.merges] == [(0, 1), (2, 3), (4, 5), (6, 7)]
+        assert all(m.height == math.inf for m in tree.merges)
+
+    def test_one_warning_per_call_with_pair_count(self, rng, caplog):
+        stats = [stats_of(rng, 40, 0.0, 10 ** rng.uniform(-3.5, -2)) for _ in range(9)]
+        stats += [SegmentStats(20, 0.0, 0.0, 0.0, 0.0), SegmentStats(20, 0.0, 1e-16, 0.0, 0.0)]
+        with caplog.at_level(logging.WARNING, logger="volseg.cluster"):
+            complete_link(stats)
+        records = [r.getMessage() for r in caplog.records if "degenerate" in r.getMessage()]
+        # pairs touching either flat segment: 55 in all, 36 among the others
+        assert records == ["19 of 55 segment pairs are degenerate; their distance is +inf"]
+
+    def test_scalar_distance_still_warns_per_call(self, caplog):
+        flat = SegmentStats(10, 0.0, 0.0, 0.0, 0.0)
+        other = SegmentStats(10, 0.0, 1e-3, 0.0, 0.0)
+        with caplog.at_level(logging.WARNING, logger="volseg.cluster"):
+            segment_distance(flat, other)
+            segment_distance(other, flat)
+        assert sum("degenerate" in r.getMessage() for r in caplog.records) == 2
+
+
+def chain_tree(n: int) -> Dendrogram:
+    """Leaf k + 1 joins the cluster of leaves 0..k at height k + 1."""
+    return Dendrogram(
+        n, tuple(Merge(0 if k == 0 else n + k - 1, k + 1, float(k + 1)) for k in range(n - 1))
+    )
+
+
+def nested_dendrogram_json(tree: Dendrogram, sector: str) -> str:
+    """The dendrogram file as a recursive walk and ``json.dumps`` give it."""
+
+    def node(cid: int) -> dict:
+        if cid < tree.n_leaves:
+            return {"leaf": cid}
+        m = tree.merges[cid - tree.n_leaves]
+        return {"height": m.height, "children": [node(m.a), node(m.b)]}
+
+    payload = {
+        "sector": sector,
+        "n_leaves": tree.n_leaves,
+        "merges": [{"a": m.a, "b": m.b, "height": m.height} for m in tree.merges],
+        "tree": node(2 * tree.n_leaves - 2) if tree.n_leaves > 1 else {"leaf": 0},
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+class TestDeepDendrogram:
+    N = 1500
+
+    def test_members_of_chain(self):
+        tree = chain_tree(self.N)
+        assert tree.members(2 * self.N - 2) == tuple(range(self.N))
+        assert tree.members(self.N + 700) == tuple(range(702))
+        assert tree.members(5) == (5,)
+
+    def test_per_branch_split_of_chain(self):
+        tree = chain_tree(self.N)
+        # the root splits leaves 0..1498 from leaf 1499, so k = 3 needs
+        # two clusters on the left: cut between heights 1497 and 1498
+        assert _best_branch_split(tree, 3) == (1.0 / 1499, 2, 1497.5, 749.5)
+        stats = [SegmentStats(10, 0.0, 1e-3, 0.0, 0.0)] * self.N
+        assignment, _ = extract_clusters(tree, stats, [3], policy="per-branch")
+        assert assignment.labels == (0,) * 1498 + (1, 2)
+
+    def test_json_of_chain(self, tmp_path):
+        tree = chain_tree(self.N)
+        path = tmp_path / "chain.dendrogram.json"
+        dendrogram_to_json(tree, path, "CH")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(4 * self.N + 1000)  # only to read the file back
+        try:
+            payload = json.loads(path.read_text())
+        finally:
+            sys.setrecursionlimit(limit)
+        assert payload["n_leaves"] == self.N
+        assert payload["merges"][-1] == {"a": 2 * self.N - 3, "b": self.N - 1, "height": float(self.N - 1)}
+        node = payload["tree"]
+        for k in range(self.N - 1, 0, -1):
+            left, right = node["children"]
+            assert node["height"] == float(k) and right == {"leaf": k}
+            node = left
+        assert node == {"leaf": 0}
+
+    def test_json_bytes_match_nested_dump(self, tmp_path):
+        trees = [Dendrogram(1, ()), chain_tree(2), chain_tree(40)]
+        for kind in ("plain", "flat-mixed", "duplicates"):
+            trees += [complete_link(stats) for stats in oracle_sets(6, kind)]
+        path = tmp_path / "t.json"
+        for tree in trees:
+            dendrogram_to_json(tree, path, "S")
+            assert path.read_text() == nested_dendrogram_json(tree, "S")
 
 
 def published_style_tree() -> Dendrogram:
