@@ -9,13 +9,12 @@ next to the artifacts for provenance.  Exit codes: 0 ok, 1 usage,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime as dt
 import json
 import logging
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import analysis, cluster, ingest, segmenter
 from .calendar import TradingCalendar, load_holidays
@@ -79,16 +78,6 @@ def _apply_config_file(
         sub.set_defaults(**normalized)
         args = parser.parse_args(argv)
     return args
-
-
-def _map_sectors(
-    worker: Callable, items: list, workers: int
-) -> list:
-    """Run per-sector work, possibly in a bounded pool; order preserved."""
-    if workers <= 1 or len(items) <= 1:
-        return [worker(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items))
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +148,17 @@ def _ingest(args: argparse.Namespace) -> list[str]:
     grace = dt.timedelta(minutes=args.pre_open_grace_min)
     series_dir.mkdir(parents=True, exist_ok=True)
 
-    def work(item):
-        path, ticks, rejects = item
+    for path, ticks, rejects in parsed:
         series = ingest.resample(ticks, cal, grace)
         ingest.series_to_csv(series, series_dir / f"{series.sector}.csv")
         ingest.series_to_json(series, series_dir / f"{series.sector}.json")
         ingest.write_reject_log(rejects, series_dir / f"{series.sector}.rejects.csv")
-        return series.sector, {
+        manifest[series.sector] = {
             "source": str(path),
             "ticks": len(ticks),
             "rejects": len(rejects),
             "samples": series.n,
         }
-
-    for sector, info in _map_sectors(work, parsed, args.workers):
-        manifest[sector] = info
     _write_calendar(cal, outdir / "calendar.json")
     (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     _write_resolved_config(args, outdir)
@@ -215,7 +200,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         if not p.exists():
             raise DataError(f"input file not found: {p}")
 
-    def work(path: Path):
+    for path in paths:
         series = _load_series(path)
         returns = ingest.log_returns(series)
         result = segmenter.recursive_segment(returns.x, cfg)
@@ -224,10 +209,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         rows = segmenter.emit_segment_table(result, series.grid)
         segmenter.write_segment_csv(rows, seg_dir / f"{series.sector}.csv")
         segmenter.write_segment_json(rows, seg_dir / f"{series.sector}.json", series.sector, cfg)
-        return series.sector, len(result.segments)
-
-    for sector, n_segments in _map_sectors(work, paths, args.workers):
-        print(f"{sector}: {n_segments} segments")
+        print(f"{series.sector}: {len(result.segments)} segments")
     _write_resolved_config(args, outdir)
     return EXIT_OK
 
@@ -260,7 +242,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         if not p.exists():
             raise DataError(f"input file not found: {p}")
 
-    def work(path: Path):
+    for path in paths:
         payload = json.loads(path.read_text())
         sector = payload.get("sector") or path.stem
         rows = payload["rows"]
@@ -273,7 +255,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             assignment = cluster.assign_phases(assignment)
             cluster.write_assignment_csv(assignment, cl_dir / f"{sector}.assignment.csv")
             cluster.write_robustness_json([], cl_dir / f"{sector}.robustness.json", 1)
-            return sector, 1
+            print(f"{sector}: 1 clusters")
+            continue
         tree = cluster.complete_link(stats)
         k_hi = min(args.k_max, tree.n_leaves)
         k_lo = min(args.k_min, k_hi)
@@ -285,10 +268,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         cluster.write_merges_csv(tree, cl_dir / f"{sector}.merges.csv")
         cluster.write_assignment_csv(assignment, cl_dir / f"{sector}.assignment.csv")
         cluster.write_robustness_json(report, cl_dir / f"{sector}.robustness.json", assignment.k)
-        return sector, assignment.k
-
-    for sector, k in _map_sectors(work, paths, args.workers):
-        print(f"{sector}: {k} clusters")
+        print(f"{sector}: {assignment.k} clusters")
     _write_resolved_config(args, outdir)
     return EXIT_OK
 
@@ -437,7 +417,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--seed", type=int, default=0, help="seed recorded for provenance")
-    p.add_argument("--workers", type=int, default=1, help="per-sector worker pool size")
     p.add_argument("--verbose", action="store_true")
 
 

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -275,12 +277,18 @@ class HalfHourSeries:
         if len(self.values) and not np.all(self.values > 0.0):
             bad = int(np.argmin(self.values > 0.0))
             raise ValueError(f"non-positive level at {self.grid[bad].isoformat()}")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+        if not all(map(operator.lt, self.grid, self.grid[1:])):
             raise ValueError("grid timestamps must be strictly increasing")
 
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @functools.cached_property
+    def timestamps(self) -> tuple[str, ...]:
+        """``isoformat()`` of every grid time, formatted once per series.
+        Values are not cached: they may be edited in place between writes."""
+        return tuple(t.isoformat() for t in self.grid)
 
 
 @dataclass(frozen=True)
@@ -371,12 +379,14 @@ def log_returns(series: HalfHourSeries) -> LogReturnSeries:
 # file formats
 
 
+# Timestamps and float reprs hold no comma, quote, backslash or control
+# character, so joining them as plain text gives the bytes csv.writer and
+# json.dumps(..., sort_keys=True, indent=1) wrote.
+
+
 def series_to_csv(series: HalfHourSeries, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "value"])
-        for ts, v in zip(series.grid, series.values):
-            writer.writerow([ts.isoformat(), repr(float(v))])
+    rows = map(",".join, zip(series.timestamps, map(repr, series.values.tolist())))
+    Path(path).write_text("\n".join(["timestamp,value", *rows]) + "\n", newline="")
 
 
 def series_from_csv(path: str | Path, sector: str | None = None) -> HalfHourSeries:
@@ -391,13 +401,19 @@ def series_from_csv(path: str | Path, sector: str | None = None) -> HalfHourSeri
     return HalfHourSeries(name, tuple(grid), np.array(values))
 
 
+def _json_strings(items: Sequence[str]) -> str:
+    """A list of strings that need no escapes, as a value of the top-level object."""
+    if not items:
+        return "[]"
+    return '[\n  "' + '",\n  "'.join(items) + '"\n ]'
+
+
 def series_to_json(series: HalfHourSeries, path: str | Path) -> None:
-    payload = {
-        "sector": series.sector,
-        "timestamps": [ts.isoformat() for ts in series.grid],
-        "values": [repr(float(v)) for v in series.values],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(
+        f'{{\n "sector": {json.dumps(series.sector)},'
+        f'\n "timestamps": {_json_strings(series.timestamps)},'
+        f'\n "values": {_json_strings(list(map(repr, series.values.tolist())))}\n}}\n'
+    )
 
 
 def series_from_json(path: str | Path) -> HalfHourSeries:

@@ -385,24 +385,3 @@ class TestPipelineComposition:
             for line in (out / "analysis" / "plotdata.csv").read_text().splitlines()[1:]
         }
         assert plotted == set(manifest) == {"BM"}
-
-    def test_workers_do_not_change_output(self, corpus, tmp_path):
-        outs = {1: tmp_path / "w1", 3: tmp_path / "w3"}
-        for workers, out in outs.items():
-            assert (
-                run(
-                    [
-                        "pipeline",
-                        *corpus["ticks"],
-                        "--out",
-                        str(out),
-                        "--holidays",
-                        corpus["holidays"],
-                        "--workers",
-                        str(workers),
-                    ]
-                )
-                == 0
-            )
-        for rel in ("segments/BM.csv", "clusters/CY.assignment.csv", "analysis/plotdata.csv"):
-            assert (outs[1] / rel).read_bytes() == (outs[3] / rel).read_bytes()

@@ -281,6 +281,16 @@ class TestLogReturns:
             HalfHourSeries("BM", cal.grid[:3], np.array([100.0, -1.0, 101.0]))
         assert cal.grid[1].isoformat() in str(err.value)
 
+    @pytest.mark.parametrize("at", [1, 7, 13])
+    @pytest.mark.parametrize(
+        "step", [dt.timedelta(0), -dt.timedelta(microseconds=1)], ids=["equal", "decreasing"]
+    )
+    def test_grid_must_strictly_increase(self, step, at):
+        grid = list(weekday_calendar(dt.date(2000, 2, 14), 1).grid)
+        grid[at] = grid[at - 1] + step
+        with pytest.raises(ValueError, match="^grid timestamps must be strictly increasing$"):
+            HalfHourSeries("BM", tuple(grid), np.full(len(grid), 100.0))
+
     def test_base_grid_is_left_endpoints(self):
         s = series_of([100.0, 101.0, 102.0])
         out = log_returns(s)
