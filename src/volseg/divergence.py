@@ -132,6 +132,9 @@ class PrefixSums:
         self._cum2 = np.zeros(arr.size + 1, dtype=np.float64)
         np.cumsum(centered, out=self._cum[1:])
         np.cumsum(centered * centered, out=self._cum2[1:])
+        # side counts for scan: _count[i] == i and _rcount[i] == length - i
+        self._count = np.arange(arr.size + 1, dtype=np.float64)
+        self._rcount = self._count[::-1].copy()
 
     def mean_var(self, a: int, b: int) -> tuple[float, float]:
         """MLE mean and variance of the window [a, b)."""
@@ -180,7 +183,10 @@ class PrefixSums:
 
         Vectorized over all admissible t; ties resolve to the smallest
         t.  Returns None when every admissible split is degenerate (or
-        the window is too short to admit one).
+        the window is too short to admit one).  The splits t run over a
+        slice of the prefix arrays and the arithmetic reuses three buffers
+        in place, in the operation order of ``delta_at`` except that the
+        side logs come from ``np.log``.
         """
         if margin < 2:
             raise ValueError("margin must be at least 2 for variance estimates")
@@ -190,24 +196,46 @@ class PrefixSums:
         _, var = self.mean_var(a, b)
         if var <= VARIANCE_FLOOR:
             return None
-        t = np.arange(a + margin, b - margin + 1)
-        nl = t - a
-        nr = b - t
-        s_l = self._cum[t] - self._cum[a]
-        s2_l = self._cum2[t] - self._cum2[a]
-        var_l = np.maximum((s2_l - s_l * s_l / nl) / nl, 0.0)
-        s_r = self._cum[b] - self._cum[t]
-        s2_r = self._cum2[b] - self._cum2[t]
-        var_r = np.maximum((s2_r - s_r * s_r / nr) / nr, 0.0)
-        ok = (var_l > VARIANCE_FLOOR) & (var_r > VARIANCE_FLOOR)
-        if not ok.any():
-            return None
-        delta = np.full(t.size, -np.inf)
-        delta[ok] = 0.5 * (
-            n * math.log(var) - nl[ok] * np.log(var_l[ok]) - nr[ok] * np.log(var_r[ok])
-        ) + 0.5
-        best = int(np.argmax(delta))  # first occurrence == smallest t
-        return int(t[best]), float(delta[best])
+        lo = a + margin  # first admissible t
+        hi = b - margin + 1
+        nl = self._count[margin : n - margin + 1]  # t - a
+        nr = self._rcount[self.length - n + margin : self.length - margin + 1]  # b - t
+        cum, cum2 = self._cum, self._cum2
+
+        s = np.subtract(cum[lo:hi], cum[a])
+        var_l = np.subtract(cum2[lo:hi], cum2[a])
+        _side_var(var_l, s, nl)
+        np.subtract(cum[b], cum[lo:hi], out=s)
+        var_r = np.subtract(cum2[b], cum2[lo:hi])
+        _side_var(var_r, s, nr)
+
+        ok = None  # every split admissible
+        if not (var_l.min() > VARIANCE_FLOOR and var_r.min() > VARIANCE_FLOOR):
+            ok = (var_l > VARIANCE_FLOOR) & (var_r > VARIANCE_FLOOR)
+            if not ok.any():
+                return None
+        # clamped sides only feed splits that are masked out below
+        delta = np.log(var_l, out=var_l)
+        np.multiply(nl, delta, out=delta)
+        np.subtract(n * math.log(var), delta, out=delta)
+        np.log(var_r, out=var_r)
+        np.multiply(nr, var_r, out=var_r)
+        np.subtract(delta, var_r, out=delta)
+        np.multiply(0.5, delta, out=delta)
+        np.add(delta, 0.5, out=delta)
+        if ok is not None:
+            delta[~ok] = -np.inf
+        best = int(delta.argmax())  # first occurrence == smallest t
+        return lo + best, float(delta[best])
+
+
+def _side_var(s2: np.ndarray, s: np.ndarray, count: np.ndarray) -> None:
+    """In place: s2 <- max((s2 - s*s/count)/count, VARIANCE_FLOOR); s is clobbered."""
+    np.multiply(s, s, out=s)
+    np.divide(s, count, out=s)
+    np.subtract(s2, s, out=s2)
+    np.divide(s2, count, out=s2)
+    np.maximum(s2, VARIANCE_FLOOR, out=s2)
 
 
 def js_divergence(x, t: int) -> float:

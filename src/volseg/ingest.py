@@ -418,6 +418,6 @@ def series_to_json(series: HalfHourSeries, path: str | Path) -> None:
 
 def series_from_json(path: str | Path) -> HalfHourSeries:
     payload = json.loads(Path(path).read_text())
-    grid = tuple(dt.datetime.fromisoformat(t) for t in payload["timestamps"])
-    values = np.array([float(v) for v in payload["values"]])
+    grid = tuple(map(dt.datetime.fromisoformat, payload["timestamps"]))
+    values = np.array(list(map(float, payload["values"])))
     return HalfHourSeries(payload["sector"], grid, values)

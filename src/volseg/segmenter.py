@@ -19,7 +19,9 @@ import csv
 import datetime as dt
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Sequence
 
@@ -141,53 +143,93 @@ class _Scanner:
             return out
 
 
-def _sweep_once(sc: _Scanner, bounds: list[int], lo: int, hi: int) -> bool:
-    """One left-to-right pass re-placing every boundary; True if any moved."""
-    moved = False
-    for k in range(len(bounds)):
-        a = bounds[k - 1] if k > 0 else lo
-        b = bounds[k + 1] if k + 1 < len(bounds) else hi
-        found = sc.scan(a, b)
-        if found is not None and found[0] != bounds[k]:
-            bounds[k] = found[0]
-            moved = True
-    return moved
+def _insert(bounds: list[int], dirty: set[int], pos: int) -> int:
+    """Insert a boundary at pos and mark it and both neighbors dirty."""
+    idx = bisect_left(bounds, pos)
+    bounds.insert(idx, pos)
+    dirty.update(bounds[max(idx - 1, 0) : idx + 2])
+    return idx
 
 
-def _optimize(sc: _Scanner, bounds: list[int], lo: int, hi: int, max_iters: int) -> bool:
-    """Sweep until a fixed point; returns False if max_iters ran out."""
+def _optimize(
+    sc: _Scanner,
+    bounds: list[int],
+    lo: int,
+    hi: int,
+    max_iters: int,
+    dirty: set[int],
+    moved: set[int] | None = None,
+) -> bool:
+    """Sweep left to right until a fixed point; returns False if max_iters ran out.
+
+    A boundary's scan depends only on its two neighbors, so a sweep
+    re-places just the ``dirty`` boundaries (held by position): those
+    whose window changed since their last scan.  A move dirties k+1
+    later in the same sweep and k-1 in the next one, which keeps the
+    sweep count of a full left-to-right pass.  On return ``dirty`` holds
+    the boundaries that may still move (empty after a fixed point);
+    indices that moved are added to ``moved``.
+    """
     if not bounds:
         return True
+    last = len(bounds) - 1
     for _ in range(max_iters):
-        if not _sweep_once(sc, bounds, lo, hi):
+        heap = sorted(bisect_left(bounds, p) for p in dirty)
+        dirty.clear()
+        any_moved = False
+        while heap:
+            k = heappop(heap)
+            a = bounds[k - 1] if k > 0 else lo
+            b = bounds[k + 1] if k < last else hi
+            found = sc.scan(a, b)
+            if found is None or found[0] == bounds[k]:
+                continue
+            bounds[k] = found[0]
+            any_moved = True
+            if moved is not None:
+                moved.add(k)
+            if k < last and (not heap or heap[0] != k + 1):  # k+1, if queued, is the minimum
+                heappush(heap, k + 1)
+            if k > 0:
+                dirty.add(bounds[k - 1])
+        if not any_moved:
             return True
     return False
 
 
 def _recurse(
     sc: _Scanner, lo: int, hi: int, cutoff: float, max_iters: int
-) -> tuple[list[int], bool]:
-    """Greedy recursive splitting of [lo, hi) at the given cutoff."""
+) -> tuple[list[int], bool, set[int]]:
+    """Greedy recursive splitting of [lo, hi) at the given cutoff.
+
+    Candidates live in a heap keyed (-delta, t): strongest first, equal
+    strength leftmost.  Each round scans only the windows next to a
+    boundary that was inserted or moved; an entry whose window is no
+    longer a segment is dropped when it reaches the top.  Returns the
+    boundaries, the convergence flag and the still-dirty positions.
+    """
     bounds: list[int] = []
+    dirty: set[int] = set()
     converged = True
+    heap: list[tuple[float, int, int, int]] = []
+    fresh = {(lo, hi)}
     while True:
-        best: tuple[float, int] | None = None
-        for a, b in zip([lo] + bounds, bounds + [hi]):
+        for a, b in fresh:
             found = sc.scan(a, b)
-            if found is None:
-                continue
-            t, delta = found
-            if delta < cutoff:
-                continue
-            # strongest candidate first; equal strength -> leftmost
-            if best is None or delta > best[0] or (delta == best[0] and t < best[1]):
-                best = (delta, t)
-        if best is None:
-            return bounds, converged
-        pos = best[1]
-        idx = int(np.searchsorted(bounds, pos))
-        bounds.insert(idx, pos)
-        converged &= _optimize(sc, bounds, lo, hi, max_iters)
+            if found is not None and found[1] >= cutoff:
+                heappush(heap, (-found[1], found[0], a, b))
+        while heap:
+            _, t, a, b = heap[0]
+            i = bisect_left(bounds, t)
+            if (bounds[i - 1] if i else lo) == a and (bounds[i] if i < len(bounds) else hi) == b:
+                break
+            heappop(heap)
+        if not heap:
+            return bounds, converged, dirty
+        moved = {_insert(bounds, dirty, heappop(heap)[1])}
+        converged &= _optimize(sc, bounds, lo, hi, max_iters, dirty, moved)
+        edges = [lo] + bounds + [hi]
+        fresh = {w for k in moved for w in ((edges[k], edges[k + 1]), (edges[k + 1], edges[k + 2]))}
 
 
 def _prune_weak(
@@ -198,12 +240,15 @@ def _prune_weak(
     hi: int,
     cutoff: float,
     max_iters: int,
+    dirty: set[int],
     include_refined: bool = False,
 ) -> bool:
     """Drop boundaries whose final-window divergence fell below the cutoff
     (optimization can shrink a window after later splits).  Automatic
     boundaries must reach the cutoff; refined ones, when included, must
-    exceed it.  Returns the accumulated optimization convergence flag."""
+    exceed it.  ``dirty`` carries the unsettled boundaries in and out, as
+    in ``_optimize``.  Returns the accumulated optimization convergence
+    flag."""
     converged = True
     while True:
         weakest: tuple[float, int] | None = None
@@ -223,9 +268,10 @@ def _prune_weak(
             return converged
         k = weakest[1]
         log.debug("pruning sub-cutoff boundary at %d (delta=%.3f)", bounds[k], weakest[0])
-        del bounds[k]
+        dirty.discard(bounds.pop(k))
         del flags[k]
-        converged &= _optimize(sc, bounds, lo, hi, max_iters)
+        dirty.update(bounds[max(k - 1, 0) : k + 1])  # the neighbors now facing each other
+        converged &= _optimize(sc, bounds, lo, hi, max_iters, dirty)
 
 
 def _build_result(
@@ -275,9 +321,11 @@ def recursive_segment(x, cfg: SegmentationConfig | None = None) -> SegmentationR
         )
     ps = PrefixSums(arr)
     sc = _Scanner(ps, cfg.min_segment_len)
-    bounds, converged = _recurse(sc, 0, arr.size, cfg.cutoff, cfg.max_opt_iters)
+    bounds, converged, dirty = _recurse(sc, 0, arr.size, cfg.cutoff, cfg.max_opt_iters)
     flags = [FLAG_AUTOMATIC] * len(bounds)
-    converged &= _prune_weak(sc, bounds, flags, 0, arr.size, cfg.cutoff, cfg.max_opt_iters)
+    converged &= _prune_weak(
+        sc, bounds, flags, 0, arr.size, cfg.cutoff, cfg.max_opt_iters, dirty
+    )
     if not converged:
         log.warning("boundary optimization hit max_opt_iters without converging")
     return _build_result(ps, bounds, flags, cfg, converged)
@@ -299,7 +347,7 @@ def optimize_boundaries(
     if bounds and not (0 < bounds[0] and bounds[-1] < arr.size):
         raise ValueError("boundaries must be interior to the series")
     sc = _Scanner(PrefixSums(arr), max(2, min_segment_len))
-    ok = _optimize(sc, bounds, 0, arr.size, max_iters)
+    ok = _optimize(sc, bounds, 0, arr.size, max_iters, set(bounds))
     if not ok:
         log.warning("optimize_boundaries stopped at max_iters without a fixed point")
     return bounds, ok
@@ -321,6 +369,7 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
     bounds = list(result.positions)
     flags = list(result.flags)
     converged = result.converged
+    dirty = set(bounds)  # a given result need not be a fixed point
     attempted: set[tuple[int, int]] = set()
 
     while True:
@@ -338,14 +387,13 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
         if not found:
             continue
         for pos in found:
-            idx = int(np.searchsorted(bounds, pos))
-            bounds.insert(idx, pos)
-            flags.insert(idx, FLAG_REFINED)
-        converged &= _optimize(sc, bounds, 0, arr.size, cfg.max_opt_iters)
+            flags.insert(_insert(bounds, dirty, pos), FLAG_REFINED)
+        converged &= _optimize(sc, bounds, 0, arr.size, cfg.max_opt_iters, dirty)
         # global optimization may shift positions; refined boundaries only
         # survive if they still clear the cutoff in their final windows
         converged &= _prune_weak(
-            sc, bounds, flags, 0, arr.size, cfg.cutoff, cfg.max_opt_iters, include_refined=True
+            sc, bounds, flags, 0, arr.size, cfg.cutoff, cfg.max_opt_iters, dirty,
+            include_refined=True,
         )
 
     return _build_result(ps, bounds, flags, cfg, converged)
@@ -357,7 +405,7 @@ def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> lis
     local_cutoff = cfg.cutoff
     while local_cutoff > cfg.refine_floor:
         local_cutoff = max(local_cutoff * 0.5, cfg.refine_floor)
-        sub_bounds, _ = _recurse(sc, a, b, local_cutoff, cfg.max_opt_iters)
+        sub_bounds, _, _ = _recurse(sc, a, b, local_cutoff, cfg.max_opt_iters)
         keep = []
         for k, pos in enumerate(sub_bounds):
             wa = sub_bounds[k - 1] if k > 0 else a

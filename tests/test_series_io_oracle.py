@@ -4,7 +4,9 @@
 of the earlier ``csv.writer`` / ``json.dumps`` implementations.  Every case
 compares whole files byte for byte, on calendar grids and on grids no
 calendar makes: naive, fixed non-UTC offsets, microseconds, empty and
-one-point series.
+one-point series.  Each JSON file is also read back by ``series_from_json``
+and by ``oracle_series_from_json``, a copy of the earlier per-item reader,
+and the two grids and value bits must agree.
 """
 
 import csv
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import weekday_calendar
-from volseg.ingest import HalfHourSeries, series_to_csv, series_to_json
+from volseg.ingest import HalfHourSeries, series_from_json, series_to_csv, series_to_json
 
 
 def oracle_series_to_csv(series: HalfHourSeries, path: str | Path) -> None:
@@ -35,6 +37,13 @@ def oracle_series_to_json(series: HalfHourSeries, path: str | Path) -> None:
         "values": [repr(float(v)) for v in series.values],
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def oracle_series_from_json(path: str | Path) -> HalfHourSeries:
+    payload = json.loads(Path(path).read_text())
+    grid = tuple(dt.datetime.fromisoformat(t) for t in payload["timestamps"])
+    values = np.array([float(v) for v in payload["values"]])
+    return HalfHourSeries(payload["sector"], grid, values)
 
 
 WRITERS = {
@@ -98,6 +107,13 @@ def assert_same_bytes(series: HalfHourSeries, tmp_path: Path) -> None:
         writer(series, new)
         oracle(series, old)
         assert new.read_bytes() == old.read_bytes(), fmt
+    written = tmp_path / "new.json"
+    back, want = series_from_json(written), oracle_series_from_json(written)
+    assert back.sector == want.sector == series.sector
+    assert back.grid == want.grid
+    assert [t.utcoffset() for t in back.grid] == [t.utcoffset() for t in want.grid]
+    assert back.values.dtype == want.values.dtype
+    assert back.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
