@@ -431,7 +431,7 @@ def load_rate_events(path: str | Path) -> list[RateEvent]:
 
 
 def classify_event_responses(
-    timelines: Mapping[str, PhaseTimeline] | Iterable[PhaseTimeline],
+    timelines: Mapping[str, PhaseTimeline],
     events: Sequence[RateEvent],
     cal: TradingCalendar,
     window_days: int = 2,
@@ -447,12 +447,9 @@ def classify_event_responses(
     ``anticipation_days`` before the event) sets the anticipatory flag.
     Events outside a timeline's span are skipped with a warning.
     """
-    if isinstance(timelines, Mapping):
-        tls = [timelines[k] for k in sorted(timelines)]
-    else:
-        tls = sorted(timelines, key=lambda t: t.sector)
     responses: list[EventResponse] = []
-    for tl in tls:
+    for sector in sorted(timelines):
+        tl = timelines[sector]
         span_lo = tl.runs[0].start_ts.date()
         span_hi = tl.runs[-1].end_ts.date()
         transitions = [
@@ -584,53 +581,18 @@ def write_event_csv(responses: Iterable[EventResponse], path: str | Path) -> Non
             )
 
 
-def write_plotdata_csv(
-    timelines: Mapping[str, PhaseTimeline] | Iterable[PhaseTimeline], path: str | Path
-) -> None:
+def write_plotdata_csv(timelines: Mapping[str, PhaseTimeline], path: str | Path) -> None:
     """Runs of every sector as (sector, start, end, color, phase) rows,
     sorted by sector then start; drives external plotting tools."""
-    if isinstance(timelines, Mapping):
-        tls = [timelines[k] for k in sorted(timelines)]
-    else:
-        tls = sorted(timelines, key=lambda t: t.sector)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sector", "start", "end", "color", "phase"])
-        for tl in tls:
+        for sector in sorted(timelines):
+            tl = timelines[sector]
             for run in tl.runs:
                 writer.writerow(
                     [tl.sector, run.start_ts.isoformat(), run.end_ts.isoformat(), run.color, run.phase]
                 )
-
-
-def read_plotdata_csv(
-    path: str | Path, grid_index: Mapping[dt.datetime, int] | None = None
-) -> dict[str, PhaseTimeline]:
-    """Inverse of ``write_plotdata_csv``.
-
-    Without a grid the index fields are synthesized from run order (the
-    timestamps stay exact); with a ``grid_index`` mapping, runs carry
-    their original return indices.
-    """
-    rows_by_sector: dict[str, list[dict[str, str]]] = {}
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows_by_sector.setdefault(rec["sector"], []).append(rec)
-    out: dict[str, PhaseTimeline] = {}
-    for sector, rows in rows_by_sector.items():
-        runs = []
-        cursor = 0
-        for rec in rows:
-            start_ts = dt.datetime.fromisoformat(rec["start"])
-            end_ts = dt.datetime.fromisoformat(rec["end"])
-            if grid_index is not None:
-                start, end = grid_index[start_ts], grid_index[end_ts]
-            else:
-                start, end = cursor, cursor + 1
-                cursor += 1
-            runs.append(Run(start, end, start_ts, end_ts, rec["color"], rec["phase"]))
-        out[sector] = PhaseTimeline(sector, tuple(runs))
-    return out
 
 
 def write_event_markers_csv(events: Sequence[RateEvent], path: str | Path) -> None:

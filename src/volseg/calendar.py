@@ -13,7 +13,7 @@ import datetime as dt
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 HALF_HOUR = dt.timedelta(minutes=30)
 DEFAULT_SAMPLES_PER_DAY = 14
@@ -65,6 +65,10 @@ class TradingCalendar:
             raise ValueError("samples_per_day must be positive")
         if any(b <= a for a, b in zip(self.days, self.days[1:])):
             raise ValueError("trading days must be strictly increasing")
+        try:
+            ZoneInfo(self.tz)
+        except (ValueError, ZoneInfoNotFoundError) as exc:
+            raise ValueError(f"unknown time zone {self.tz!r}") from exc
 
     @classmethod
     def from_range(
@@ -83,22 +87,9 @@ class TradingCalendar:
             raise ValueError(f"no trading days between {start} and {end}")
         return cls(days, samples_per_day, open_local, tz)
 
-    @property
-    def close_local(self) -> dt.time:
-        minutes = self.open_local.hour * 60 + self.open_local.minute
-        minutes += 30 * (self.samples_per_day - 1)
-        return dt.time(minutes // 60 % 24, minutes % 60)
-
     @cached_property
     def _zone(self) -> ZoneInfo:
         return ZoneInfo(self.tz)
-
-    def utc_offset(self, day: dt.date) -> dt.timedelta:
-        """UTC offset of the exchange locale for one session (DST-aware)."""
-        local = dt.datetime.combine(day, self.open_local, tzinfo=self._zone)
-        offset = local.utcoffset()
-        assert offset is not None
-        return offset
 
     def session_open(self, day: dt.date) -> dt.datetime:
         local = dt.datetime.combine(day, self.open_local, tzinfo=self._zone)
@@ -122,18 +113,6 @@ class TradingCalendar:
     @cached_property
     def _day_index(self) -> dict[dt.date, int]:
         return {d: i for i, d in enumerate(self.days)}
-
-    def first_index_of_day(self, day: dt.date) -> int:
-        """Grid index of the session open on ``day``."""
-        try:
-            return self._day_index[day] * self.samples_per_day
-        except KeyError:
-            raise KeyError(f"{day} is not a trading day in this calendar") from None
-
-    def shift_trading_days(self, day: dt.date, n: int) -> dt.date:
-        """The trading day ``n`` sessions after ``day`` (clamped to range)."""
-        i = self._nearest_day_index(day) + n
-        return self.days[max(0, min(i, len(self.days) - 1))]
 
     def trading_days_between(self, a: dt.date, b: dt.date) -> int:
         """Signed count of sessions from ``a`` to ``b`` (positive if b later)."""

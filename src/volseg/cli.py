@@ -95,13 +95,16 @@ def _write_calendar(cal: TradingCalendar, path: Path) -> None:
 
 
 def _read_calendar(path: Path) -> TradingCalendar:
-    payload = json.loads(path.read_text())
-    return TradingCalendar(
-        days=tuple(dt.date.fromisoformat(d) for d in payload["days"]),
-        samples_per_day=payload["samples_per_day"],
-        open_local=dt.time.fromisoformat(payload["open_local"]),
-        tz=payload["tz"],
-    )
+    try:
+        payload = json.loads(path.read_text())
+        return TradingCalendar(
+            days=tuple(dt.date.fromisoformat(d) for d in payload["days"]),
+            samples_per_day=payload["samples_per_day"],
+            open_local=dt.time.fromisoformat(payload["open_local"]),
+            tz=payload["tz"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed calendar ({type(exc).__name__}: {exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,23 @@ def _stats_from_rows(rows: list[dict[str, object]]) -> list[SegmentStats]:
     return stats
 
 
+def _read_segment_table(path: Path) -> tuple[str, list[dict[str, object]], list[SegmentStats]]:
+    """Sector, rows and per-row statistics of a segment table JSON file."""
+    try:
+        payload = json.loads(path.read_text())
+        sector = payload.get("sector") or path.stem
+        rows = payload["rows"]
+        if not rows:
+            raise DataError(f"{path}: segment table has no rows")
+        missing = sorted({c for row in rows for c in segmenter.TABLE_COLUMNS if c not in row})
+        if missing:
+            raise DataError(f"{path}: segment table rows lack columns {missing}")
+        stats = _stats_from_rows(rows)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed segment table ({type(exc).__name__}: {exc})") from exc
+    return sector, rows, stats
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     cl_dir = outdir / "clusters"
@@ -243,10 +263,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             raise DataError(f"input file not found: {p}")
 
     for path in paths:
-        payload = json.loads(path.read_text())
-        sector = payload.get("sector") or path.stem
-        rows = payload["rows"]
-        stats = _stats_from_rows(rows)
+        sector, _, stats = _read_segment_table(path)
         if len(stats) < 2:
             log.warning("%s: only %d segment(s); degenerate clustering", sector, len(stats))
             assignment = cluster.ClusterAssignment(
@@ -274,17 +291,18 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _timeline_inputs(
-    seg_path: Path, asg_path: Path, grid: Sequence[dt.datetime]
+    sector: str,
+    rows: list[dict[str, object]],
+    stats: list[SegmentStats],
+    asg_path: Path,
+    grid: Sequence[dt.datetime],
 ) -> tuple[analysis.PhaseTimeline, list[Boundary]]:
-    payload = json.loads(seg_path.read_text())
-    sector = payload.get("sector") or seg_path.stem
-    rows = payload["rows"]
     asg_rows = cluster.read_assignment_csv(asg_path)
     if len(asg_rows) != len(rows):
         raise DataError(f"{asg_path}: {len(asg_rows)} labels for {len(rows)} segments")
     segments = [
         segmenter.Segment(int(r["start"]) - 1, int(r["end"]), s)
-        for r, s in zip(rows, _stats_from_rows(rows))
+        for r, s in zip(rows, stats)
     ]
     k = max(int(r["cluster"]) for r in asg_rows) + 1
     colors = [""] * k
@@ -331,11 +349,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for seg_path in seg_paths:
         if not seg_path.exists():
             raise DataError(f"segment table not found: {seg_path}")
-        sector = json.loads(seg_path.read_text()).get("sector") or seg_path.stem
+        sector, rows, stats = _read_segment_table(seg_path)
         asg_path = Path(args.assignments_dir) / f"{sector}.assignment.csv"
         if not asg_path.exists():
             raise DataError(f"assignment not found: {asg_path}")
-        tl, bs = _timeline_inputs(seg_path, asg_path, grid)
+        tl, bs = _timeline_inputs(sector, rows, stats, asg_path, grid)
         timelines[sector] = tl
         boundaries[sector] = bs
 

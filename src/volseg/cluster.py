@@ -192,9 +192,6 @@ class Dendrogram:
             labels.append(roots[r])
         return labels
 
-    def n_clusters(self, threshold: float) -> int:
-        return self.n_leaves - sum(1 for m in self.merges if m.height <= threshold)
-
     def threshold_interval(self, k: int) -> tuple[float, float]:
         """Half-open threshold interval [lo, hi) that yields exactly k
         clusters; empty (lo == hi) when duplicate heights skip k."""
@@ -318,12 +315,6 @@ class ClusterAssignment:
     phases: tuple[str, ...] = ()
     vol_labels: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-
-    def color_of(self, segment_index: int) -> str:
-        return self.colors[self.labels[segment_index]]
-
-    def phase_of(self, segment_index: int) -> str:
-        return self.phases[self.labels[segment_index]]
 
 
 def _cluster_mean_vol(
@@ -547,43 +538,13 @@ def assign_phases(
 # file formats
 
 
-def _tree_json(tree: Dendrogram) -> str:
-    """The nested ``"tree"`` value as ``json.dumps(..., indent=1)`` lays
-    it out one level below the top, built with an explicit stack so a
-    chain-shaped tree of any depth can be written."""
-    out: list[str] = []
-    todo: list[str | tuple[int, int]] = [(2 * tree.n_leaves - 2 if tree.n_leaves > 1 else 0, 1)]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        cid, depth = item
-        pad, inner, child = " " * depth, " " * (depth + 1), " " * (depth + 2)
-        if cid < tree.n_leaves:
-            out.append(f'{{\n{inner}"leaf": {cid}\n{pad}}}')
-            continue
-        m = tree.merges[cid - tree.n_leaves]
-        todo += (
-            f'\n{inner}],\n{inner}"height": {json.dumps(m.height)}\n{pad}}}',
-            (m.b, depth + 2),
-            f",\n{child}",
-            (m.a, depth + 2),
-            f'{{\n{inner}"children": [\n{child}',
-        )
-    return "".join(out)
-
-
 def dendrogram_to_json(tree: Dendrogram, path: str | Path, sector: str = "") -> None:
     payload = {
         "sector": sector,
         "n_leaves": tree.n_leaves,
         "merges": [{"a": m.a, "b": m.b, "height": m.height} for m in tree.merges],
     }
-    # "tree" sorts last among the keys, so it is spliced in before the
-    # closing brace instead of going through the recursive encoder
-    head = json.dumps(payload, sort_keys=True, indent=1)[: -len("\n}")]
-    Path(path).write_text(f'{head},\n "tree": {_tree_json(tree)}\n}}\n')
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def write_merges_csv(tree: Dendrogram, path: str | Path) -> None:
@@ -594,14 +555,11 @@ def write_merges_csv(tree: Dendrogram, path: str | Path) -> None:
             writer.writerow([i, m.a, m.b, repr(m.height)])
 
 
-def write_assignment_csv(
-    assignment: ClusterAssignment, path: str | Path, segment_ids: Sequence[object] | None = None
-) -> None:
-    ids = segment_ids if segment_ids is not None else range(1, len(assignment.labels) + 1)
+def write_assignment_csv(assignment: ClusterAssignment, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["segment", "cluster", "color", "phase"])
-        for sid, lab in zip(ids, assignment.labels):
+        for sid, lab in enumerate(assignment.labels, start=1):
             color = assignment.colors[lab] if assignment.colors else ""
             phase = assignment.phases[lab] if assignment.phases else ""
             writer.writerow([sid, lab, color, phase])

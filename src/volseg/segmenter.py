@@ -483,28 +483,6 @@ def write_segment_csv(rows: list[dict[str, object]], path: str | Path) -> None:
             writer.writerow([_cell(row[c]) for c in TABLE_COLUMNS])
 
 
-def read_segment_csv(path: str | Path) -> list[dict[str, object]]:
-    rows: list[dict[str, object]] = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            row: dict[str, object] = {
-                "m": int(rec["m"]),
-                "start": int(rec["start"]),
-                "end": int(rec["end"]),
-                "duration": int(rec["duration"]),
-                "start_date": rec["start_date"],
-                "mean": float(rec["mean"]),
-                "mean_err": float(rec["mean_err"]),
-                "stdev": float(rec["stdev"]),
-                "stdev_err": float(rec["stdev_err"]),
-                "delta": float(rec["delta"]) if rec["delta"] else "",
-                "delta_err": float(rec["delta_err"]) if rec["delta_err"] else "",
-                "flag": rec["flag"],
-            }
-            rows.append(row)
-    return rows
-
-
 def write_segment_json(
     rows: list[dict[str, object]],
     path: str | Path,

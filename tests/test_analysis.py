@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -25,7 +26,6 @@ from volseg.analysis import (
     load_rate_events,
     match_shocks,
     rank_table,
-    read_plotdata_csv,
     spearman_rho,
     write_plotdata_csv,
 )
@@ -38,11 +38,16 @@ UTC = dt.timezone.utc
 HH = 14  # half-hours per trading day
 
 
+def open_index(cal: TradingCalendar, day: dt.date) -> int:
+    """Grid index of the session open on ``day``."""
+    return cal.grid.index(cal.session_open(day))
+
+
 def runs_by_dates(
     cal: TradingCalendar, pieces: list[tuple[str, dt.date]], sector: str = "X"
 ) -> PhaseTimeline:
     """Timeline whose run k starts at the session open of its given date."""
-    starts = [cal.first_index_of_day(d) for _, d in pieces]
+    starts = [open_index(cal, d) for _, d in pieces]
     assert starts[0] == 0, "first run must start at the calendar origin"
     ends = starts[1:] + [len(cal.grid) - 1]
     spec = [(e - s, color) for (color, _), s, e in zip(pieces, starts, ends)]
@@ -72,8 +77,8 @@ class TestBuildTimeline:
         # low segment from 17/07/2000, an extreme burst from 30/08/2000,
         # low again from 06/09/2000 (five trading days later)
         cal = weekday_calendar(dt.date(2000, 7, 17), 60)
-        i_burst = cal.first_index_of_day(dt.date(2000, 8, 30))
-        i_after = cal.first_index_of_day(dt.date(2000, 9, 6))
+        i_burst = open_index(cal, dt.date(2000, 8, 30))
+        i_after = open_index(cal, dt.date(2000, 9, 6))
         x = rng.normal(0, 1e-3, len(cal.grid) - 1)
         segments = segments_for_lengths(
             x, [i_burst, i_after - i_burst, len(x) - i_after]
@@ -192,7 +197,7 @@ class TestDetectOnset:
 class TestExtractShocks:
     def test_published_style_shock(self):
         cal = weekday_calendar(dt.date(2002, 5, 1), 120)
-        i0 = cal.first_index_of_day(dt.date(2002, 7, 12))
+        i0 = open_index(cal, dt.date(2002, 7, 12))
         tl = timeline_of(
             cal,
             [(i0, "blue"), (241, "red"), (len(cal.grid) - 1 - i0 - 241, "green")],
@@ -468,7 +473,7 @@ class TestRateEventFile:
 
 
 class TestPlotData:
-    def test_roundtrip_reconstructs_timelines(self, tmp_path, rng):
+    def test_rows_hold_every_run(self, tmp_path, rng):
         cal = weekday_calendar(dt.date(2003, 1, 6), 30)
         x = rng.normal(0, 1e-3, len(cal.grid) - 1)
         segments = segments_for_lengths(x, [100, 200, len(x) - 300])
@@ -478,9 +483,21 @@ class TestPlotData:
         tl2 = timeline_of(cal, [(150, "green"), (len(x) - 150, "red")], "BB")
         path = tmp_path / "plotdata.csv"
         write_plotdata_csv({"AA": tl1, "BB": tl2}, path)
-        grid_index = {ts: i for i, ts in enumerate(cal.grid)}
-        back = read_plotdata_csv(path, grid_index)
-        assert back == {"AA": tl1, "BB": tl2}
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
+        assert back == [
+            {
+                "sector": tl.sector,
+                "start": run.start_ts.isoformat(),
+                "end": run.end_ts.isoformat(),
+                "color": run.color,
+                "phase": run.phase,
+            }
+            for tl in (tl1, tl2)
+            for run in tl.runs
+        ]
+        assert [rec["color"] for rec in back] == ["blue", "orange", "blue", "green", "red"]
+        assert back[1]["start"] == cal.grid[100].isoformat()
 
     def test_rows_sorted_by_sector_then_start(self, tmp_path):
         cal = weekday_calendar(dt.date(2003, 1, 6), 10)

