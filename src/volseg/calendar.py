@@ -101,10 +101,11 @@ class TradingCalendar:
     @cached_property
     def grid(self) -> tuple[dt.datetime, ...]:
         """All sampling timestamps (UTC), day by day."""
+        steps = [HALF_HOUR * k for k in range(self.samples_per_day)]
         out = []
         for day in self.days:
             t0 = self.session_open(day)
-            out.extend(t0 + HALF_HOUR * k for k in range(self.samples_per_day))
+            out.extend([t0 + step for step in steps])
         return tuple(out)
 
     def __len__(self) -> int:

@@ -235,6 +235,21 @@ def _stats_from_rows(rows: list[dict[str, object]]) -> list[SegmentStats]:
     return stats
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_boundary_cells(row: dict[str, object]) -> None:
+    """Integer ``start`` and ``end``; ``delta`` and ``delta_err`` both
+    numbers or both empty."""
+    for col in ("start", "end"):
+        if not isinstance(row[col], int) or isinstance(row[col], bool):
+            raise ValueError(f"row {row['m']}: {col} {row[col]!r} is not an integer")
+    cells = row["delta"], row["delta_err"]
+    if not (all(c in ("", None) for c in cells) or all(map(_is_number, cells))):
+        raise ValueError(f"row {row['m']}: delta and delta_err {cells!r} must be two numbers or two blanks")
+
+
 def _read_segment_table(path: Path) -> tuple[str, list[dict[str, object]], list[SegmentStats]]:
     """Sector, rows and per-row statistics of a segment table JSON file."""
     try:
@@ -246,6 +261,8 @@ def _read_segment_table(path: Path) -> tuple[str, list[dict[str, object]], list[
         missing = sorted({c for row in rows for c in segmenter.TABLE_COLUMNS if c not in row})
         if missing:
             raise DataError(f"{path}: segment table rows lack columns {missing}")
+        for row in rows:
+            _check_boundary_cells(row)
         stats = _stats_from_rows(rows)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed segment table ({type(exc).__name__}: {exc})") from exc
@@ -297,7 +314,10 @@ def _timeline_inputs(
     asg_path: Path,
     grid: Sequence[dt.datetime],
 ) -> tuple[analysis.PhaseTimeline, list[Boundary]]:
-    asg_rows = cluster.read_assignment_csv(asg_path)
+    try:
+        asg_rows = cluster.read_assignment_csv(asg_path)
+    except ValueError as exc:
+        raise DataError(f"{asg_path}: malformed assignment ({exc})") from exc
     if len(asg_rows) != len(rows):
         raise DataError(f"{asg_path}: {len(asg_rows)} labels for {len(rows)} segments")
     segments = [
@@ -305,6 +325,8 @@ def _timeline_inputs(
         for r, s in zip(rows, stats)
     ]
     k = max(int(r["cluster"]) for r in asg_rows) + 1
+    if k > len(rows):
+        raise DataError(f"{asg_path}: cluster id {k - 1} for {len(rows)} segments")
     colors = [""] * k
     phases = [""] * k
     for r in asg_rows:
@@ -350,6 +372,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not seg_path.exists():
             raise DataError(f"segment table not found: {seg_path}")
         sector, rows, stats = _read_segment_table(seg_path)
+        if not all(1 <= r["start"] <= r["end"] < len(grid) for r in rows):
+            raise DataError(f"{seg_path}: a segment lies outside the {len(grid)}-point calendar grid")
         asg_path = Path(args.assignments_dir) / f"{sector}.assignment.csv"
         if not asg_path.exists():
             raise DataError(f"assignment not found: {asg_path}")

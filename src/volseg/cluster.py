@@ -555,27 +555,51 @@ def write_merges_csv(tree: Dendrogram, path: str | Path) -> None:
             writer.writerow([i, m.a, m.b, repr(m.height)])
 
 
+ASSIGNMENT_COLUMNS = ("segment", "cluster", "color", "phase")
+
+
 def write_assignment_csv(assignment: ClusterAssignment, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["segment", "cluster", "color", "phase"])
+        writer.writerow(ASSIGNMENT_COLUMNS)
         for sid, lab in enumerate(assignment.labels, start=1):
             color = assignment.colors[lab] if assignment.colors else ""
             phase = assignment.phases[lab] if assignment.phases else ""
             writer.writerow([sid, lab, color, phase])
 
 
+def _cluster_id(text: str | None) -> int:
+    try:
+        value = int(text or "")
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"cluster id {text!r} is not a non-negative integer")
+    return value
+
+
 def read_assignment_csv(path: str | Path) -> list[dict[str, object]]:
+    """Rows of an assignment CSV.  Raises ``ValueError`` on a missing
+    column, a cluster id that is not a non-negative integer or a color
+    off the ladder."""
     with open(path, newline="") as fh:
-        return [
-            {
-                "segment": rec["segment"],
-                "cluster": int(rec["cluster"]),
-                "color": rec["color"],
-                "phase": rec["phase"],
-            }
-            for rec in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh)
+        missing = [c for c in ASSIGNMENT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"assignment lacks columns {missing}")
+        rows: list[dict[str, object]] = []
+        for rec in reader:
+            if rec["color"] not in PHASE_BY_COLOR:
+                raise ValueError(f"segment {rec['segment']}: unknown color {rec['color']!r}")
+            rows.append(
+                {
+                    "segment": rec["segment"],
+                    "cluster": _cluster_id(rec["cluster"]),
+                    "color": rec["color"],
+                    "phase": rec["phase"],
+                }
+            )
+        return rows
 
 
 def write_robustness_json(report: list[KInterval], path: str | Path, chosen: int) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import json
 import logging
 import math
@@ -262,6 +261,39 @@ def write_reject_log(rejects: list[RejectedRow], path: str | Path) -> None:
             writer.writerow([r.line, r.reason])
 
 
+# The grid most recently formatted and its text.  Reuse is keyed on the
+# tuple object itself: aware times in different zones that denote the same
+# instants compare and hash equal but format differently.  The strong
+# reference keeps the tuple alive, so its id cannot be reused.
+_last_grid_text: tuple[tuple[dt.datetime, ...], tuple[str, ...]] = ((), ())
+
+
+def _isoformat_grid(grid: tuple[dt.datetime, ...]) -> tuple[str, ...]:
+    """``isoformat()`` of every time in ``grid``, formatted one date and one
+    ``(time, utcoffset)`` key at a time.  A date of years 1-9999 is always
+    10 characters, so the tail of one ``isoformat()`` fits every time that
+    shares its key."""
+    global _last_grid_text
+    last_grid, last_text = _last_grid_text
+    if grid is last_grid:
+        return last_text
+    tails: dict[tuple[dt.time, dt.timedelta | None], str] = {}
+    out = []
+    day, day_text = None, ""
+    for t in grid:
+        d = t.date()
+        if d != day:
+            day, day_text = d, d.isoformat()
+        key = t.time(), t.utcoffset()
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = t.isoformat()[10:]
+        out.append(day_text + tail)
+    text = tuple(out)
+    _last_grid_text = (grid, text)
+    return text
+
+
 @dataclass(frozen=True)
 class HalfHourSeries:
     """Calendar-aligned index levels X_t, one per grid timestamp."""
@@ -284,11 +316,12 @@ class HalfHourSeries:
     def n(self) -> int:
         return len(self.values)
 
-    @functools.cached_property
+    @property
     def timestamps(self) -> tuple[str, ...]:
-        """``isoformat()`` of every grid time, formatted once per series.
-        Values are not cached: they may be edited in place between writes."""
-        return tuple(t.isoformat() for t in self.grid)
+        """``isoformat()`` of every grid time; series that share one grid
+        tuple share its text.  Values are not cached: they may be edited in
+        place between writes."""
+        return _isoformat_grid(self.grid)
 
 
 @dataclass(frozen=True)

@@ -301,10 +301,12 @@ class TestClusterCommand:
 
 
 class TestAnalyzeCommand:
-    def analyze(self, tmp_path, table: object, calendar: object) -> int:
+    ONE_ROW_ASSIGNMENT = "segment,cluster,color,phase\n1,0,blue,growth\n"
+
+    def analyze(self, tmp_path, table: object, calendar: object, assignment: str = ONE_ROW_ASSIGNMENT) -> int:
         (tmp_path / "ZZ.json").write_text(json.dumps(table))
         (tmp_path / "calendar.json").write_text(json.dumps(calendar))
-        (tmp_path / "ZZ.assignment.csv").write_text("segment,cluster,color,phase\n1,0,blue,growth\n")
+        (tmp_path / "ZZ.assignment.csv").write_text(assignment)
         return run(
             [
                 "analyze",
@@ -337,6 +339,72 @@ class TestAnalyzeCommand:
             table["rows"] = []
         assert self.analyze(tmp_path, table, calendar) == 2
         assert str(tmp_path / "ZZ.json") in capsys.readouterr().err
+
+    TWO_ROW_ASSIGNMENT = "segment,cluster,color,phase\n1,0,blue,growth\n2,1,red,crash\n"
+
+    def two_row_inputs(self, tmp_path) -> tuple[dict, dict]:
+        """A table of two segments split mid-grid, with the boundary's
+        divergence on the second row; checked to pass before it is returned."""
+        table, calendar = self.valid_inputs(tmp_path)
+        (row,) = table["rows"]
+        half = row["end"] // 2
+        second = dict(row, m=2, start=half + 1, duration=row["end"] - half, delta=3.5, delta_err=0.4)
+        table["rows"] = [dict(row, end=half, duration=half), second]
+        assert self.analyze(tmp_path, table, calendar, self.TWO_ROW_ASSIGNMENT) == 0
+        return table, calendar
+
+    @pytest.mark.parametrize(
+        "row, key, value",
+        [
+            (0, "start", None),
+            (1, "start", None),
+            (1, "end", None),
+            (1, "start", "2"),
+            (1, "end", 10.0),
+            (1, "start", True),
+            (1, "delta", None),
+            (1, "delta_err", ""),
+            (1, "delta", "3.5"),
+            (0, "delta", 1.0),
+            (1, "delta", [3.5]),
+            (0, "start", 0),
+            (1, "start", 10**6),
+            (1, "end", 10**6),
+        ],
+    )
+    def test_malformed_boundary_cell_is_data_error_naming_the_file(self, tmp_path, capsys, row, key, value):
+        table, calendar = self.two_row_inputs(tmp_path)
+        table["rows"][row][key] = value
+        assert self.analyze(tmp_path, table, calendar, self.TWO_ROW_ASSIGNMENT) == 2
+        assert str(tmp_path / "ZZ.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            "segment,color,phase\n1,blue,growth\n2,red,crash\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n2,-1,red,crash\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n2,1.0,red,crash\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n2,one,red,crash\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n2,,red,crash\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n2\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n2,1,purple,crash\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n2,2,red,crash\n",
+        ],
+        ids=[
+            "cluster-column-missing",
+            "negative-id",
+            "float-id",
+            "word-id",
+            "empty-id",
+            "short-row",
+            "unknown-color",
+            "id-beyond-segments",
+        ],
+    )
+    def test_malformed_assignment_is_data_error_naming_the_file(self, tmp_path, capsys, assignment):
+        table, calendar = self.two_row_inputs(tmp_path)
+        assert self.analyze(tmp_path, table, calendar, assignment) == 2
+        assert str(tmp_path / "ZZ.assignment.csv") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value",

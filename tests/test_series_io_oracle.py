@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import weekday_calendar
+from volseg.calendar import TradingCalendar
 from volseg.ingest import HalfHourSeries, series_from_json, series_to_csv, series_to_json
 
 
@@ -181,3 +182,38 @@ def test_in_place_value_edit_reaches_the_next_write(fmt, tmp_path):
     second = (tmp_path / f"second.{fmt}").read_bytes()
     assert second != (tmp_path / f"first.{fmt}").read_bytes()
     assert second == (tmp_path / f"oracle.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["utc", "tokyo-local"])
+def test_tokyo_calendar_grid(local, tmp_path):
+    # sessions open at 08:00 in Tokyo, 23:00 UTC of the previous day, so
+    # the UTC date changes inside every session
+    cal = TradingCalendar.from_range(
+        dt.date(2008, 3, 3), dt.date(2008, 3, 21), open_local=dt.time(8, 0), tz="Asia/Tokyo"
+    )
+    grid = cal.grid
+    assert grid[0].date() != grid[cal.samples_per_day - 1].date()
+    if local:
+        grid = tuple(t.astimezone(ZoneInfo("Asia/Tokyo")) for t in grid)
+    values = np.linspace(12000.0, 13000.0, len(grid))
+    assert_same_bytes(HalfHourSeries("TK", grid, values), tmp_path)
+
+
+def test_equal_instants_in_other_zones_written_alternately(tmp_path):
+    # the two grids compare and hash equal, but their text differs
+    utc = weekday_calendar(dt.date(2003, 6, 2), 4).grid
+    ist = tuple(t.astimezone(dt.timezone(dt.timedelta(hours=5, minutes=30))) for t in utc)
+    assert utc == ist and hash(utc) == hash(ist)
+    values = np.linspace(70.0, 75.0, len(utc))
+    for _ in range(2):
+        for sector, grid in (("UT", utc), ("IS", ist)):
+            assert_same_bytes(HalfHourSeries(sector, grid, values), tmp_path)
+
+
+def test_series_sharing_one_grid_tuple(tmp_path):
+    grid = weekday_calendar(dt.date(2005, 10, 24), 5).grid
+    first = HalfHourSeries("BM", grid, np.linspace(100.0, 101.0, len(grid)))
+    second = HalfHourSeries("CY", grid, np.linspace(202.0, 200.5, len(grid)))
+    for series in (first, second, first):
+        assert_same_bytes(series, tmp_path)
+    assert first.timestamps is second.timestamps
