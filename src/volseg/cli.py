@@ -108,15 +108,15 @@ def _read_calendar(path: Path) -> TradingCalendar:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: each takes and returns objects and writes its own artifacts
 
 
 def _utc_date(t_us: int) -> dt.date:
     return (dt.datetime(1970, 1, 1) + dt.timedelta(microseconds=t_us)).date()
 
 
-def _ingest(args: argparse.Namespace) -> list[str]:
-    """Run the ingest step; returns the sectors written, sorted."""
+def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.HalfHourSeries]]:
+    """Resample every tick file and write the series; returns the calendar and the series, sorted by sector."""
     outdir = Path(args.out)
     series_dir = outdir / "series"
     manifest: dict[str, dict] = {}
@@ -151,35 +151,22 @@ def _ingest(args: argparse.Namespace) -> list[str]:
     grace = dt.timedelta(minutes=args.pre_open_grace_min)
     series_dir.mkdir(parents=True, exist_ok=True)
 
+    all_series = []
     for path, ticks, rejects in parsed:
         series = ingest.resample(ticks, cal, grace)
         ingest.series_to_csv(series, series_dir / f"{series.sector}.csv")
         ingest.series_to_json(series, series_dir / f"{series.sector}.json")
         ingest.write_reject_log(rejects, series_dir / f"{series.sector}.rejects.csv")
         manifest[series.sector] = {
-            "source": str(path),
-            "ticks": len(ticks),
-            "rejects": len(rejects),
-            "samples": series.n,
+            "source": str(path), "ticks": len(ticks), "rejects": len(rejects), "samples": series.n
         }
+        all_series.append(series)
     _write_calendar(cal, outdir / "calendar.json")
     (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    _write_resolved_config(args, outdir)
     for sector in sorted(manifest):
         m = manifest[sector]
         print(f"{sector}: {m['ticks']} ticks -> {m['samples']} samples, {m['rejects']} rejects")
-    return sorted(manifest)
-
-
-def cmd_ingest(args: argparse.Namespace) -> int:
-    _ingest(args)
-    return EXIT_OK
-
-
-def _load_series(path: Path) -> ingest.HalfHourSeries:
-    if path.suffix == ".json":
-        return ingest.series_from_json(path)
-    return ingest.series_from_csv(path)
+    return cal, sorted(all_series, key=lambda s: s.sector)
 
 
 def _segment_config(args: argparse.Namespace) -> segmenter.SegmentationConfig:
@@ -192,28 +179,156 @@ def _segment_config(args: argparse.Namespace) -> segmenter.SegmentationConfig:
     )
 
 
-def cmd_segment(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    seg_dir = outdir / "segments"
+def _segment(
+    args: argparse.Namespace, series: ingest.HalfHourSeries, source: object
+) -> list[dict[str, object]]:
+    """Segment one series, write its tables and return their rows; errors name ``source``."""
+    seg_dir = Path(args.out) / "segments"
     seg_dir.mkdir(parents=True, exist_ok=True)
     cfg = _segment_config(args)
-
-    paths = [Path(p) for p in args.inputs]
-    for p in paths:
-        if not p.exists():
-            raise DataError(f"input file not found: {p}")
-
-    for path in paths:
-        series = _load_series(path)
+    try:
         returns = ingest.log_returns(series)
         result = segmenter.recursive_segment(returns.x, cfg)
         if not args.no_refine:
             result = segmenter.refine_long_segments(returns.x, result, cfg)
-        rows = segmenter.emit_segment_table(result, series.grid)
-        segmenter.write_segment_csv(rows, seg_dir / f"{series.sector}.csv")
-        segmenter.write_segment_json(rows, seg_dir / f"{series.sector}.json", series.sector, cfg)
-        print(f"{series.sector}: {len(result.segments)} segments")
-    _write_resolved_config(args, outdir)
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from exc
+    rows = segmenter.emit_segment_table(result, series.grid)
+    segmenter.write_segment_csv(rows, seg_dir / f"{series.sector}.csv")
+    segmenter.write_segment_json(rows, seg_dir / f"{series.sector}.json", series.sector, cfg)
+    print(f"{series.sector}: {len(result.segments)} segments")
+    return rows
+
+
+def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -> cluster.ClusterAssignment:
+    """Cluster one sector's segments, write its cluster files and return the assignment."""
+    cl_dir = Path(args.out) / "clusters"
+    cl_dir.mkdir(parents=True, exist_ok=True)
+    if len(stats) < 2:
+        log.warning("%s: only %d segment(s); degenerate clustering", sector, len(stats))
+        tree, report = None, []
+        assignment = cluster.ClusterAssignment((0,) * len(stats), (stats[0].stdev,), 1, args.policy)
+    else:
+        tree = cluster.complete_link(stats)
+        k_hi = min(args.k_max, tree.n_leaves)
+        assignment, report = cluster.extract_clusters(
+            tree, stats, range(min(args.k_min, k_hi), k_hi + 1), policy=args.policy
+        )
+    assignment = cluster.assign_phases(assignment)
+    if tree is not None:
+        cluster.dendrogram_to_json(tree, cl_dir / f"{sector}.dendrogram.json", sector)
+        cluster.write_merges_csv(tree, cl_dir / f"{sector}.merges.csv")
+    cluster.write_assignment_csv(assignment, cl_dir / f"{sector}.assignment.csv")
+    cluster.write_robustness_json(report, cl_dir / f"{sector}.robustness.json", assignment.k)
+    print(f"{sector}: {assignment.k} clusters")
+    return assignment
+
+
+def _timeline_inputs(
+    source: object, sector: str, rows: list[dict[str, object]], stats: list[SegmentStats],
+    assignment: cluster.ClusterAssignment, grid: Sequence[dt.datetime],
+) -> tuple[analysis.PhaseTimeline, list[Boundary]]:
+    """A sector's timeline and boundaries; a segment off the grid is a data error naming ``source``."""
+    if not all(1 <= r["start"] <= r["end"] < len(grid) for r in rows):
+        raise DataError(f"{source}: a segment lies outside the {len(grid)}-point calendar grid")
+    segments = [segmenter.Segment(int(r["start"]) - 1, int(r["end"]), s) for r, s in zip(rows, stats)]
+    timeline = analysis.build_timeline(segments, assignment, grid, sector)
+    boundaries = [
+        Boundary(
+            position=int(row["start"]) - 1,
+            divergence=float(row["delta"]),
+            divergence_err=float(row["delta_err"]),
+            left_len=int(prev["duration"]),
+            right_len=int(row["duration"]),
+        )
+        for prev, row in zip(rows, rows[1:])
+        if row["delta"] not in ("", None)
+    ]
+    return timeline, boundaries
+
+
+def _analyze(
+    args: argparse.Namespace,
+    cal: TradingCalendar,
+    timelines: dict[str, analysis.PhaseTimeline],
+    boundaries: dict[str, list[Boundary]],
+) -> None:
+    """Cross-sector analytics over the timelines; writes the analysis bundle."""
+    an_dir = Path(args.out) / "analysis"
+    an_dir.mkdir(parents=True, exist_ok=True)
+    min_run = args.min_run_days * cal.samples_per_day
+    recovery = {s: analysis.detect_recovery(t, min_run, args.predominance) for s, t in timelines.items()}
+    onset = {s: analysis.detect_onset(t, min_run) for s, t in timelines.items()}
+    analysis.write_recovery_csv(recovery, an_dir / "recovery.csv")
+    analysis.write_onset_csv(onset, an_dir / "onset.csv")
+
+    all_shocks: list[analysis.Shock] = []
+    tables: list[analysis.RankTable] = []
+    for klass in args.shock_classes.split(","):
+        klass = klass.strip()
+        per_sector = {
+            s: analysis.extract_shocks(t, boundaries[s], klass, args.include_higher)
+            for s, t in timelines.items()
+        }
+        for shocks in per_sector.values():
+            all_shocks.extend(shocks)
+        if any(per_sector.values()):
+            groups = analysis.match_shocks(per_sector, args.match_window_days * cal.samples_per_day)
+            tables.extend(analysis.rank_table(g) for g in groups)
+    analysis.write_shock_csv(all_shocks, an_dir / "shocks.csv")
+    analysis.write_rank_csv(tables, an_dir / "rank_tables.csv")
+
+    if args.events:
+        events = analysis.load_rate_events(args.events)
+        responses = analysis.classify_event_responses(
+            timelines, events, cal, args.event_window_days, args.anticipation_days
+        )
+        analysis.write_event_csv(responses, an_dir / "event_responses.csv")
+        analysis.write_event_markers_csv(events, an_dir / "event_markers.csv")
+    else:
+        print("no rate-event file given; event-response analysis skipped")
+
+    analysis.write_plotdata_csv(timelines, an_dir / "plotdata.csv")
+    for sector in sorted(timelines):
+        r = recovery[sector]
+        o = onset[sector]
+        print(
+            f"{sector}: recovery={r.isoformat() if r else '-'} "
+            f"onset={o.date.isoformat() if o else '-'}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# subcommands: load their inputs once and call the stages
+
+
+def _existing(paths: Sequence[str]) -> list[Path]:
+    paths = [Path(p) for p in paths]
+    for p in paths:
+        if not p.exists():
+            raise DataError(f"input file not found: {p}")
+    return paths
+
+
+def cmd_ingest(args: argparse.Namespace) -> int:
+    _ingest(args)
+    _write_resolved_config(args, Path(args.out))
+    return EXIT_OK
+
+
+def _load_series(path: Path) -> ingest.HalfHourSeries:
+    try:
+        if path.suffix == ".json":
+            return ingest.series_from_json(path)
+        return ingest.series_from_csv(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed series ({type(exc).__name__}: {exc})") from exc
+
+
+def cmd_segment(args: argparse.Namespace) -> int:
+    for path in _existing(args.inputs):
+        _segment(args, _load_series(path), path)
+    _write_resolved_config(args, Path(args.out))
     return EXIT_OK
 
 
@@ -270,185 +385,70 @@ def _read_segment_table(path: Path) -> tuple[str, list[dict[str, object]], list[
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    cl_dir = outdir / "clusters"
-    cl_dir.mkdir(parents=True, exist_ok=True)
-
-    paths = [Path(p) for p in args.inputs]
-    for p in paths:
-        if not p.exists():
-            raise DataError(f"input file not found: {p}")
-
-    for path in paths:
+    for path in _existing(args.inputs):
         sector, _, stats = _read_segment_table(path)
-        if len(stats) < 2:
-            log.warning("%s: only %d segment(s); degenerate clustering", sector, len(stats))
-            assignment = cluster.ClusterAssignment(
-                labels=(0,) * len(stats), mean_vol=(stats[0].stdev,), k=1, policy=args.policy
-            )
-            assignment = cluster.assign_phases(assignment)
-            cluster.write_assignment_csv(assignment, cl_dir / f"{sector}.assignment.csv")
-            cluster.write_robustness_json([], cl_dir / f"{sector}.robustness.json", 1)
-            print(f"{sector}: 1 clusters")
-            continue
-        tree = cluster.complete_link(stats)
-        k_hi = min(args.k_max, tree.n_leaves)
-        k_lo = min(args.k_min, k_hi)
-        assignment, report = cluster.extract_clusters(
-            tree, stats, range(k_lo, k_hi + 1), policy=args.policy
-        )
-        assignment = cluster.assign_phases(assignment)
-        cluster.dendrogram_to_json(tree, cl_dir / f"{sector}.dendrogram.json", sector)
-        cluster.write_merges_csv(tree, cl_dir / f"{sector}.merges.csv")
-        cluster.write_assignment_csv(assignment, cl_dir / f"{sector}.assignment.csv")
-        cluster.write_robustness_json(report, cl_dir / f"{sector}.robustness.json", assignment.k)
-        print(f"{sector}: {assignment.k} clusters")
-    _write_resolved_config(args, outdir)
+        _cluster(args, sector, stats)
+    _write_resolved_config(args, Path(args.out))
     return EXIT_OK
 
 
-def _timeline_inputs(
-    sector: str,
-    rows: list[dict[str, object]],
-    stats: list[SegmentStats],
-    asg_path: Path,
-    grid: Sequence[dt.datetime],
-) -> tuple[analysis.PhaseTimeline, list[Boundary]]:
+def _read_assignment(path: Path, n_segments: int) -> cluster.ClusterAssignment:
+    """The labels, colors and phases of an assignment CSV."""
     try:
-        asg_rows = cluster.read_assignment_csv(asg_path)
+        asg_rows = cluster.read_assignment_csv(path)
     except ValueError as exc:
-        raise DataError(f"{asg_path}: malformed assignment ({exc})") from exc
-    if len(asg_rows) != len(rows):
-        raise DataError(f"{asg_path}: {len(asg_rows)} labels for {len(rows)} segments")
-    segments = [
-        segmenter.Segment(int(r["start"]) - 1, int(r["end"]), s)
-        for r, s in zip(rows, stats)
-    ]
+        raise DataError(f"{path}: malformed assignment ({exc})") from exc
+    if len(asg_rows) != n_segments:
+        raise DataError(f"{path}: {len(asg_rows)} labels for {n_segments} segments")
     k = max(int(r["cluster"]) for r in asg_rows) + 1
-    if k > len(rows):
-        raise DataError(f"{asg_path}: cluster id {k - 1} for {len(rows)} segments")
-    colors = [""] * k
-    phases = [""] * k
+    if k > n_segments:
+        raise DataError(f"{path}: cluster id {k - 1} for {n_segments} segments")
+    colors, phases = [""] * k, [""] * k
     for r in asg_rows:
         colors[int(r["cluster"])] = str(r["color"])
         phases[int(r["cluster"])] = str(r["phase"])
-    assignment = cluster.ClusterAssignment(
-        labels=tuple(int(r["cluster"]) for r in asg_rows),
-        mean_vol=(0.0,) * k,
-        k=k,
-        policy="file",
-        colors=tuple(colors),
-        phases=tuple(phases),
-        vol_labels=("",) * k,
-    )
-    timeline = analysis.build_timeline(segments, assignment, grid, sector)
-    boundaries = []
-    for prev, row in zip(rows, rows[1:]):
-        if row["delta"] == "" or row["delta"] is None:
-            continue
-        boundaries.append(
-            Boundary(
-                position=int(row["start"]) - 1,
-                divergence=float(row["delta"]),
-                divergence_err=float(row["delta_err"]),
-                left_len=int(prev["duration"]),
-                right_len=int(row["duration"]),
-            )
-        )
-    return timeline, boundaries
+    labels = tuple(int(r["cluster"]) for r in asg_rows)
+    return cluster.ClusterAssignment(labels, (0.0,) * k, k, "file", tuple(colors), tuple(phases), ("",) * k)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    an_dir = outdir / "analysis"
-    an_dir.mkdir(parents=True, exist_ok=True)
     cal = _read_calendar(Path(args.calendar))
-    grid = cal.grid
-
-    seg_paths = sorted(Path(p) for p in args.segments)
     timelines: dict[str, analysis.PhaseTimeline] = {}
     boundaries: dict[str, list[Boundary]] = {}
-    for seg_path in seg_paths:
+    for seg_path in sorted(Path(p) for p in args.segments):
         if not seg_path.exists():
             raise DataError(f"segment table not found: {seg_path}")
         sector, rows, stats = _read_segment_table(seg_path)
-        if not all(1 <= r["start"] <= r["end"] < len(grid) for r in rows):
-            raise DataError(f"{seg_path}: a segment lies outside the {len(grid)}-point calendar grid")
         asg_path = Path(args.assignments_dir) / f"{sector}.assignment.csv"
         if not asg_path.exists():
             raise DataError(f"assignment not found: {asg_path}")
-        tl, bs = _timeline_inputs(sector, rows, stats, asg_path, grid)
-        timelines[sector] = tl
-        boundaries[sector] = bs
-
-    min_run = args.min_run_days * cal.samples_per_day
-    recovery = {s: analysis.detect_recovery(t, min_run, args.predominance) for s, t in timelines.items()}
-    onset = {s: analysis.detect_onset(t, min_run) for s, t in timelines.items()}
-    analysis.write_recovery_csv(recovery, an_dir / "recovery.csv")
-    analysis.write_onset_csv(onset, an_dir / "onset.csv")
-
-    all_shocks: list[analysis.Shock] = []
-    tables: list[analysis.RankTable] = []
-    for klass in args.shock_classes.split(","):
-        klass = klass.strip()
-        per_sector = {
-            s: analysis.extract_shocks(t, boundaries[s], klass, args.include_higher)
-            for s, t in timelines.items()
-        }
-        for shocks in per_sector.values():
-            all_shocks.extend(shocks)
-        if any(per_sector.values()):
-            groups = analysis.match_shocks(per_sector, args.match_window_days * cal.samples_per_day)
-            tables.extend(analysis.rank_table(g) for g in groups)
-    analysis.write_shock_csv(all_shocks, an_dir / "shocks.csv")
-    analysis.write_rank_csv(tables, an_dir / "rank_tables.csv")
-
-    if args.events:
-        events = analysis.load_rate_events(args.events)
-        responses = analysis.classify_event_responses(
-            timelines, events, cal, args.event_window_days, args.anticipation_days
+        assignment = _read_assignment(asg_path, len(rows))
+        timelines[sector], boundaries[sector] = _timeline_inputs(
+            seg_path, sector, rows, stats, assignment, cal.grid
         )
-        analysis.write_event_csv(responses, an_dir / "event_responses.csv")
-        analysis.write_event_markers_csv(events, an_dir / "event_markers.csv")
-    else:
-        print("no rate-event file given; event-response analysis skipped")
-
-    analysis.write_plotdata_csv(timelines, an_dir / "plotdata.csv")
-    _write_resolved_config(args, outdir)
-    for sector in sorted(timelines):
-        r = recovery[sector]
-        o = onset[sector]
-        print(
-            f"{sector}: recovery={r.isoformat() if r else '-'} "
-            f"onset={o.date.isoformat() if o else '-'}"
-        )
+    _analyze(args, cal, timelines, boundaries)
+    _write_resolved_config(args, Path(args.out))
     return EXIT_OK
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    original = dict(vars(args))
-    # later stages read exactly the sectors this run ingested, never
-    # leftovers of an earlier run into the same directory
-    sectors = _ingest(args)
-    series_paths = sorted(outdir / "series" / f"{s}.json" for s in sectors)
-    args.inputs = [str(p) for p in series_paths]
-    rc = cmd_segment(args)
-    if rc != EXIT_OK:
-        return rc
-    seg_paths = sorted(outdir / "segments" / f"{s}.json" for s in sectors)
-    args.inputs = [str(p) for p in seg_paths]
-    rc = cmd_cluster(args)
-    if rc != EXIT_OK:
-        return rc
-    args.segments = [str(p) for p in seg_paths]
-    args.assignments_dir = str(outdir / "clusters")
-    args.calendar = str(outdir / "calendar.json")
-    rc = cmd_analyze(args)
-    # sub-steps overwrite the config echo; restore the original invocation
-    _write_resolved_config(argparse.Namespace(**original), outdir)
-    return rc
+    # later stages take exactly the series this run ingested, never an earlier run's files
+    cal, all_series = _ingest(args)
+    tables = [(s.sector, _segment(args, s, f"sector {s.sector}")) for s in all_series]
+    timelines: dict[str, analysis.PhaseTimeline] = {}
+    boundaries: dict[str, list[Boundary]] = {}
+    for sector, rows in tables:
+        # the statistics cluster would read back: the table's floats round-trip exactly
+        stats = _stats_from_rows(rows)
+        assignment = _cluster(args, sector, stats)
+        timelines[sector], boundaries[sector] = _timeline_inputs(
+            sector, sector, rows, stats, assignment, cal.grid
+        )
+    _analyze(args, cal, timelines, boundaries)
+    _write_resolved_config(args, outdir)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -417,8 +417,26 @@ def log_returns(series: HalfHourSeries) -> LogReturnSeries:
 # json.dumps(..., sort_keys=True, indent=1) wrote.
 
 
+# The values most recently formatted, as bytes, and their text.  Equal
+# bytes are equal floats with equal reprs; keeping the bytes rather than
+# the array means an in-place edit still reaches the next write.
+_last_value_text: tuple[bytes, tuple[str, ...]] = (b"", ())
+
+
+def _value_text(values: np.ndarray) -> tuple[str, ...]:
+    """``repr`` of every value, reused from the last call on equal bytes."""
+    global _last_value_text
+    raw = values.tobytes()
+    last_raw, last_text = _last_value_text
+    if raw == last_raw:
+        return last_text
+    text = tuple(map(repr, values.tolist()))
+    _last_value_text = (raw, text)
+    return text
+
+
 def series_to_csv(series: HalfHourSeries, path: str | Path) -> None:
-    rows = map(",".join, zip(series.timestamps, map(repr, series.values.tolist())))
+    rows = map(",".join, zip(series.timestamps, _value_text(series.values)))
     Path(path).write_text("\n".join(["timestamp,value", *rows]) + "\n", newline="")
 
 
@@ -445,7 +463,7 @@ def series_to_json(series: HalfHourSeries, path: str | Path) -> None:
     Path(path).write_text(
         f'{{\n "sector": {json.dumps(series.sector)},'
         f'\n "timestamps": {_json_strings(series.timestamps)},'
-        f'\n "values": {_json_strings(list(map(repr, series.values.tolist())))}\n}}\n'
+        f'\n "values": {_json_strings(_value_text(series.values))}\n}}\n'
     )
 
 

@@ -20,7 +20,7 @@ import datetime as dt
 import json
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Sequence
@@ -360,9 +360,12 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
     boundaries whose post-optimization divergence clears the original
     cutoff are kept (flagged ``refined``) and the whole series is then
     re-optimized.  Segments that never yield such a boundary, even at
-    ``refine_floor``, remain whole.
+    ``refine_floor``, remain whole.  A result without a long segment is
+    returned as it is, under ``cfg``.
     """
     cfg = cfg or result.config
+    if all(seg.length <= cfg.long_segment_len for seg in result.segments):
+        return result if cfg == result.config else replace(result, config=cfg)
     arr = np.asarray(x, dtype=np.float64)
     ps = PrefixSums(arr)
     sc = _Scanner(ps, cfg.min_segment_len)

@@ -1,14 +1,15 @@
 import csv
 import datetime as dt
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import weekday_calendar
-from volseg import cli, ingest, segmenter
-from volseg.divergence import segment_stats
+from volseg import cli, cluster, ingest, segmenter
+from volseg.divergence import VARIANCE_FLOOR, segment_stats
 from volseg.synthetic import (
     levels_from_returns,
     make_demo_corpus,
@@ -146,6 +147,35 @@ class TestSegmentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cutofff": 5}))
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "n_points, message",
+        [(14, "series of 13 points is shorter than two minimum segments"), (1, "need at least two samples")],
+        ids=["shorter-than-two-segments", "one-sample"],
+    )
+    def test_unsegmentable_series_is_data_error_naming_the_file(self, tmp_path, capsys, n_points, message):
+        ok = self.make_series_file(tmp_path)
+        grid = weekday_calendar(dt.date(2005, 1, 3), 1).grid[:n_points]
+        short = tmp_path / "short.json"
+        ingest.series_to_json(ingest.HalfHourSeries("SH", grid, np.full(n_points, 100.0)), short)
+        assert run(["segment", str(ok), str(short), "--out", str(tmp_path / "out")]) == 2
+        assert f"volseg: {short}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"sector": "X", "timestamps": []}',
+            '{"sector": "X", "timestamps": ["noon"], "values": ["1.0"]}',
+            '{"sector": "X", "timestamps": ["2005-01-03T14:30:00+00:00"], "values": ["-1.0"]}',
+            "{",
+        ],
+        ids=["values-missing", "bad-timestamp", "non-positive-level", "not-json"],
+    )
+    def test_malformed_series_is_data_error_naming_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "X.json"
+        path.write_text(text)
+        assert run(["segment", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"volseg: {path}: malformed series" in capsys.readouterr().err
 
     def test_no_refine_keeps_the_recursive_boundaries(self, tmp_path):
         # strong flanks around a long quiet stretch that hides a brief
@@ -290,6 +320,26 @@ class TestClusterCommand:
         path.write_text(json.dumps(payload))
         assert run(["cluster", str(path), "--out", str(tmp_path / "out")]) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_stats_of_rows_in_memory_equal_those_read_back(self, tmp_path):
+        # stdevs whose square lies at, just below and just above the floor
+        at = math.sqrt(VARIANCE_FLOOR)
+        assert at**2 == VARIANCE_FLOOR
+        below, above = math.nextafter(at, 0.0), math.nextafter(at, 1.0)
+        assert below**2 < VARIANCE_FLOOR < above**2
+        stdevs = [at, below, above, 0.0, 1e-14, 1e-3 / 3]
+        cal = weekday_calendar(dt.date(2004, 1, 5), 40)
+        x = regime_returns([(200, 0.0, 1e-3), (200, 0.0, 5e-3), (len(cal.grid) - 401, 0.0, 1e-3)], 5)
+        rows = segmenter.emit_segment_table(segmenter.recursive_segment(x), cal.grid)
+        rows += [self.table_row(len(rows) + i + 1, 30, sd) for i, sd in enumerate(stdevs)]
+        path = tmp_path / "FL.json"
+        segmenter.write_segment_json(rows, path, "FL")
+
+        _, rows_back, stats_back = cli._read_segment_table(path)
+        assert rows_back == rows
+        stats = cli._stats_from_rows(rows)
+        assert stats == stats_back
+        assert [s.degenerate for s in stats[-len(stdevs):]] == [True, True, False, True, False, False]
 
     def test_degeneracy_follows_the_variance_floor(self):
         # stdev 1e-16 is positive, but its variance 1e-32 is below the
@@ -457,8 +507,17 @@ class TestAnalyzeCommand:
         assert len(shocks) > 1  # every demo sector carries at least one shock
 
 
+def artifact_tree(root: Path) -> dict[Path, bytes]:
+    """Every file under ``root`` but the invocation echo, by relative path."""
+    return {
+        p.relative_to(root): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file() and p.name != "resolved_config.json"
+    }
+
+
 class TestPipelineComposition:
-    def test_pipeline_equals_stepwise_runs(self, corpus, tmp_path):
+    def test_pipeline_equals_stepwise_runs(self, corpus, tmp_path, capsys):
         full = tmp_path / "full"
         assert (
             run(
@@ -475,6 +534,7 @@ class TestPipelineComposition:
             )
             == 0
         )
+        full_stdout = capsys.readouterr().out
         step = tmp_path / "step"
         assert (
             run(["ingest", *corpus["ticks"], "--out", str(step), "--holidays", corpus["holidays"]])
@@ -502,15 +562,31 @@ class TestPipelineComposition:
             )
             == 0
         )
-        for rel in (
-            "series/BM.csv",
-            "segments/BM.csv",
-            "clusters/BM.assignment.csv",
-            "analysis/plotdata.csv",
-            "analysis/recovery.csv",
-            "analysis/event_responses.csv",
-        ):
-            assert (full / rel).read_bytes() == (step / rel).read_bytes(), rel
+        assert capsys.readouterr().out == full_stdout
+        full_tree, step_tree = artifact_tree(full), artifact_tree(step)
+        assert sorted(full_tree) == sorted(step_tree)
+        assert Path("analysis/event_responses.csv") in full_tree
+        for rel, data in full_tree.items():
+            assert data == step_tree[rel], rel
+
+    def test_pipeline_reads_back_none_of_its_files(self, corpus, tmp_path, monkeypatch):
+        def read_back(*args, **kwargs):
+            raise AssertionError("pipeline read back a file it wrote")
+
+        monkeypatch.setattr(ingest, "series_from_json", read_back)
+        monkeypatch.setattr(cli, "_read_segment_table", read_back)
+        monkeypatch.setattr(cluster, "read_assignment_csv", read_back)
+        monkeypatch.setattr(cli, "_read_calendar", read_back)
+        argv = ["pipeline", *corpus["ticks"], "--out", str(tmp_path / "run"), "--holidays", corpus["holidays"]]
+        assert run([*argv, "--events", corpus["events"]]) == 0
+
+    def test_unsegmentable_series_is_data_error_naming_the_sector(self, tmp_path, capsys):
+        cal = weekday_calendar(dt.date(2005, 1, 3), 1)
+        ticks = tmp_path / "SH.csv"
+        write_tick_file(ticks, "SH", cal, np.full(len(cal.grid), 100.0), seed=1)
+        assert run(["pipeline", str(ticks), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "volseg: sector SH: series of 13 points is shorter than two minimum segments" in err
 
     def test_pipeline_rerun_byte_identical(self, corpus, tmp_path):
         # identical invocation twice (same --out): every artifact byte-equal

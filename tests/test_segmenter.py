@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import datetime as dt
 
 import numpy as np
 import pytest
 
 from conftest import scaled_window, weekday_calendar
+from volseg import segmenter
 from volseg.divergence import PrefixSums, delta_error, js_divergence, segment_stats
 from volseg.segmenter import (
     FLAG_AUTOMATIC,
@@ -20,6 +22,7 @@ from volseg.segmenter import (
     write_segment_csv,
     write_segment_json,
     TABLE_COLUMNS,
+    _build_result,
 )
 
 
@@ -215,6 +218,28 @@ class TestRefineLongSegments:
         refined = refine_long_segments(x, auto)
         assert refined.segments == auto.segments
         assert refined.flags == auto.flags
+
+    def test_no_long_segment_keeps_an_unconverged_result(self):
+        x = two_regime(3, n1=450, n2=450, s2=5e-3)
+        stale = dataclasses.replace(recursive_segment(x), converged=False)
+        full_pass = _build_result(PrefixSums(x), stale.positions, list(stale.flags), stale.config, False)
+        refined = refine_long_segments(x, stale)
+        assert refined == full_pass == stale
+        assert not refined.converged
+
+    def test_no_long_segment_skips_the_pass(self, monkeypatch):
+        x = two_regime(3, n1=450, n2=450, s2=5e-3)
+        auto = recursive_segment(x)
+
+        def no_prefix_sums(*args):
+            raise AssertionError("refinement rebuilt the prefix sums of a series without long segments")
+
+        monkeypatch.setattr(segmenter, "PrefixSums", no_prefix_sums)
+        assert refine_long_segments(x, auto, None) == auto
+        wider = SegmentationConfig(long_segment_len=5000)
+        refined = refine_long_segments(x, auto, wider)
+        assert refined.config == wider
+        assert dataclasses.replace(refined, config=auto.config) == auto
 
     def test_stationary_long_segment_remains_whole(self):
         x = np.random.default_rng(200).normal(0, 1e-3, 1600)
