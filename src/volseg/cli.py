@@ -115,6 +115,21 @@ def _utc_date(t_us: int) -> dt.date:
     return (dt.datetime(1970, 1, 1) + dt.timedelta(microseconds=t_us)).date()
 
 
+def _undecodable(path: Path, encoding: str, exc: UnicodeDecodeError) -> str:
+    """The 1-based line and the first byte of ``path`` that ``encoding``
+    cannot decode.  A stream read in blocks places ``exc`` within its
+    block, so the file's bytes are decoded again, whole."""
+    raw = path.read_bytes()
+    try:
+        raw.decode(encoding)
+    except UnicodeDecodeError as whole:
+        head = raw[: whole.start].decode(encoding)
+        line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1  # text mode's lines
+        byte = raw[whole.start]
+        return f"line {line}: cannot decode byte 0x{byte:02x} as {whole.encoding} ({whole.reason})"
+    return str(exc)  # the file changed since it was read
+
+
 def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.HalfHourSeries]]:
     """Resample every tick file and write the series; returns the calendar and the series, sorted by sector."""
     outdir = Path(args.out)
@@ -130,6 +145,8 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
         with open(path) as fh:
             try:
                 ticks, rejects = ingest.parse_ticks(fh)
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: {_undecodable(path, fh.encoding, exc)}") from exc
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}") from exc
         if not len(ticks):

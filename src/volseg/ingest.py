@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -81,6 +81,8 @@ _MAX_PRICE_LEN = _MAX_PRICE_DIGITS + 1  # with the decimal point
 _POW10 = 10.0 ** np.arange(_MAX_PRICE_DIGITS + 1)
 _MAX_OFFSET_LEN = 3
 _PAD = _MAX_PRICE_LEN  # zero bytes after the text, so field windows never index past it
+# Characters read per block: a block's per-row temporaries stay within L2.
+_BLOCK_CHARS = 1 << 18
 
 
 def _parse_row(lineno: int, line: str) -> tuple[str, int, float] | RejectedRow | None:
@@ -184,20 +186,30 @@ def _decode_prices(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> tu
     return mantissa / _POW10[frac_digits], ok
 
 
-def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
-    """Parse a Table-2-format stream into tick columns plus a reject log.
+def _line_blocks(stream: TextIO) -> Iterator[str]:
+    """The text of ``stream`` in pieces of whole lines, each cut after the
+    last ``"\\n"`` of about ``_BLOCK_CHARS`` characters read; a line longer
+    than that keeps reading until its newline or the end of the stream."""
+    pending: list[str] = []
+    while chunk := stream.read(_BLOCK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        yield "".join(pending)
+        pending = [chunk[cut:]]
+    tail = "".join(pending)
+    if tail:
+        yield tail
 
-    Lines starting with ``#`` (the header) emit no row.  A malformed row
-    is recorded with its 1-based line number and a reason, never
-    silently dropped.  Rows in the canonical form
-    ``RIC,MM/DD/YYYY,HH:MM:SS.fff,[+-]D,Type,D[.D]`` (no spaces around
-    fields, an offset of at most 3 characters, a positive price of at
-    most 15 digits) are decoded as whole arrays; every other line goes
-    through the per-row checks of ``_parse_row``, so both give the same
-    rows and rejects.  Accepted rows with more than one instrument code
-    raise ``ValueError``.
-    """
-    text = stream.read()
+
+def _parse_block(
+    text: str, line0: int, rics: set[str], rejects: list[RejectedRow]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted ``(t_us, price)`` columns of whole lines ``text``, whose
+    first line is line ``line0 + 1`` of the stream; adds the instrument
+    codes of accepted rows to ``rics`` and the rejects to ``rejects``."""
     raw = text.encode("utf-8", "surrogatepass")
     n = len(raw)
     buf = np.frombuffer(raw + bytes(_PAD), dtype=np.uint8)
@@ -219,17 +231,16 @@ def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
     ok &= ok_t & _valid_offsets(buf, c2 + 1, c3 - c2 - 1) & ok_p
     rows, s, c0, t_us, price = rows[ok], s[ok], c0[ok], t_us[ok], price[ok]
 
-    rics: set[str] = set()
     if len(rows):
+        # the codes that differ from the first accepted row's
         ric = buf[s[0] : c0[0]].tobytes()
         same = c0 - s == len(ric)
         for j, byte in enumerate(ric):
             same &= buf[np.minimum(s + j, n)] == byte  # clipped where lengths differ
         odd = np.flatnonzero(~same)
-        rics = {buf[s[i] : c0[i]].tobytes().decode("utf-8", "surrogatepass") for i in odd}
+        rics.update(buf[s[i] : c0[i]].tobytes().decode("utf-8", "surrogatepass") for i in odd)
         rics.add(ric.decode("utf-8", "surrogatepass"))
 
-    rejects: list[RejectedRow] = []
     fallback = ~skipped
     fallback[rows] = False
     fallback = np.flatnonzero(fallback)
@@ -237,7 +248,7 @@ def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
         lines = text.split("\n")
         accepted: list[tuple[int, int, float]] = []
         for i in fallback.tolist():
-            row = _parse_row(i + 1, lines[i].rstrip("\r"))
+            row = _parse_row(line0 + i + 1, lines[i].rstrip("\r"))
             if isinstance(row, RejectedRow):
                 rejects.append(row)
             elif row is not None:
@@ -248,8 +259,39 @@ def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
             order = np.argsort(np.concatenate((rows, more_rows)), kind="stable")
             t_us = np.concatenate((t_us, np.array(more_t, dtype=np.int64)))[order]
             price = np.concatenate((price, more_price))[order]
+    return t_us, price
+
+
+def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
+    """Parse a Table-2-format stream into tick columns plus a reject log.
+
+    Lines starting with ``#`` (the header) emit no row.  A malformed row
+    is recorded with its 1-based line number and a reason, never
+    silently dropped.  Rows in the canonical form
+    ``RIC,MM/DD/YYYY,HH:MM:SS.fff,[+-]D,Type,D[.D]`` (no spaces around
+    fields, an offset of at most 3 characters, a positive price of at
+    most 15 digits) are decoded as whole arrays; every other line goes
+    through the per-row checks of ``_parse_row``, so both give the same
+    rows and rejects.  Accepted rows with more than one instrument code
+    raise ``ValueError``.
+
+    The stream is read in blocks of whole lines of about ``_BLOCK_CHARS``
+    characters, so beyond the 16 bytes per accepted row of the columns
+    the parse holds one block's text and temporaries at a time.
+    """
+    rics: set[str] = set()
+    rejects: list[RejectedRow] = []
+    t_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    price_parts: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
+    line0 = 0
+    for text in _line_blocks(stream):
+        t_us, price = _parse_block(text, line0, rics, rejects)
+        t_parts.append(t_us)
+        price_parts.append(price)
+        line0 += text.count("\n")
     if len(rics) > 1:
         raise ValueError(f"mixed instrument codes in one tick file: {sorted(rics)}")
+    t_us, price = np.concatenate(t_parts), np.concatenate(price_parts)
     return TickColumns(rics.pop() if rics else "", t_us, price), rejects
 
 

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -122,16 +122,20 @@ class SegmentationResult:
 
 
 class _Scanner:
-    """Memoized divergence scans over one PrefixSums instance.
+    """Memoized divergence scans and split divergences over one PrefixSums
+    instance.
 
-    A scan is a pure function of (window, margin), so results survive
-    across optimization sweeps and recursion rounds.
+    A scan is a pure function of (window, margin), and a split's divergence
+    of (window, split), so results survive across optimization sweeps,
+    recursion rounds and pruning rounds.  A degenerate split is not
+    memoized: it raises again on every call.
     """
 
     def __init__(self, ps: PrefixSums, margin: int) -> None:
         self.ps = ps
         self.margin = margin
         self._cache: dict[tuple[int, int], tuple[int, float] | None] = {}
+        self._deltas: dict[tuple[int, int, int], float] = {}
 
     def scan(self, a: int, b: int) -> tuple[int, float] | None:
         key = (a, b)
@@ -141,6 +145,14 @@ class _Scanner:
             out = self.ps.scan(a, b, self.margin)
             self._cache[key] = out
             return out
+
+    def delta_at(self, a: int, t: int, b: int) -> float:
+        key = (a, t, b)
+        try:
+            return self._deltas[key]
+        except KeyError:
+            delta = self._deltas[key] = self.ps.delta_at(a, t, b)
+            return delta
 
 
 def _insert(bounds: list[int], dirty: set[int], pos: int) -> int:
@@ -258,7 +270,7 @@ def _prune_weak(
             a = bounds[k - 1] if k > 0 else lo
             b = bounds[k + 1] if k + 1 < len(bounds) else hi
             try:
-                delta = sc.ps.delta_at(a, bounds[k], b)
+                delta = sc.delta_at(a, bounds[k], b)
             except DegenerateSplitError:
                 delta = -np.inf
             weak = delta <= cutoff if flags[k] == FLAG_REFINED else delta < cutoff
@@ -280,7 +292,11 @@ def _build_result(
     flags: list[str],
     cfg: SegmentationConfig,
     converged: bool,
+    delta_at: Callable[[int, int, int], float] | None = None,
 ) -> SegmentationResult:
+    """The result for final boundaries ``bounds``; ``delta_at`` (default
+    ``ps.delta_at``) gives each boundary's divergence."""
+    delta_at = delta_at or ps.delta_at
     n = ps.length
     edges = [0] + list(bounds) + [n]
     segments = tuple(Segment(a, b, ps.stats(a, b)) for a, b in zip(edges, edges[1:]))
@@ -288,7 +304,7 @@ def _build_result(
     for k, pos in enumerate(bounds):
         a = edges[k]
         b = edges[k + 2]
-        delta = ps.delta_at(a, pos, b)
+        delta = delta_at(a, pos, b)
         boundaries.append(
             Boundary(
                 position=pos,
@@ -328,7 +344,7 @@ def recursive_segment(x, cfg: SegmentationConfig | None = None) -> SegmentationR
     )
     if not converged:
         log.warning("boundary optimization hit max_opt_iters without converging")
-    return _build_result(ps, bounds, flags, cfg, converged)
+    return _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
 
 
 def optimize_boundaries(
@@ -399,7 +415,7 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
             include_refined=True,
         )
 
-    return _build_result(ps, bounds, flags, cfg, converged)
+    return _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
 
 
 def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> list[int]:

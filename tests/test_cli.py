@@ -77,6 +77,26 @@ class TestIngestCommand:
         assert corpus["ticks"][0] in err and str(copy) in err
         assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_undecodable_byte_names_the_file_and_line(self, tmp_path, capsys, eol):
+        # the byte falls in the third block that parse_ticks reads
+        t0 = dt.datetime(2006, 2, 14, 15, 0)
+        rows = [
+            f".DJUSBM,{t:%m/%d/%Y},{t:%H:%M:%S}.000,+0,Index,100.5000".encode()
+            for t in (t0 + dt.timedelta(seconds=k) for k in range(20_000))
+        ]
+        lines = [HEADER.encode(), *rows]
+        size = len(lines[1]) + len(eol)
+        lineno = 5 * ingest._BLOCK_CHARS // (2 * size)  # about two and a half blocks in
+        offset = len(HEADER) + len(eol) + (lineno - 2) * size + 20
+        assert 2 * ingest._BLOCK_CHARS < offset < 3 * ingest._BLOCK_CHARS
+        lines[lineno - 1] = lines[lineno - 1][:20] + b"\xff" + lines[lineno - 1][20:]
+        tick_file = tmp_path / "BM.csv"
+        tick_file.write_bytes(eol.encode().join(lines) + eol.encode())
+        assert run(["ingest", str(tick_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"volseg: {tick_file}: line {lineno}: cannot decode byte 0xff as utf")
+
     def test_reject_log_written(self, tmp_path):
         tick_file = tmp_path / "BM.csv"
         tick_file.write_text(

@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from volseg.ingest import (
     series_to_csv,
     series_to_json,
 )
+from volseg.synthetic import make_demo_corpus
 
 UTC = dt.timezone.utc
 
@@ -157,6 +159,28 @@ class TestParseTicks:
         )
         records, _ = parse_ticks(io.StringIO(text))
         assert list(records.price) == [100, 101, 102, 103, 104]
+
+    def test_parse_memory_is_bounded_by_the_columns(self, tmp_path):
+        # a paper-scale tick file (2,254 days, about 4.8 MB) four times over,
+        # read from disk: beyond the accepted columns and their per-block
+        # parts (16 B per row each) the parse may hold only about one block.
+        # The excess measured 0.10-0.27 MB on seeds 1-6; a parse that holds
+        # the whole text exceeds 137 MB.
+        bound = 4_000_000
+        text = make_demo_corpus(tmp_path, sectors=("BM",), n_days=2254, seed=5)["BM"].read_text()
+        path = tmp_path / "four.csv"
+        path.write_text(text * 4)
+        rows = 4 * (text.count("\n") - 1)  # no noise rows are rejected
+        del text
+        tracemalloc.start()
+        try:
+            with open(path) as fh:
+                records, rejects = parse_ticks(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == rows and rejects == []
+        assert peak - 32 * rows < bound
 
     def test_sector_from_ric(self):
         assert sector_from_ric(".DJUSBM") == "BM"

@@ -8,7 +8,8 @@ files cover ties, ticks exactly at grid times and at the close, pre-open
 corrections, post-close stragglers, empty days, DST switch days, CRLF
 endings, blank and comment lines, valid rows outside the canonical form
 and every reject reason; each file is checked at several pre-open grace
-values.
+values.  The same files, and lines built to fall on block edges, are also
+parsed with the stream read in blocks of a few characters.
 """
 
 import datetime as dt
@@ -20,6 +21,7 @@ import re
 import numpy as np
 import pytest
 
+from volseg import ingest
 from volseg.calendar import TradingCalendar
 from volseg.ingest import TickColumns, parse_ticks, resample
 
@@ -340,3 +342,107 @@ def test_mixed_instruments_raise_like_the_oracle():
         with pytest.raises(ValueError, match="mixed instrument codes") as got:
             parse_ticks(io.StringIO(mixed))
         assert str(got.value).split(": ")[1] == str(expected.value).split(": ")[1]
+
+
+# ---------------------------------------------------------------------------
+# block edges: parse_ticks reads the stream in blocks of whole lines
+
+BLOCK_SIZES = (1, 7, 64, 4096)
+T0 = dt.datetime(2006, 2, 14, 15, 0, tzinfo=UTC)
+
+
+def minute_rows(count: int, price: str = "100.5") -> list[str]:
+    return [canonical_row(T0 + dt.timedelta(minutes=k), price) for k in range(count)]
+
+
+@pytest.fixture(params=BLOCK_SIZES)
+def block(request, monkeypatch):
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_block_reads_match_row_oracle(seed, block):
+    text, _ = random_tick_file(seed)
+    check_parse(io.StringIO(text), io.StringIO(text))
+
+
+@pytest.mark.parametrize("seed", [41, 42])  # LF and CRLF line ends
+def test_block_reads_of_a_file_match_row_oracle(seed, block, tmp_path):
+    text, _ = random_tick_file(seed)
+    path = tmp_path / "ticks.csv"
+    path.write_text(text, newline="")
+    with open(path) as new, open(path) as old:
+        check_parse(new, old)
+
+
+def test_crlf_split_across_reads(monkeypatch):
+    rows = minute_rows(3)
+    rows.insert(2, canonical_row(T0, "abc"))  # a reject, so its line number is checked too
+    text = "\r\n".join([HEADER, *rows]) + "\r\n"
+    crlf_cuts = 0
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", size)
+        crlf_cuts += text[size - 1] == "\r"  # the first read ends between "\r" and "\n"
+        check_parse(io.StringIO(text), io.StringIO(text))
+    assert crlf_cuts == text.count("\r\n") == 5
+
+
+def test_lines_longer_than_a_block(block):
+    rows = minute_rows(4)
+    rows[1:1] = [
+        canonical_row(T0, " " * 5000 + "150.25"),  # padded, so only the per-row checks take it
+        canonical_row(T0, "1" * 5000),  # overflows to inf: a non-positive price
+        "x" * 9000,
+    ]
+    text = "\n".join([HEADER, *rows]) + "\n"
+    ticks, records = check_parse(io.StringIO(text), io.StringIO(text))
+    assert len(ticks) == 5 and ticks.price[1] == 150.25
+
+
+def test_header_and_blank_lines_in_mid_file(block):
+    rows = minute_rows(6)
+    rows[2:2] = [HEADER, "", "   ", "\t", "# a comment"]
+    rows.insert(9, canonical_row(T0, "0"))
+    text = "\n".join([HEADER, *rows]) + "\n"
+    _, records = check_parse(io.StringIO(text), io.StringIO(text))
+    assert len(records) == 6
+
+
+@pytest.mark.parametrize("last", ["100.5", "abc"])
+def test_no_trailing_newline(block, last):
+    text = "\n".join([HEADER, *minute_rows(3), canonical_row(T0, last)])
+    check_parse(io.StringIO(text), io.StringIO(text))
+
+
+@pytest.mark.parametrize("text", ["", HEADER, HEADER + "\n", "\n\n"])
+def test_empty_and_header_only_streams(block, text):
+    ticks, _ = check_parse(io.StringIO(text), io.StringIO(text))
+    assert len(ticks) == 0 and ticks.ric == ""
+
+
+@pytest.mark.parametrize(
+    "odd", [canonical_row(T0, "99", ric=".DJUSCY"), " .DJUSEN , 02/14/2006 , 14:00:00.0 , +0 , Index , 99 "]
+)
+def test_second_code_in_a_later_block_raises_like_the_oracle(block, odd):
+    rows = minute_rows(200)
+    rows.insert(150, odd)
+    text = "\n".join([HEADER, *rows])
+    assert text.index(odd) >= block  # not in the first block
+    records, _ = oracle_parse(io.StringIO(text))
+    expected = sorted({ric for ric, _, _ in records})
+    assert len(expected) == 2
+    with pytest.raises(ValueError) as got:
+        parse_ticks(io.StringIO(text))
+    assert str(got.value) == f"mixed instrument codes in one tick file: {expected}"
+
+
+def test_rejected_first_row_with_another_code(block):
+    # every tenth row, the first one included, is a rejected row of another
+    # code; with short blocks many blocks start with one
+    rows = minute_rows(60)
+    for k in range(0, len(rows), 10):
+        rows[k] = canonical_row(T0, "abc", ric=".DJUSCY")
+    text = "\n".join([HEADER, *rows]) + "\n"
+    ticks, _ = check_parse(io.StringIO(text), io.StringIO(text))
+    assert ticks.ric == RIC

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import scaled_window, weekday_calendar
 from volseg import segmenter
-from volseg.divergence import PrefixSums, delta_error, js_divergence, segment_stats
+from volseg.divergence import DegenerateSplitError, PrefixSums, delta_error, js_divergence, segment_stats
 from volseg.segmenter import (
     FLAG_AUTOMATIC,
     FLAG_REFINED,
@@ -23,7 +23,9 @@ from volseg.segmenter import (
     write_segment_json,
     TABLE_COLUMNS,
     _build_result,
+    _Scanner,
 )
+from volseg.synthetic import regime_returns
 
 
 def two_regime(seed: int, n1=500, s1=1e-3, n2=500, s2=2e-3) -> np.ndarray:
@@ -253,6 +255,60 @@ class TestRefineLongSegments:
         a = refine_long_segments(x, recursive_segment(x))
         b = refine_long_segments(x, recursive_segment(x))
         assert a == b
+
+
+class TestDivergenceEvaluations:
+    """Each final boundary's divergence is evaluated once: the last pruning
+    round and the result share the values."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen: list[tuple[int, int, int]] = []
+        delta_at = PrefixSums.delta_at
+
+        def counting(ps, a, t, b):
+            seen.append((a, t, b))
+            return delta_at(ps, a, t, b)
+
+        monkeypatch.setattr(PrefixSums, "delta_at", counting)
+        return seen
+
+    @staticmethod
+    def assert_divergences_recomputed(x, result):
+        fresh = PrefixSums(x)
+        edges = [0] + result.positions + [len(x)]
+        for k, b in enumerate(result.boundaries):
+            again = fresh.delta_at(edges[k], b.position, edges[k + 2])
+            assert np.float64(b.divergence).tobytes() == np.float64(again).tobytes()
+
+    def test_once_per_final_boundary(self, calls):
+        # many short planted regimes on a sigma ladder, none pruned
+        rng = np.random.default_rng(3)
+        ladder = (4.5e-4, 1.1e-3, 2.8e-3, 7.2e-3)
+        x = regime_returns(
+            [(int(n), 0.0, ladder[k % 4]) for k, n in enumerate(rng.integers(60, 160, 30))], 3
+        )
+        result = recursive_segment(x)
+        assert len(result.boundaries) >= 20
+        assert len(calls) == len(result.boundaries)
+        calls.clear()
+        self.assert_divergences_recomputed(x, result)
+
+    def test_no_split_evaluated_twice_with_refinement(self, calls):
+        x = masking_series(12)
+        result = refine_long_segments(x, recursive_segment(x))
+        assert FLAG_REFINED in result.flags
+        assert len(calls) == len(set(calls))
+        calls.clear()
+        self.assert_divergences_recomputed(x, result)
+
+    def test_degenerate_split_raises_on_every_call(self):
+        x = np.concatenate([np.zeros(20), np.tile([1.0, -1.0], 20)])  # mean exactly 0
+        sc = _Scanner(PrefixSums(x), 4)
+        for _ in range(2):
+            with pytest.raises(DegenerateSplitError):
+                sc.delta_at(0, 10, 20)
+        assert sc.delta_at(20, 40, 60) == PrefixSums(x).delta_at(20, 40, 60)
 
 
 class TestSegmentTable:
