@@ -15,9 +15,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .calendar import TradingCalendar
+from .calendar import DEFAULT_SAMPLES_PER_DAY, HALF_HOUR, TradingCalendar
 
 DEMO_SECTORS = ("BM", "CY", "EN", "FN", "HC", "IN", "NC", "TC", "TL", "UT")
+# The least level whose tick price prints as positive at 4 decimals.
+_MIN_LEVEL = 5e-05
+
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_US = dt.timedelta(microseconds=1)
+# Trading days rendered per block: about 0.4 MB of row temporaries at 14
+# samples and 3 ticks per half hour, whatever the calendar's length.
+_BLOCK_DAYS = 16
+# numpy's YYYY-MM-DDTHH:MM:SS.mmm rearranged as MM-DD-YYYYTHH:MM:SS.mmm; the
+# characters at 2, 5 and 10 then become "/", "/" and ","
+_STAMP_ORDER = np.array([5, 6, 4, 8, 9, 4, 0, 1, 2, 3, *range(10, 23)])
 
 
 def regime_returns(
@@ -50,45 +61,84 @@ def write_tick_file(
     One tick lands just before every grid time carrying the exact grid
     level, so resampling recovers ``levels``; extra in-between ticks,
     a pre-open correction row, and a post-close straggler exercise the
-    ingestion filters.
+    ingestion filters.  Every level must be finite and at least
+    0.00005, the least that prints as a positive 4-decimal price.
+
+    The file is rendered ``_BLOCK_DAYS`` trading days at a time.  The
+    random draws are scalar calls on one stream, per grid time the
+    in-between wobbles and then the last tick's lag, so the file does
+    not depend on the block size.
     """
-    grid = cal.grid
-    if len(levels) != len(grid):
-        raise ValueError(f"need one level per grid point ({len(grid)}), got {len(levels)}")
-    rng = np.random.default_rng(seed)
-    ric = f".DJUS{sector}"
-    lines = ["#RIC,Date[G],Time[G],GMT Offset,Type,Price"]
-
-    def emit(ts: dt.datetime, price: float) -> None:
-        u = ts.astimezone(dt.timezone.utc)
-        lines.append(
-            f"{ric},{u.strftime('%m/%d/%Y')},{u.strftime('%H:%M:%S')}."
-            f"{u.microsecond // 1000:03d},+0,Index,{price:.4f}"
+    levels = np.asarray(levels, dtype=np.float64)
+    if len(levels) != len(cal):
+        raise ValueError(f"need one level per grid point ({len(cal)}), got {len(levels)}")
+    bad = np.flatnonzero(~(np.isfinite(levels) & (levels >= _MIN_LEVEL)))
+    if len(bad):
+        raise ValueError(
+            f"level {bad[0]} is {float(levels[bad[0]])!r}: every level must be finite and "
+            f"at least {_MIN_LEVEL!r} to print as a positive 4-decimal price"
         )
+    rng = np.random.default_rng(seed)
+    normal, integers = rng.normal, rng.integers
+    n_between = max(ticks_per_half_hour - 1, 0)
+    # how long each in-between tick precedes its grid time, rounded to the
+    # microsecond as timedelta rounds it
+    lead_us = np.array(
+        [
+            dt.timedelta(seconds=1800 * (1 - (j + 1) / (ticks_per_half_hour + 1))) // _US
+            for j in range(n_between)
+        ],
+        dtype=np.int64,
+    )
+    spd = cal.samples_per_day
+    opens_us = np.array([(g - _EPOCH) // _US for g in cal.grid[::spd]], dtype=np.int64)
+    levels = levels.reshape(-1, spd)
+    row = f"{f'.DJUS{sector}'.replace('%', '%%')},%s,+0,Index,%.4f\n"
 
-    idx = 0
-    for d, day in enumerate(cal.days):
-        day_open = cal.session_open(day)
-        if with_noise_rows and d == 0:
-            # exchange-correction row hours before the open: must be ignored
-            emit(day_open - dt.timedelta(hours=2), float(levels[0]) * 1.5)
-        for k in range(cal.samples_per_day):
-            g = grid[idx]
-            level = float(levels[idx])
-            for j in range(ticks_per_half_hour - 1):
-                frac = (j + 1) / (ticks_per_half_hour + 1)
-                ts = g - dt.timedelta(seconds=1800 * (1 - frac))
-                wobble = 1.0 + float(rng.normal(0, 2e-5))
-                emit(ts, max(level * wobble, 1e-6))
-            emit(g - dt.timedelta(milliseconds=int(rng.integers(200, 1500))), level)
-            idx += 1
+    with Path(path).open("w") as fh:
+        fh.write("#RIC,Date[G],Time[G],GMT Offset,Type,Price\n")
         if with_noise_rows:
-            # post-close straggler, about 0.1% off: must be ignored
-            emit(
-                cal.session_close(day) + dt.timedelta(minutes=3),
-                float(levels[idx - 1]) * 1.001,
+            # exchange-correction row hours before the open: must be ignored
+            fh.write(_tick_rows(row, opens_us[:1] - dt.timedelta(hours=2) // _US, levels[0, :1] * 1.5))
+        for d in range(0, len(opens_us), _BLOCK_DAYS):
+            block = slice(d, d + _BLOCK_DAYS)
+            grid_us = opens_us[block, None] + HALF_HOUR // _US * np.arange(spd)
+            level = levels[block]
+            wobble, lag_ms = [], []
+            for _ in range(grid_us.size):
+                for _ in range(n_between):
+                    wobble.append(normal(0, 2e-5))
+                lag_ms.append(integers(200, 1500))
+            t_us = np.empty(grid_us.shape + (n_between + 1,), dtype=np.int64)
+            t_us[..., :-1] = grid_us[..., None] - lead_us
+            t_us[..., -1] = grid_us - 1000 * np.array(lag_ms, dtype=np.int64).reshape(grid_us.shape)
+            price = np.empty(t_us.shape)
+            price[..., :-1] = np.maximum(
+                level[..., None] * (1.0 + np.array(wobble).reshape(grid_us.shape + (n_between,))),
+                1e-6,
             )
-    Path(path).write_text("\n".join(lines) + "\n")
+            price[..., -1] = level
+            t_us = t_us.reshape(len(grid_us), -1)
+            price = price.reshape(len(grid_us), -1)
+            if with_noise_rows:
+                # post-close straggler, about 0.1% off: must be ignored
+                close_us = np.array([(cal.session_close(day) - _EPOCH) // _US for day in cal.days[block]])
+                t_us = np.column_stack((t_us, close_us + dt.timedelta(minutes=3) // _US))
+                price = np.column_stack((price, level[:, -1] * 1.001))
+            fh.write(_tick_rows(row, t_us.ravel(), price.ravel()))
+
+
+def _tick_rows(row: str, t_us: np.ndarray, price: np.ndarray) -> str:
+    """``row`` filled with each tick's ``MM/DD/YYYY,HH:MM:SS.mmm`` time (the
+    milliseconds truncated) and its price."""
+    text = np.datetime_as_string((t_us // 1000).astype("datetime64[ms]"), unit="ms")
+    chars = text.view(np.uint32).reshape(len(text), -1).take(_STAMP_ORDER, axis=1)
+    chars[:, [2, 5]] = ord("/")
+    chars[:, 10] = ord(",")
+    fields: list = [None] * (2 * len(text))
+    fields[::2] = chars.view(f"U{len(_STAMP_ORDER)}").ravel().tolist()
+    fields[1::2] = price.tolist()
+    return (row * len(text)) % tuple(fields)
 
 
 def demo_sector_pieces(
@@ -111,6 +161,18 @@ def demo_sector_pieces(
     return [(max(p[0], samples_per_day), p[1], p[2]) for p in pieces]
 
 
+def _demo_min_days(n_sectors: int) -> int:
+    """Fewest days on which the layouts of the first ``n_sectors`` demo
+    sectors tile the grid exactly, with no stretch lengthened to a day."""
+    n_days = 1
+    while any(
+        sum(p[0] for p in demo_sector_pieces(i, n_days)) != n_days * DEFAULT_SAMPLES_PER_DAY - 1
+        for i in range(n_sectors)
+    ):
+        n_days += 1
+    return n_days
+
+
 def make_demo_corpus(
     outdir: str | Path,
     sectors: tuple[str, ...] = DEMO_SECTORS,
@@ -119,6 +181,9 @@ def make_demo_corpus(
     seed: int = 7,
 ) -> dict[str, Path]:
     """Write tick files (under ticks/), a holiday file, and a rate-event file."""
+    need = _demo_min_days(len(sectors))
+    if n_days < need:
+        raise ValueError(f"a demo corpus of {len(sectors)} sectors needs at least {need} days, got {n_days}")
     outdir = Path(outdir)
     tick_dir = outdir / "ticks"
     tick_dir.mkdir(parents=True, exist_ok=True)
@@ -159,10 +224,17 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(description="Write a demo tick-data corpus")
     parser.add_argument("outdir")
-    parser.add_argument("--sectors", type=int, default=4, help="number of sectors (max 10)")
+    parser.add_argument("--sectors", type=int, default=4, help="number of sectors (1-10)")
     parser.add_argument("--days", type=int, default=120)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    if not 1 <= args.sectors <= len(DEMO_SECTORS):
+        parser.error(f"--sectors must be between 1 and {len(DEMO_SECTORS)}, got {args.sectors}")
+    need = _demo_min_days(args.sectors)
+    if args.days < need:
+        parser.error(f"--days must be at least {need} for {args.sectors} sectors, got {args.days}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     paths = make_demo_corpus(
         args.outdir,
         sectors=DEMO_SECTORS[: args.sectors],
