@@ -9,101 +9,51 @@ The pipeline runs in four stages, each usable on its own:
               rate-event response classification
 
 ``volseg.cli`` wires the stages into a command-line tool.
+
+The names in ``__all__`` load their home module on first use (PEP 562),
+so ``import volseg`` loads no submodule and no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .calendar import TradingCalendar, load_holidays
-from .divergence import (
-    Boundary,
-    DegenerateSplitError,
-    PrefixSums,
-    SegmentStats,
-    best_split,
-    delta_error,
-    delta_error_max,
-    js_divergence,
-    segment_stats,
-)
-from .ingest import (
-    HalfHourSeries,
-    LogReturnSeries,
-    RejectedRow,
-    TickColumns,
-    log_returns,
-    parse_ticks,
-    resample,
-)
-from .segmenter import (
-    Segment,
-    SegmentationConfig,
-    SegmentationResult,
-    emit_segment_table,
-    optimize_boundaries,
-    recursive_segment,
-    refine_long_segments,
-)
-from .cluster import (
-    ClusterAssignment,
-    Dendrogram,
-    assign_phases,
-    complete_link,
-    extract_clusters,
-    segment_distance,
-)
-from .analysis import (
-    PhaseTimeline,
-    RateEvent,
-    Shock,
-    build_timeline,
-    classify_event_responses,
-    detect_onset,
-    detect_recovery,
-    extract_shocks,
-    match_shocks,
-    rank_table,
-)
+_HOMES = {
+    "calendar": ("TradingCalendar", "load_holidays"),
+    "divergence": (
+        "Boundary", "DegenerateSplitError", "PrefixSums", "SegmentStats", "best_split",
+        "delta_error", "delta_error_max", "js_divergence", "segment_stats",
+    ),
+    "ingest": (
+        "HalfHourSeries", "LogReturnSeries", "RejectedRow", "TickColumns", "log_returns",
+        "parse_ticks", "resample",
+    ),
+    "segmenter": (
+        "Segment", "SegmentationConfig", "SegmentationResult", "emit_segment_table",
+        "optimize_boundaries", "recursive_segment", "refine_long_segments",
+    ),
+    "cluster": (
+        "ClusterAssignment", "Dendrogram", "assign_phases", "complete_link", "extract_clusters",
+        "segment_distance",
+    ),
+    "analysis": (
+        "PhaseTimeline", "RateEvent", "Shock", "build_timeline", "classify_event_responses",
+        "detect_onset", "detect_recovery", "extract_shocks", "match_shocks", "rank_table",
+    ),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "Boundary",
-    "ClusterAssignment",
-    "DegenerateSplitError",
-    "Dendrogram",
-    "HalfHourSeries",
-    "LogReturnSeries",
-    "PhaseTimeline",
-    "PrefixSums",
-    "RateEvent",
-    "RejectedRow",
-    "Segment",
-    "SegmentStats",
-    "SegmentationConfig",
-    "SegmentationResult",
-    "Shock",
-    "TickColumns",
-    "TradingCalendar",
-    "assign_phases",
-    "best_split",
-    "build_timeline",
-    "classify_event_responses",
-    "complete_link",
-    "delta_error",
-    "delta_error_max",
-    "detect_onset",
-    "detect_recovery",
-    "emit_segment_table",
-    "extract_clusters",
-    "extract_shocks",
-    "js_divergence",
-    "load_holidays",
-    "log_returns",
-    "match_shocks",
-    "optimize_boundaries",
-    "parse_ticks",
-    "rank_table",
-    "recursive_segment",
-    "refine_long_segments",
-    "resample",
-    "segment_distance",
-    "segment_stats",
-]
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

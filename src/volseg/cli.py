@@ -12,12 +12,18 @@ import argparse
 import datetime as dt
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
+# volseg makes no BLAS call, so numpy's OpenBLAS needs no worker threads:
+# an idle pool costs CPU time in every process.  Set before the first
+# import that loads numpy; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import analysis, cluster, ingest, segmenter
-from .calendar import TradingCalendar, load_holidays
+from .calendar import HALF_HOUR, TradingCalendar, load_holidays
 from .divergence import VARIANCE_FLOOR, Boundary, SegmentStats
 
 log = logging.getLogger(__name__)
@@ -241,6 +247,23 @@ def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -
     return assignment
 
 
+class _GridTimes(Sequence[dt.datetime]):
+    """``cal.grid`` computed one timestamp at a time, with the same
+    arithmetic, for a caller that reads only a few of them."""
+
+    def __init__(self, cal: TradingCalendar) -> None:
+        self._cal = cal
+
+    def __len__(self) -> int:
+        return len(self._cal)
+
+    def __getitem__(self, i: int) -> dt.datetime:
+        if not 0 <= i < len(self._cal):
+            raise IndexError(f"grid index {i} out of range")
+        day, k = divmod(i, self._cal.samples_per_day)
+        return self._cal.session_open(self._cal.days[day]) + HALF_HOUR * k
+
+
 def _timeline_inputs(
     source: object, sector: str, rows: list[dict[str, object]], stats: list[SegmentStats],
     assignment: cluster.ClusterAssignment, grid: Sequence[dt.datetime],
@@ -430,6 +453,7 @@ def _read_assignment(path: Path, n_segments: int) -> cluster.ClusterAssignment:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cal = _read_calendar(Path(args.calendar))
+    grid = _GridTimes(cal)  # the timelines read only the times at run edges
     timelines: dict[str, analysis.PhaseTimeline] = {}
     boundaries: dict[str, list[Boundary]] = {}
     for seg_path in sorted(Path(p) for p in args.segments):
@@ -441,7 +465,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise DataError(f"assignment not found: {asg_path}")
         assignment = _read_assignment(asg_path, len(rows))
         timelines[sector], boundaries[sector] = _timeline_inputs(
-            seg_path, sector, rows, stats, assignment, cal.grid
+            seg_path, sector, rows, stats, assignment, grid
         )
     _analyze(args, cal, timelines, boundaries)
     _write_resolved_config(args, Path(args.out))
@@ -578,5 +602,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DATA
 
 
+def console_main() -> None:
+    """Run :func:`main` and end the process with its exit code, skipping
+    interpreter teardown: the logs and the standard streams are flushed,
+    and every artifact is closed by then.  An exception that escapes
+    ``main`` takes the normal path and prints its traceback."""
+    rc = main()
+    logging.shutdown()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import weekday_calendar
 from volseg import cli, cluster, ingest, segmenter
+from volseg.calendar import TradingCalendar
 from volseg.divergence import VARIANCE_FLOOR, segment_stats
 from volseg.synthetic import (
     levels_from_returns,
@@ -525,6 +526,44 @@ class TestAnalyzeCommand:
             assert (analysis_dir / name).exists(), name
         shocks = (analysis_dir / "shocks.csv").read_text().splitlines()
         assert len(shocks) > 1  # every demo sector carries at least one shock
+
+
+class TestAnalyzeGrid:
+    def test_grid_times_equal_the_calendar_grid(self):
+        # spans both daylight-saving switches of 2005
+        cal = weekday_calendar(dt.date(2005, 3, 1), 200, samples_per_day=3)
+        times = cli._GridTimes(cal)
+        assert len(times) == len(cal.grid)
+        assert [times[i] for i in range(len(times))] == list(cal.grid)
+        for bad in (-1, len(times)):
+            with pytest.raises(IndexError):
+                times[bad]
+
+    def test_standalone_analyze_builds_no_grid(self, corpus, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        argv = ["pipeline", *corpus["ticks"], "--out", str(out), "--holidays", corpus["holidays"]]
+        assert run([*argv, "--events", corpus["events"]]) == 0
+        expected = artifact_tree(out / "analysis")
+
+        def no_grid(self):
+            raise AssertionError("analyze built the whole calendar grid")
+
+        monkeypatch.setattr(TradingCalendar, "grid", property(no_grid))
+        tables = sorted(map(str, (out / "segments").glob("*.json")))
+        again = tmp_path / "again"
+        assert (
+            run(
+                [
+                    "analyze", "--segments", *tables,
+                    "--assignments-dir", str(out / "clusters"),
+                    "--calendar", str(out / "calendar.json"),
+                    "--events", corpus["events"],
+                    "--out", str(again),
+                ]
+            )
+            == 0
+        )
+        assert artifact_tree(again / "analysis") == expected
 
 
 def artifact_tree(root: Path) -> dict[Path, bytes]:

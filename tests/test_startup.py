@@ -1,0 +1,239 @@
+"""What a volseg process pays for before and after its work.
+
+- ``import volseg`` loads no submodule and no numpy; each exported name
+  loads its home module on first use.
+- ``volseg.cli`` sets ``OPENBLAS_NUM_THREADS=1`` unless the user set it,
+  so numpy starts no idle BLAS worker threads.  The premise, that volseg
+  makes no BLAS call, is checked on the source with ``ast``.
+- ``python -m volseg.cli`` ends through ``cli.console_main``, which skips
+  interpreter teardown; its output equals that of ``cli.main`` in process.
+
+What a fresh interpreter loads is checked in child processes.
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import volseg
+from volseg import cli
+from volseg.synthetic import make_demo_corpus
+
+SRC = Path(volseg.__file__).resolve().parent
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**overrides: str | None) -> dict[str, str]:
+    """This process's environment with ``src`` on the path; None unsets a variable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    for key, value in overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def python(*args: str, **env: str | None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], env=child_env(**env), capture_output=True, text=True, timeout=120
+    )
+
+
+def stdout_of(code: str, **env: str | None) -> str:
+    proc = python("-c", code, **env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLazyPackage:
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        code = "import sys, volseg\nprint(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('volseg.')))"
+        assert stdout_of(code) == "[]\n"
+
+    def test_every_export_is_its_home_modules_object(self):
+        code = (
+            "import sys, volseg\n"
+            "for name in volseg.__all__:\n"
+            "    scope = {}\n"
+            "    exec(f'from volseg import {name}', scope)\n"
+            "    obj = scope[name]\n"
+            "    home = obj.__module__\n"
+            "    ok = home.startswith('volseg.') and getattr(sys.modules[home], name) is obj\n"
+            "    print(name, home, ok)\n"
+        )
+        lines = stdout_of(code).splitlines()
+        assert len(lines) == len(volseg.__all__) == 41
+        assert [line for line in lines if not line.endswith(" True")] == []
+
+    def test_dir_lists_every_export_before_first_use(self):
+        code = "import volseg\nprint(sorted(set(volseg.__all__) - set(dir(volseg))))"
+        assert stdout_of(code) == "[]\n"
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            volseg.no_such_name
+        with pytest.raises(ImportError):
+            from volseg import no_such_name  # noqa: F401
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread default
+
+BLAS_FUNCTIONS = {
+    "dot", "matmul", "linalg", "einsum", "inner", "outer", "tensordot", "vdot",
+    "cov", "corrcoef", "polyfit", "lstsq",
+}
+
+
+def blas_calls(tree: ast.Module) -> list[str]:
+    """Uses of BLAS-backed numpy functions: attributes of a numpy alias,
+    names imported from numpy, any ``.dot`` or ``.linalg``, and ``@``."""
+    aliases = {"numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "numpy")
+            found += [f"import {a.name}" for a in node.names if a.name.startswith("numpy.linalg")]
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_FUNCTIONS:
+            on_numpy = isinstance(node.value, ast.Name) and node.value.id in aliases
+            if on_numpy or node.attr in ("dot", "linalg"):
+                found.append(f"line {line}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names = [a.name for a in node.names if a.name in BLAS_FUNCTIONS]
+            if names or node.module.startswith("numpy.linalg"):
+                found.append(f"line {line}: from {node.module} import {names or '...'}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {line}: @")
+    return found
+
+
+def test_volseg_makes_no_blas_call():
+    found = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := blas_calls(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
+def test_blas_guard_sees_every_form():
+    tree = ast.parse(
+        "import numpy as np\nimport numpy.linalg\nfrom numpy import einsum\nfrom numpy.linalg import norm\n"
+        "a = np.dot(x, y)\nb = x.dot(y)\nc = x @ y\nc @= y\nd = np.linalg.solve(x, y)\n"
+        "e = np.cov(x)\nf = np.outer(x, y)\ng = np.lstsq\n"
+        "ok = np.multiply.outer(x, y) + np.sum(x) + outer + inner\n"
+    )
+    assert len(blas_calls(tree)) == 11
+    assert blas_calls(ast.parse("import numpy as np\nx = np.add.outer(a, b) @ 1")) == ["line 2: @"]
+
+
+def threads_after_import(**env: str | None) -> tuple[str, int]:
+    code = "import os, volseg.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+    value, threads = stdout_of(code, **env).split()
+    return value, int(threads)
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or not os.path.isdir("/proc/self/task"),
+    reason="needs Linux /proc and at least two CPUs, where OpenBLAS would start worker threads",
+)
+def test_cli_import_starts_no_blas_threads():
+    assert threads_after_import(**dict.fromkeys(BLAS_VARIABLES)) == ("1", 1)
+
+
+def test_user_blas_setting_wins():
+    value, _ = threads_after_import(OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+
+
+# ---------------------------------------------------------------------------
+# the fast exit: nothing is lost when a child ends without teardown
+
+
+def tree_of(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run_cli(*argv: str, **env: str | None) -> subprocess.CompletedProcess:
+    """``python -m volseg.cli`` with piped, hence block-buffered, stdout and stderr."""
+    return python("-m", "volseg.cli", *argv, PYTHONUNBUFFERED=None, **env)
+
+
+def test_child_pipeline_equals_in_process_run(tmp_path, capsys):
+    paths = make_demo_corpus(tmp_path / "corpus", sectors=("BM", "CY"), n_days=60, seed=7)
+    out = tmp_path / "out"
+    argv = [
+        "pipeline", str(paths["BM"]), str(paths["CY"]), "--out", str(out),
+        "--holidays", str(paths["holidays"]), "--events", str(paths["events"]),
+    ]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    in_process = tree_of(out)
+    shutil.rmtree(out)
+
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "BM:" in stdout
+    assert proc.stdout == stdout
+    assert tree_of(out) == in_process
+
+
+def test_child_data_error_keeps_its_message(tmp_path):
+    missing = tmp_path / "nope.csv"
+    proc = run_cli("pipeline", str(missing), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"volseg: input file not found: {missing}\n"
+
+
+def test_child_help_is_whole(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    proc = run_cli("--help", COLUMNS="80")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == help_text
+    assert help_text.startswith("usage: volseg") and "pipeline" in help_text
+
+
+def test_console_main_flushes_before_it_exits():
+    # short writes stay in the buffers: stdout's is a block, stderr's a line
+    code = (
+        "import sys, volseg.cli as c\n"
+        "def main():\n"
+        "    for i in range(3000):\n"
+        "        print(i)\n"
+        "    sys.stderr.write('done')\n"
+        "    return 3\n"
+        "c.main = main\n"
+        "c.console_main()\n"
+        "print('after')\n"
+    )
+    proc = python("-c", code, PYTHONUNBUFFERED=None)
+    assert proc.returncode == 3
+    assert proc.stdout == "".join(f"{i}\n" for i in range(3000))
+    assert proc.stderr == "done"
+
+
+def test_console_main_lets_an_uncaught_error_print_its_traceback():
+    code = "import volseg.cli as c\nc.main = lambda: 1 / 0\nc.console_main()\n"
+    proc = python("-c", code, PYTHONUNBUFFERED=None)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback") and "ZeroDivisionError" in proc.stderr
+
+
+def test_console_script_ends_through_console_main():
+    pyproject = SRC.parents[1] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("not a source checkout")
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"volseg": "volseg.cli:console_main"}
