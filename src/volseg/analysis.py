@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .artifacts import write_csv
 from .calendar import TradingCalendar
 from .cluster import COLOR_LADDER, PHASE_BY_COLOR, ClusterAssignment
 from .divergence import Boundary
@@ -409,22 +410,32 @@ def rank_table(group: MatchedGroup) -> RankTable:
 
 
 def load_rate_events(path: str | Path) -> list[RateEvent]:
-    """Read events (date,change,new_rate) and check rate continuity."""
+    """Read events (date,change,new_rate) and check rate continuity.
+
+    Raises ``ValueError`` naming ``path`` on a missing column, on a row
+    whose cells do not parse (with its line) and on a broken rate chain.
+    """
     events: list[RateEvent] = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            events.append(
-                RateEvent(
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("date", "change", "new_rate") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: rate events lack columns {missing}")
+        for rec in reader:
+            try:
+                event = RateEvent(
                     date=dt.date.fromisoformat(rec["date"]),
                     change=float(rec["change"]),
                     new_rate=float(rec["new_rate"]),
                 )
-            )
+            except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cells
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+            events.append(event)
     events.sort(key=lambda e: e.date)
     for prev, cur in zip(events, events[1:]):
         if abs(prev.new_rate + cur.change - cur.new_rate) > 1e-9:
             raise ValueError(
-                f"inconsistent rate sequence at {cur.date}: "
+                f"{path}: inconsistent rate sequence at {cur.date}: "
                 f"{prev.new_rate} + {cur.change} != {cur.new_rate}"
             )
     return events
@@ -489,115 +500,58 @@ def classify_event_responses(
 # file formats
 
 
-def write_recovery_csv(
-    results: Mapping[str, dt.date | None], path: str | Path
-) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sector", "date", "censored"])
-        for sector in sorted(results):
-            date = results[sector]
-            writer.writerow([sector, date.isoformat() if date else "", "false"])
+def write_recovery_csv(results: Mapping[str, dt.date | None], path: str | Path) -> None:
+    write_csv(path, ("sector", "date", "censored"), ((s, d, False) for s, d in sorted(results.items())))
 
 
 def write_onset_csv(results: Mapping[str, OnsetResult | None], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sector", "date", "censored"])
-        for sector in sorted(results):
-            r = results[sector]
-            if r is None:
-                writer.writerow([sector, "", "false"])
-            else:
-                writer.writerow([sector, r.date.isoformat(), "true" if r.censored else "false"])
+    rows = ((s, None, False) if r is None else (s, r.date, r.censored) for s, r in sorted(results.items()))
+    write_csv(path, ("sector", "date", "censored"), rows)
 
 
 def write_shock_csv(shocks: Iterable[Shock], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sector", "class", "start", "duration", "delta", "delta_err"])
-        for s in sorted(shocks, key=lambda s: (s.sector, s.start)):
-            writer.writerow(
-                [
-                    s.sector,
-                    s.klass,
-                    s.start_ts.isoformat(),
-                    s.duration,
-                    repr(s.delta) if s.delta is not None else "",
-                    repr(s.delta_err) if s.delta_err is not None else "",
-                ]
-            )
+    rows = (
+        (s.sector, s.klass, s.start_ts, s.duration, s.delta, s.delta_err)
+        for s in sorted(shocks, key=lambda s: (s.sector, s.start))
+    )
+    write_csv(path, ("sector", "class", "start", "duration", "delta", "delta_err"), rows)
 
 
 def write_rank_csv(tables: Sequence[RankTable], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "group",
-                "sector",
-                "start_rank",
-                "duration_rank",
-                "strength_rank",
-                "rho_duration_vs_start",
-                "rho_strength_vs_start",
-            ]
+    header = (
+        "group", "sector", "start_rank", "duration_rank", "strength_rank",
+        "rho_duration_vs_start", "rho_strength_vs_start",
+    )
+    rows = (
+        (
+            g, row["sector"], row["start_rank"], row["duration_rank"], row["strength_rank"],
+            table.rho_duration_vs_start, table.rho_strength_vs_start,
         )
-        for g, table in enumerate(tables):
-            rho_d = repr(table.rho_duration_vs_start) if table.rho_duration_vs_start is not None else ""
-            rho_s = repr(table.rho_strength_vs_start) if table.rho_strength_vs_start is not None else ""
-            for row in table.rows:
-                sr = row["strength_rank"]
-                writer.writerow(
-                    [
-                        g,
-                        row["sector"],
-                        repr(row["start_rank"]),
-                        repr(row["duration_rank"]),
-                        repr(sr) if sr is not None else "",
-                        rho_d,
-                        rho_s,
-                    ]
-                )
+        for g, table in enumerate(tables)
+        for row in table.rows
+    )
+    write_csv(path, header, rows)
 
 
 def write_event_csv(responses: Iterable[EventResponse], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["sector", "event_date", "classification", "anticipatory", "boundary_ts", "from_color", "to_color"]
-        )
-        for r in responses:
-            writer.writerow(
-                [
-                    r.sector,
-                    r.event.date.isoformat(),
-                    r.classification,
-                    "true" if r.anticipatory else "false",
-                    r.boundary_ts.isoformat() if r.boundary_ts else "",
-                    r.from_color or "",
-                    r.to_color or "",
-                ]
-            )
+    header = ("sector", "event_date", "classification", "anticipatory", "boundary_ts", "from_color", "to_color")
+    rows = (
+        (r.sector, r.event.date, r.classification, r.anticipatory, r.boundary_ts, r.from_color, r.to_color)
+        for r in responses
+    )
+    write_csv(path, header, rows)
 
 
 def write_plotdata_csv(timelines: Mapping[str, PhaseTimeline], path: str | Path) -> None:
     """Runs of every sector as (sector, start, end, color, phase) rows,
     sorted by sector then start; drives external plotting tools."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sector", "start", "end", "color", "phase"])
-        for sector in sorted(timelines):
-            tl = timelines[sector]
-            for run in tl.runs:
-                writer.writerow(
-                    [tl.sector, run.start_ts.isoformat(), run.end_ts.isoformat(), run.color, run.phase]
-                )
+    rows = (
+        (timelines[s].sector, run.start_ts, run.end_ts, run.color, run.phase)
+        for s in sorted(timelines)
+        for run in timelines[s].runs
+    )
+    write_csv(path, ("sector", "start", "end", "color", "phase"), rows)
 
 
 def write_event_markers_csv(events: Sequence[RateEvent], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "change", "new_rate"])
-        for e in events:
-            writer.writerow([e.date.isoformat(), repr(e.change), repr(e.new_rate)])
+    write_csv(path, ("date", "change", "new_rate"), ((e.date, e.change, e.new_rate) for e in events))

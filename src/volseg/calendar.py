@@ -15,6 +15,10 @@ from functools import cached_property
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
+import numpy as np
+
+EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+MICROSECOND = dt.timedelta(microseconds=1)
 HALF_HOUR = dt.timedelta(minutes=30)
 DEFAULT_SAMPLES_PER_DAY = 14
 DEFAULT_OPEN = dt.time(9, 30)
@@ -107,6 +111,14 @@ class TradingCalendar:
             t0 = self.session_open(day)
             out.extend([t0 + step for step in steps])
         return tuple(out)
+
+    @cached_property
+    def open_us(self) -> np.ndarray:
+        """Each day's session open as int64 microseconds since the epoch
+        (read-only)."""
+        out = np.array([(t - EPOCH) // MICROSECOND for t in self.grid[:: self.samples_per_day]], dtype=np.int64)
+        out.flags.writeable = False
+        return out
 
     def __len__(self) -> int:
         return len(self.days) * self.samples_per_day

@@ -22,7 +22,7 @@ from typing import Sequence
 # import that loads numpy; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import analysis, cluster, ingest, segmenter
+from . import analysis, artifacts, cluster, ingest, segmenter
 from .calendar import HALF_HOUR, TradingCalendar, load_holidays
 from .divergence import VARIANCE_FLOOR, Boundary, SegmentStats
 
@@ -44,16 +44,8 @@ class DataError(Exception):
 
 
 def _write_resolved_config(args: argparse.Namespace, outdir: Path) -> None:
-    resolved = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",)
-    }
-    resolved = {
-        k: ([str(p) for p in v] if isinstance(v, list) else v) for k, v in resolved.items()
-    }
-    (outdir / "resolved_config.json").write_text(
-        json.dumps(resolved, sort_keys=True, indent=1) + "\n"
+    artifacts.write_json(
+        outdir / "resolved_config.json", {k: v for k, v in vars(args).items() if k != "func"}
     )
 
 
@@ -72,14 +64,16 @@ def _apply_config_file(
         try:
             overrides = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config file: {exc}") from exc
+            raise DataError(f"{args.config}: cannot read config file: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise DataError(f"{args.config}: config file holds a JSON {type(overrides).__name__}, not an object")
         sub = subparsers[args.command]
         valid = {action.dest for action in sub._actions}
         normalized = {}
         for key, value in overrides.items():
             dest = key.replace("-", "_")
             if dest not in valid:
-                raise DataError(f"unknown config key {key!r}")
+                raise DataError(f"{args.config}: unknown config key {key!r}")
             normalized[dest] = value
         sub.set_defaults(**normalized)
         args = parser.parse_args(argv)
@@ -92,12 +86,12 @@ def _apply_config_file(
 
 def _write_calendar(cal: TradingCalendar, path: Path) -> None:
     payload = {
-        "days": [d.isoformat() for d in cal.days],
+        "days": cal.days,
         "samples_per_day": cal.samples_per_day,
         "open_local": cal.open_local.isoformat(timespec="minutes"),
         "tz": cal.tz,
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    artifacts.write_json(path, payload)
 
 
 def _read_calendar(path: Path) -> TradingCalendar:
@@ -164,10 +158,14 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
         parsed.append((path, ticks, rejects))
 
     holidays = load_holidays(args.holidays) if args.holidays else ()
-    if args.start and args.end:
-        start, end = dt.date.fromisoformat(args.start), dt.date.fromisoformat(args.end)
+    # a bound not given is the date of the first or last tick
+    if args.start:
+        start = dt.date.fromisoformat(args.start)
     else:
         start = _utc_date(min(int(t.t_us.min()) for _, t, _ in parsed))
+    if args.end:
+        end = dt.date.fromisoformat(args.end)
+    else:
         end = _utc_date(max(int(t.t_us.max()) for _, t, _ in parsed))
     cal = TradingCalendar.from_range(start, end, holidays, args.samples_per_day)
 
@@ -185,7 +183,7 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
         }
         all_series.append(series)
     _write_calendar(cal, outdir / "calendar.json")
-    (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    artifacts.write_json(outdir / "manifest.json", manifest)
     for sector in sorted(manifest):
         m = manifest[sector]
         print(f"{sector}: {m['ticks']} ticks -> {m['samples']} samples, {m['rejects']} rejects")

@@ -18,7 +18,6 @@ clusters are ordered by volatility and mapped onto the heat-map ladder
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -28,6 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .divergence import VARIANCE_FLOOR, SegmentStats
 
 log = logging.getLogger(__name__)
@@ -487,9 +487,7 @@ def _per_branch_labels(tree: Dendrogram, k: int) -> list[int] | None:
     return labels
 
 
-def assign_phases(
-    assignment: ClusterAssignment, stats: Sequence[SegmentStats] | None = None
-) -> ClusterAssignment:
+def assign_phases(assignment: ClusterAssignment) -> ClusterAssignment:
     """Order clusters by mean volatility and label them along the ladder.
 
     k <= 6 takes the top-k suffix of the ladder (5 clusters: blue..red;
@@ -544,28 +542,24 @@ def dendrogram_to_json(tree: Dendrogram, path: str | Path, sector: str = "") -> 
         "n_leaves": tree.n_leaves,
         "merges": [{"a": m.a, "b": m.b, "height": m.height} for m in tree.merges],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_json(path, payload)
 
 
 def write_merges_csv(tree: Dendrogram, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["merge", "a", "b", "height"])
-        for i, m in enumerate(tree.merges):
-            writer.writerow([i, m.a, m.b, repr(m.height)])
+    write_csv(path, ("merge", "a", "b", "height"), ((i, m.a, m.b, m.height) for i, m in enumerate(tree.merges)))
 
 
 ASSIGNMENT_COLUMNS = ("segment", "cluster", "color", "phase")
 
 
 def write_assignment_csv(assignment: ClusterAssignment, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ASSIGNMENT_COLUMNS)
-        for sid, lab in enumerate(assignment.labels, start=1):
-            color = assignment.colors[lab] if assignment.colors else ""
-            phase = assignment.phases[lab] if assignment.phases else ""
-            writer.writerow([sid, lab, color, phase])
+    colors = assignment.colors or ("",) * assignment.k
+    phases = assignment.phases or ("",) * assignment.k
+    write_csv(
+        path,
+        ASSIGNMENT_COLUMNS,
+        ((sid, lab, colors[lab], phases[lab]) for sid, lab in enumerate(assignment.labels, start=1)),
+    )
 
 
 def _cluster_id(text: str | None) -> int:
@@ -615,4 +609,4 @@ def write_robustness_json(report: list[KInterval], path: str | Path, chosen: int
             for r in report
         ],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_json(path, payload)

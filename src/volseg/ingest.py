@@ -31,7 +31,8 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .calendar import HALF_HOUR, TradingCalendar
+from .artifacts import write_csv
+from .calendar import EPOCH, HALF_HOUR, MICROSECOND, TradingCalendar
 
 log = logging.getLogger(__name__)
 
@@ -72,8 +73,6 @@ def sector_from_ric(ric: str) -> str:
     return code
 
 
-_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
-_US = dt.timedelta(microseconds=1)
 # A price of at most 15 digits is an integer below 2**53 over an exact
 # power of ten, so one IEEE division rounds it exactly as float() does.
 _MAX_PRICE_DIGITS = 15
@@ -108,7 +107,7 @@ def _parse_row(lineno: int, line: str) -> tuple[str, int, float] | RejectedRow |
         return RejectedRow(lineno, f"unparseable price {price_s!r}", line)
     if not math.isfinite(price) or price <= 0.0:
         return RejectedRow(lineno, f"non-positive price {price_s!r}", line)
-    return ric, (ts.replace(tzinfo=dt.timezone.utc) - _EPOCH) // _US, price
+    return ric, (ts.replace(tzinfo=dt.timezone.utc) - EPOCH) // MICROSECOND, price
 
 
 def _is_digit(b: np.ndarray) -> np.ndarray:
@@ -296,11 +295,7 @@ def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
 
 
 def write_reject_log(rejects: list[RejectedRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["line", "reason"])
-        for r in rejects:
-            writer.writerow([r.line, r.reason])
+    write_csv(path, ("line", "reason"), ((r.line, r.reason) for r in rejects))
 
 
 # The grid most recently formatted and its text.  Reuse is keyed on the
@@ -402,8 +397,8 @@ def resample(
     order = np.argsort(ticks.t_us, kind="stable")  # ties keep file order
     t = ticks.t_us[order]
     spd = cal.samples_per_day
-    step = HALF_HOUR // _US
-    opens = np.array([(g - _EPOCH) // _US for g in cal.grid[::spd]], dtype=np.int64)
+    step = HALF_HOUR // MICROSECOND
+    opens = cal.open_us
     grid = (opens[:, None] + step * np.arange(spd)).ravel()
 
     # A cursor walks the sorted ticks: each day it skips those before
@@ -411,7 +406,7 @@ def resample(
     # up to the close.  It never moves back, so its position after each
     # skip is a running maximum of the skip targets.
     cursor = np.empty(2 * len(opens), dtype=np.int64)
-    cursor[0::2] = np.searchsorted(t, opens - pre_open_grace // _US, side="left")
+    cursor[0::2] = np.searchsorted(t, opens - pre_open_grace // MICROSECOND, side="left")
     cursor[1::2] = np.searchsorted(t, opens + step * (spd - 1), side="right")
     np.maximum.accumulate(cursor, out=cursor)
     day_start, day_end = cursor[0::2], cursor[1::2]
@@ -455,8 +450,8 @@ def log_returns(series: HalfHourSeries) -> LogReturnSeries:
 
 
 # Timestamps and float reprs hold no comma, quote, backslash or control
-# character, so joining them as plain text gives the bytes csv.writer and
-# json.dumps(..., sort_keys=True, indent=1) wrote.
+# character, so joining them as plain text gives the bytes that
+# artifacts.write_csv and artifacts.write_json would write.
 
 
 # The values most recently formatted, as bytes, and their text.  Equal

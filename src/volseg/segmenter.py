@@ -15,18 +15,18 @@ whose re-optimized divergence clears the original cutoff.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import json
 import logging
+import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .divergence import (
     Boundary,
     DegenerateSplitError,
@@ -65,10 +65,14 @@ class SegmentationConfig:
     max_opt_iters: int = 100
 
     def __post_init__(self) -> None:
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        # refinement halves the cutoff down to refine_floor: both must be
+        # positive and finite for the halving to end
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError("cutoff must be positive and finite")
         if self.min_segment_len < 4:
             raise ValueError("min_segment_len must be at least 4")
+        if not self.refine_floor > 0:
+            raise ValueError("refine_floor must be positive")
         if self.refine_floor > self.cutoff:
             raise ValueError("refine_floor cannot exceed the cutoff")
 
@@ -488,18 +492,8 @@ def emit_segment_table(
     return rows
 
 
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_segment_csv(rows: list[dict[str, object]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in TABLE_COLUMNS])
+    write_csv(path, TABLE_COLUMNS, ([row[c] for c in TABLE_COLUMNS] for row in rows))
 
 
 def write_segment_json(
@@ -510,11 +504,5 @@ def write_segment_json(
 ) -> None:
     payload: dict[str, object] = {"sector": sector, "rows": rows}
     if config is not None:
-        payload["config"] = {
-            "cutoff": config.cutoff,
-            "min_segment_len": config.min_segment_len,
-            "long_segment_len": config.long_segment_len,
-            "refine_floor": config.refine_floor,
-            "max_opt_iters": config.max_opt_iters,
-        }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        payload["config"] = asdict(config)
+    write_json(path, payload)

@@ -15,14 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .calendar import DEFAULT_SAMPLES_PER_DAY, HALF_HOUR, TradingCalendar
+from .calendar import DEFAULT_SAMPLES_PER_DAY, EPOCH, HALF_HOUR, MICROSECOND, TradingCalendar
 
 DEMO_SECTORS = ("BM", "CY", "EN", "FN", "HC", "IN", "NC", "TC", "TL", "UT")
 # The least level whose tick price prints as positive at 4 decimals.
 _MIN_LEVEL = 5e-05
 
-_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
-_US = dt.timedelta(microseconds=1)
 # Trading days rendered per block: about 0.4 MB of row temporaries at 14
 # samples and 3 ticks per half hour, whatever the calendar's length.
 _BLOCK_DAYS = 16
@@ -85,13 +83,13 @@ def write_tick_file(
     # microsecond as timedelta rounds it
     lead_us = np.array(
         [
-            dt.timedelta(seconds=1800 * (1 - (j + 1) / (ticks_per_half_hour + 1))) // _US
+            dt.timedelta(seconds=1800 * (1 - (j + 1) / (ticks_per_half_hour + 1))) // MICROSECOND
             for j in range(n_between)
         ],
         dtype=np.int64,
     )
     spd = cal.samples_per_day
-    opens_us = np.array([(g - _EPOCH) // _US for g in cal.grid[::spd]], dtype=np.int64)
+    opens_us = cal.open_us
     levels = levels.reshape(-1, spd)
     row = f"{f'.DJUS{sector}'.replace('%', '%%')},%s,+0,Index,%.4f\n"
 
@@ -99,10 +97,10 @@ def write_tick_file(
         fh.write("#RIC,Date[G],Time[G],GMT Offset,Type,Price\n")
         if with_noise_rows:
             # exchange-correction row hours before the open: must be ignored
-            fh.write(_tick_rows(row, opens_us[:1] - dt.timedelta(hours=2) // _US, levels[0, :1] * 1.5))
+            fh.write(_tick_rows(row, opens_us[:1] - dt.timedelta(hours=2) // MICROSECOND, levels[0, :1] * 1.5))
         for d in range(0, len(opens_us), _BLOCK_DAYS):
             block = slice(d, d + _BLOCK_DAYS)
-            grid_us = opens_us[block, None] + HALF_HOUR // _US * np.arange(spd)
+            grid_us = opens_us[block, None] + HALF_HOUR // MICROSECOND * np.arange(spd)
             level = levels[block]
             wobble, lag_ms = [], []
             for _ in range(grid_us.size):
@@ -122,8 +120,8 @@ def write_tick_file(
             price = price.reshape(len(grid_us), -1)
             if with_noise_rows:
                 # post-close straggler, about 0.1% off: must be ignored
-                close_us = np.array([(cal.session_close(day) - _EPOCH) // _US for day in cal.days[block]])
-                t_us = np.column_stack((t_us, close_us + dt.timedelta(minutes=3) // _US))
+                close_us = np.array([(cal.session_close(day) - EPOCH) // MICROSECOND for day in cal.days[block]])
+                t_us = np.column_stack((t_us, close_us + dt.timedelta(minutes=3) // MICROSECOND))
                 price = np.column_stack((price, level[:, -1] * 1.001))
             fh.write(_tick_rows(row, t_us.ravel(), price.ravel()))
 

@@ -2,6 +2,9 @@ import csv
 import datetime as dt
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +101,15 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"volseg: {tick_file}: line {lineno}: cannot decode byte 0xff as utf")
 
+    @pytest.mark.parametrize("flag, bound", [("--start", "2006-02-01"), ("--end", "2006-02-28")])
+    def test_one_bound_given_takes_the_other_from_the_data(self, corpus, tmp_path, flag, bound):
+        assert run(["ingest", corpus["ticks"][0], "--out", str(tmp_path / "all")]) == 0
+        assert run(["ingest", corpus["ticks"][0], "--out", str(tmp_path / "one"), flag, bound]) == 0
+        full = json.loads((tmp_path / "all" / "calendar.json").read_text())["days"]
+        days = json.loads((tmp_path / "one" / "calendar.json").read_text())["days"]
+        assert full[0] < bound < full[-1]
+        assert [days[0], days[-1]] == ([bound, full[-1]] if flag == "--start" else [full[0], bound])
+
     def test_reject_log_written(self, tmp_path):
         tick_file = tmp_path / "BM.csv"
         tick_file.write_text(
@@ -168,6 +180,29 @@ class TestSegmentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cutofff": 5}))
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+
+    def test_config_file_not_an_object_is_data_error_naming_the_file(self, tmp_path, capsys):
+        path = self.make_series_file(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[5]")
+        assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        assert f"volseg: {cfg}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--refine-floor", "-1"), ("--refine-floor", "0"), ("--cutoff", "inf")]
+    )
+    def test_refinement_that_cannot_end_is_data_error(self, tmp_path, flag, value):
+        # refinement halves the cutoff down to the floor, which these values
+        # never reach: a child with a timeout keeps a regression from hanging
+        path = self.make_series_file(tmp_path)
+        argv = ["segment", str(path), "--out", str(tmp_path / "o"), "--long-seg", "100", flag, value]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "volseg.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 2
+        assert "must be positive" in proc.stderr
 
     @pytest.mark.parametrize(
         "n_points, message",
@@ -374,7 +409,9 @@ class TestClusterCommand:
 class TestAnalyzeCommand:
     ONE_ROW_ASSIGNMENT = "segment,cluster,color,phase\n1,0,blue,growth\n"
 
-    def analyze(self, tmp_path, table: object, calendar: object, assignment: str = ONE_ROW_ASSIGNMENT) -> int:
+    def analyze(
+        self, tmp_path, table: object, calendar: object, assignment: str = ONE_ROW_ASSIGNMENT, extra: tuple = ()
+    ) -> int:
         (tmp_path / "ZZ.json").write_text(json.dumps(table))
         (tmp_path / "calendar.json").write_text(json.dumps(calendar))
         (tmp_path / "ZZ.assignment.csv").write_text(assignment)
@@ -385,6 +422,7 @@ class TestAnalyzeCommand:
                 "--assignments-dir", str(tmp_path),
                 "--calendar", str(tmp_path / "calendar.json"),
                 "--out", str(tmp_path / "out"),
+                *extra,
             ]
         )
 
@@ -489,6 +527,22 @@ class TestAnalyzeCommand:
             calendar[key] = value
         assert self.analyze(tmp_path, table, calendar) == 2
         assert str(tmp_path / "calendar.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("date,new_rate\n2005-01-05,4.5\n", "rate events lack columns ['change']"),
+            ("date,change,new_rate\n2005-01-05,-0.5,4.5\n2005-01-07,,4.0\n", "line 3: could not convert"),
+            ("date,change,new_rate\n2005-01-05,-0.5\n", "line 2: "),
+        ],
+        ids=["missing-column", "blank-cell", "short-row"],
+    )
+    def test_malformed_rate_events_are_data_error_naming_the_file(self, tmp_path, capsys, text, message):
+        table, calendar = self.valid_inputs(tmp_path)
+        events = tmp_path / "events.csv"
+        events.write_text(text)
+        assert self.analyze(tmp_path, table, calendar, extra=("--events", str(events))) == 2
+        assert f"volseg: {events}: {message}" in capsys.readouterr().err
 
     def test_skips_rate_analysis_without_events(self, corpus, tmp_path, capsys):
         out = tmp_path / "run"
