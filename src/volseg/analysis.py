@@ -413,7 +413,8 @@ def load_rate_events(path: str | Path) -> list[RateEvent]:
     """Read events (date,change,new_rate) and check rate continuity.
 
     Raises ``ValueError`` naming ``path`` on a missing column, on a row
-    whose cells do not parse (with its line) and on a broken rate chain.
+    whose cells do not parse or hold a non-finite rate (with its line) and
+    on a broken rate chain.
     """
     events: list[RateEvent] = []
     with open(path, newline="") as fh:
@@ -430,6 +431,11 @@ def load_rate_events(path: str | Path) -> list[RateEvent]:
                 )
             except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cells
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+            if not (math.isfinite(event.change) and math.isfinite(event.new_rate)):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: non-finite rate "
+                    f"(change {rec['change']!r}, new_rate {rec['new_rate']!r})"
+                )
             events.append(event)
     events.sort(key=lambda e: e.date)
     for prev, cur in zip(events, events[1:]):

@@ -37,14 +37,32 @@ def _weekdays(start: dt.date, end: dt.date) -> list[dt.date]:
 
 
 def load_holidays(path: str | Path) -> tuple[dt.date, ...]:
-    """Read a holiday file: one ISO date per line, blank lines ignored."""
+    """Read a holiday file: one ISO date per line, blank lines and ``#``
+    comments ignored.  A bad date raises ``ValueError`` naming the file and
+    its 1-based line."""
     holidays = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        holidays.append(dt.date.fromisoformat(line))
+        try:
+            holidays.append(dt.date.fromisoformat(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return tuple(holidays)
+
+
+def _date_runs(times: tuple[dt.datetime, ...]) -> list[tuple[int, list[str]]]:
+    """``times`` cut where the date changes: each run's first index and the
+    ``isoformat()`` of its times without the date."""
+    runs: list[tuple[int, list[str]]] = []
+    day = None
+    for k, t in enumerate(times):
+        if t.date() != day:
+            day = t.date()
+            runs.append((k, []))
+        runs[-1][1].append(t.isoformat()[10:])
+    return runs
 
 
 @dataclass(frozen=True)
@@ -111,6 +129,29 @@ class TradingCalendar:
             t0 = self.session_open(day)
             out.extend([t0 + step for step in steps])
         return tuple(out)
+
+    @cached_property
+    def grid_text(self) -> tuple[str, ...]:
+        """``isoformat()`` of every grid time, built a session at a time.
+
+        Sessions that open at the same UTC time and offset share the tails
+        of one session's ``isoformat()`` calls; each session adds one date
+        text per UTC date it spans, two when it crosses midnight.  A date
+        of years 1-9999 is always 10 characters, so date and tail join
+        into the full text."""
+        spd = self.samples_per_day
+        grid = self.grid
+        pieces: dict[tuple[dt.time, dt.timedelta | None], list[tuple[int, list[str]]]] = {}
+        lines: list[str] = []  # one per date run, its times' text joined by newlines
+        for i in range(0, len(grid), spd):
+            key = grid[i].time(), grid[i].utcoffset()
+            parts = pieces.get(key)
+            if parts is None:
+                parts = pieces[key] = _date_runs(grid[i : i + spd])
+            for k, tails in parts:
+                day = grid[i + k].date().isoformat()
+                lines.append(day + ("\n" + day).join(tails))
+        return tuple("\n".join(lines).split("\n"))
 
     @cached_property
     def open_us(self) -> np.ndarray:

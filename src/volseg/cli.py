@@ -49,6 +49,34 @@ def _write_resolved_config(args: argparse.Namespace, outdir: Path) -> None:
     )
 
 
+# the JSON values a typed option takes from a config file
+_CONFIG_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
+def _config_value_problem(action: argparse.Action, value: object) -> str | None:
+    """Why a config-file ``value`` cannot stand for ``action``'s option, or
+    None: a switch takes a boolean, a typed option a JSON number of its
+    type, any other option a string, and a list option a list of these.
+    An option whose default is None also takes null."""
+    if action.nargs == 0:
+        return None if isinstance(value, bool) else "is not true or false"
+    if value is None and action.default is None:
+        return None
+    if action.nargs in ("+", "*"):
+        if not isinstance(value, list):
+            return "is not a list"
+        items = value
+    else:
+        items = [value]
+    kinds, noun = _CONFIG_KINDS.get(action.type, ((str,), "a string"))
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, kinds):
+            return f"is not {noun}"
+        if action.choices is not None and item not in action.choices:
+            return f"is not one of {sorted(action.choices)}"
+    return None
+
+
 def _apply_config_file(
     parser: argparse.ArgumentParser,
     subparsers: dict[str, argparse.ArgumentParser],
@@ -68,12 +96,15 @@ def _apply_config_file(
         if not isinstance(overrides, dict):
             raise DataError(f"{args.config}: config file holds a JSON {type(overrides).__name__}, not an object")
         sub = subparsers[args.command]
-        valid = {action.dest for action in sub._actions}
+        actions = {action.dest: action for action in sub._actions}
         normalized = {}
         for key, value in overrides.items():
             dest = key.replace("-", "_")
-            if dest not in valid:
+            if dest not in actions:
                 raise DataError(f"{args.config}: unknown config key {key!r}")
+            problem = _config_value_problem(actions[dest], value)
+            if problem:
+                raise DataError(f"{args.config}: config key {key!r}: {value!r} {problem}")
             normalized[dest] = value
         sub.set_defaults(**normalized)
         args = parser.parse_args(argv)
@@ -86,7 +117,7 @@ def _apply_config_file(
 
 def _write_calendar(cal: TradingCalendar, path: Path) -> None:
     payload = {
-        "days": cal.days,
+        "days": [d.isoformat() for d in cal.days],
         "samples_per_day": cal.samples_per_day,
         "open_local": cal.open_local.isoformat(timespec="minutes"),
         "tz": cal.tz,

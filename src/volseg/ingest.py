@@ -25,7 +25,7 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -205,10 +205,11 @@ def _line_blocks(stream: TextIO) -> Iterator[str]:
 
 def _parse_block(
     text: str, line0: int, rics: set[str], rejects: list[RejectedRow]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """The accepted ``(t_us, price)`` columns of whole lines ``text``, whose
-    first line is line ``line0 + 1`` of the stream; adds the instrument
-    codes of accepted rows to ``rics`` and the rejects to ``rejects``."""
+    first line is line ``line0 + 1`` of the stream, and the number of
+    newlines in ``text``; adds the instrument codes of accepted rows to
+    ``rics`` and the rejects to ``rejects``."""
     raw = text.encode("utf-8", "surrogatepass")
     n = len(raw)
     buf = np.frombuffer(raw + bytes(_PAD), dtype=np.uint8)
@@ -258,7 +259,7 @@ def _parse_block(
             order = np.argsort(np.concatenate((rows, more_rows)), kind="stable")
             t_us = np.concatenate((t_us, np.array(more_t, dtype=np.int64)))[order]
             price = np.concatenate((price, more_price))[order]
-    return t_us, price
+    return t_us, price, len(newlines)
 
 
 def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
@@ -284,10 +285,10 @@ def parse_ticks(stream: TextIO) -> tuple[TickColumns, list[RejectedRow]]:
     price_parts: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
     line0 = 0
     for text in _line_blocks(stream):
-        t_us, price = _parse_block(text, line0, rics, rejects)
+        t_us, price, lines = _parse_block(text, line0, rics, rejects)
         t_parts.append(t_us)
         price_parts.append(price)
-        line0 += text.count("\n")
+        line0 += lines
     if len(rics) > 1:
         raise ValueError(f"mixed instrument codes in one tick file: {sorted(rics)}")
     t_us, price = np.concatenate(t_parts), np.concatenate(price_parts)
@@ -298,7 +299,7 @@ def write_reject_log(rejects: list[RejectedRow], path: str | Path) -> None:
     write_csv(path, ("line", "reason"), ((r.line, r.reason) for r in rejects))
 
 
-# The grid most recently formatted and its text.  Reuse is keyed on the
+# The hand-built grid most recently formatted and its text.  Reuse is keyed on the
 # tuple object itself: aware times in different zones that denote the same
 # instants compare and hash equal but format differently.  The strong
 # reference keeps the tuple alive, so its id cannot be reused.
@@ -333,16 +334,22 @@ def _isoformat_grid(grid: tuple[dt.datetime, ...]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class HalfHourSeries:
-    """Calendar-aligned index levels X_t, one per grid timestamp."""
+    """Calendar-aligned index levels X_t, one per grid timestamp.
+
+    ``grid_text``, when given, is the ``isoformat()`` of every grid time;
+    ``resample`` passes its calendar's."""
 
     sector: str
     grid: tuple[dt.datetime, ...]
     values: np.ndarray
+    grid_text: tuple[str, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if len(self.grid) != len(self.values):
             raise ValueError("grid and values must have equal length")
+        if self.grid_text is not None and len(self.grid_text) != len(self.grid):
+            raise ValueError("grid and grid_text must have equal length")
         if len(self.values) and not np.all(self.values > 0.0):
             bad = int(np.argmin(self.values > 0.0))
             raise ValueError(f"non-positive level at {self.grid[bad].isoformat()}")
@@ -356,8 +363,10 @@ class HalfHourSeries:
     @property
     def timestamps(self) -> tuple[str, ...]:
         """``isoformat()`` of every grid time; series that share one grid
-        tuple share its text.  Values are not cached: they may be edited in
-        place between writes."""
+        tuple or one calendar share its text.  Values are not cached: they
+        may be edited in place between writes."""
+        if self.grid_text is not None:
+            return self.grid_text
         return _isoformat_grid(self.grid)
 
 
@@ -429,7 +438,7 @@ def resample(
         )
         source[:first_real] = first_real
     values = ticks.price[order[taken[source] - 1]]
-    return HalfHourSeries(sector, cal.grid, values)
+    return HalfHourSeries(sector, cal.grid, values, cal.grid_text)
 
 
 def log_returns(series: HalfHourSeries) -> LogReturnSeries:
@@ -454,6 +463,70 @@ def log_returns(series: HalfHourSeries) -> LogReturnSeries:
 # artifacts.write_csv and artifacts.write_json would write.
 
 
+# Values in [1e-4, 1e9) whose shortest decimal has at most 6 fractional
+# digits are written from arrays.  For such a value v the integer
+# m = rint(v * 1e6) is that decimal times 1e6, and m / 1e6 == v.  Conversely,
+# when m / 1e6 == v, the decimal m / 1e6 (at most 15 significant digits)
+# rounds to v; no two decimals of at most 15 significant digits round to
+# the same double, so it is repr's shortest one.  repr writes it without an
+# exponent and with at least one fractional digit.
+_FIXED_SCALE = 1e6
+_FIXED_MIN, _FIXED_MAX = 1e-4, 1e9
+
+
+_K = np.arange(1000)
+
+
+def _digit_words(shown: Sequence[np.ndarray | bool], end: str) -> np.ndarray:
+    """Each 3-digit group 000-999 as one 4-byte word: its digits where
+    ``shown`` (one mask per digit, the most significant first), NUL bytes
+    elsewhere, then ``end``."""
+    text = np.zeros((1000, 4), dtype=np.uint8)
+    for j, (digit, show) in enumerate(zip((_K // 100, _K // 10 % 10, _K % 10), shown)):
+        text[:, j] = np.where(show, ord("0") + digit, 0)
+    text[:, 3] = ord(end)
+    return text.view(np.uint32).ravel()
+
+
+# A value's text is five words, m's 3-digit groups from the most
+# significant: three integer groups, the last ending in ".", then two
+# fractional groups, the last ending in "\n".  The tables write leading
+# integer zeros (but the units digit) and trailing fractional zeros (but
+# the first fractional digit) as NUL bytes, which are then deleted.
+_ALL = (True, True, True)
+_FULL, _FULL_DOT = _digit_words(_ALL, "\0"), _digit_words(_ALL, ".")
+_NO_LEAD = _digit_words((_K >= 100, _K >= 10, _K >= 1), "\0")
+_UNITS_DOT = _digit_words((_K >= 100, _K >= 10, True), ".")
+_FIRST_FRAC = _digit_words((True, _K % 100 != 0, _K % 10 != 0), "\0")
+_LAST_FRAC_END = _digit_words((_K != 0, _K % 100 != 0, _K % 10 != 0), "\n")
+
+
+def _render_values(values: np.ndarray) -> list[str]:
+    """``repr`` of every value: from arrays where the value is in the fixed
+    domain above, by ``repr`` itself elsewhere."""
+    with np.errstate(over="ignore"):
+        m = np.rint(values * _FIXED_SCALE)
+    fixed = (values >= _FIXED_MIN) & (values < _FIXED_MAX) & (m / _FIXED_SCALE == values)
+    m = np.where(fixed, m, 0.0).astype(np.int64)
+    groups = []
+    for _ in range(4):
+        m, group = np.divmod(m, 1000)
+        groups.append(group)
+    frac0, frac1, int0, int1 = groups
+    words = np.empty((len(values), 5), dtype=np.uint32)
+    words[:, 0] = _NO_LEAD[m]
+    words[:, 1] = np.where(m != 0, _FULL[int1], _NO_LEAD[int1])
+    words[:, 2] = np.where((m | int1) != 0, _FULL_DOT[int0], _UNITS_DOT[int0])
+    words[:, 3] = np.where(frac0 != 0, _FULL[frac1], _FIRST_FRAC[frac1])
+    words[:, 4] = _LAST_FRAC_END[frac0]
+    text = words.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    text.pop()
+    other = np.flatnonzero(~fixed)
+    for i, v in zip(other.tolist(), values[other].tolist()):
+        text[i] = repr(v)
+    return text
+
+
 # The values most recently formatted, as bytes, and their text.  Equal
 # bytes are equal floats with equal reprs; keeping the bytes rather than
 # the array means an in-place edit still reaches the next write.
@@ -467,7 +540,7 @@ def _value_text(values: np.ndarray) -> tuple[str, ...]:
     last_raw, last_text = _last_value_text
     if raw == last_raw:
         return last_text
-    text = tuple(map(repr, values.tolist()))
+    text = tuple(_render_values(values))
     _last_value_text = (raw, text)
     return text
 

@@ -737,3 +737,58 @@ class TestPipelineComposition:
             for line in (out / "analysis" / "plotdata.csv").read_text().splitlines()[1:]
         }
         assert plotted == set(manifest) == {"BM"}
+
+
+class TestOutsideFileValues:
+    """Bad values in holiday, config and rate-event files exit 2 and name the file."""
+
+    def test_bad_holiday_line_names_the_file_and_line(self, corpus, tmp_path, capsys):
+        holidays = tmp_path / "holidays.txt"
+        holidays.write_text("# exchange holidays\n2006-01-16\nnot-a-date\n")
+        argv = ["ingest", *corpus["ticks"], "--out", str(tmp_path / "o"), "--holidays", str(holidays)]
+        assert run(argv) == 2
+        assert f"volseg: {holidays}: line 3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("cutoff", [1]),
+            ("cutoff", "10"),
+            ("min-seg", 14.5),
+            ("min_seg", True),
+            ("no-refine", "false"),
+            ("no_refine", 1),
+            ("inputs", "ZZ.csv"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_names_the_file_and_key(self, tmp_path, capsys, key, value):
+        path = TestSegmentCommand().make_series_file(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        assert f"volseg: {cfg}: config key {key!r}: " in capsys.readouterr().err
+
+    def test_config_value_outside_the_choices_names_the_file_and_key(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "bogus"}))
+        assert run(["pipeline", *corpus["ticks"], "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        assert f"volseg: {cfg}: config key 'policy': 'bogus' is not one of " in capsys.readouterr().err
+
+    def test_config_values_of_the_right_types_pass(self, tmp_path):
+        path = TestSegmentCommand().make_series_file(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cutoff": 10, "min-seg": 14, "no_refine": False, "config": None}))
+        assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 0
+        resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
+        assert (resolved["cutoff"], resolved["min_seg"], resolved["no_refine"]) == (10, 14, False)
+
+    @pytest.mark.parametrize("column", ["change", "new_rate"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_rate_names_the_file_and_line(self, tmp_path, capsys, column, cell):
+        analyze = TestAnalyzeCommand()
+        table, calendar = analyze.valid_inputs(tmp_path)
+        row = {"date": "2005-01-07", "change": "-0.5", "new_rate": "4.0", column: cell}
+        events = tmp_path / "events.csv"
+        events.write_text("date,change,new_rate\n2005-01-05,-0.5,4.5\n" + ",".join(row.values()) + "\n")
+        assert analyze.analyze(tmp_path, table, calendar, extra=("--events", str(events))) == 2
+        assert f"volseg: {events}: line 3: non-finite rate" in capsys.readouterr().err
