@@ -22,8 +22,10 @@ from typing import Sequence
 # import that loads numpy; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np
+
 from . import analysis, artifacts, cluster, ingest, segmenter
-from .calendar import HALF_HOUR, TradingCalendar, load_holidays
+from .calendar import HALF_HOUR, MICROSECOND, TradingCalendar, load_holidays
 from .divergence import VARIANCE_FLOOR, Boundary, SegmentStats
 
 log = logging.getLogger(__name__)
@@ -163,6 +165,10 @@ def _undecodable(path: Path, encoding: str, exc: UnicodeDecodeError) -> str:
 
 def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.HalfHourSeries]]:
     """Resample every tick file and write the series; returns the calendar and the series, sorted by sector."""
+    if args.samples_per_day < 1:
+        raise DataError(f"--samples-per-day {args.samples_per_day} is out of range: it must be at least 1")
+    if args.pre_open_grace_min < 0:
+        raise DataError(f"--pre-open-grace-min {args.pre_open_grace_min} is out of range: it must be at least 0")
     outdir = Path(args.out)
     series_dir = outdir / "series"
     manifest: dict[str, dict] = {}
@@ -199,6 +205,16 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
     else:
         end = _utc_date(max(int(t.t_us.max()) for _, t, _ in parsed))
     cal = TradingCalendar.from_range(start, end, holidays, args.samples_per_day)
+    # a session's last sample must come before the next session's open
+    step = HALF_HOUR // MICROSECOND
+    gaps = np.diff(cal.open_us)
+    if len(gaps) and (args.samples_per_day - 1) * step >= gaps.min():
+        d = int(gaps.argmin())
+        raise DataError(
+            f"--samples-per-day {args.samples_per_day} is out of range: the session of {cal.days[d]} "
+            f"would reach the open of {cal.days[d + 1]}; at most {-(-int(gaps[d]) // step)} samples "
+            "per day fit this calendar"
+        )
 
     grace = dt.timedelta(minutes=args.pre_open_grace_min)
     series_dir.mkdir(parents=True, exist_ok=True)

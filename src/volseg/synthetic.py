@@ -1,7 +1,11 @@
 """Seeded generators for fixtures, calibration harnesses, and demos.
 
 All randomness flows through one integer seed, so every artifact built
-here is reproducible byte for byte.
+here is reproducible byte for byte.  A tick file's noise comes from two
+streams spawned from its seed, one for the in-between ticks' price
+wobbles and one for the last tick's lag before each grid time, each
+drawn a block of trading days at a time; the levels a resampler reads
+back do not depend on either stream.
 
 Run ``python -m volseg.synthetic OUTDIR`` to create a small demo corpus
 (tick files for a handful of sectors, a holiday file, a rate-event
@@ -63,9 +67,12 @@ def write_tick_file(
     0.00005, the least that prints as a positive 4-decimal price.
 
     The file is rendered ``_BLOCK_DAYS`` trading days at a time.  The
-    random draws are scalar calls on one stream, per grid time the
-    in-between wobbles and then the last tick's lag, so the file does
-    not depend on the block size.
+    random draws come from two streams spawned from ``seed`` by
+    ``np.random.SeedSequence(seed).spawn(2)``: the first gives the
+    in-between ticks' wobbles, in grid order and then tick order, and the
+    second gives each grid time's last-tick lag.  Each block takes its
+    draws from both streams in one call each, and each stream is read in
+    order, so the file does not depend on the block size.
     """
     levels = np.asarray(levels, dtype=np.float64)
     if len(levels) != len(cal):
@@ -76,8 +83,7 @@ def write_tick_file(
             f"level {bad[0]} is {float(levels[bad[0]])!r}: every level must be finite and "
             f"at least {_MIN_LEVEL!r} to print as a positive 4-decimal price"
         )
-    rng = np.random.default_rng(seed)
-    normal, integers = rng.normal, rng.integers
+    wobble_rng, lag_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     n_between = max(ticks_per_half_hour - 1, 0)
     # how long each in-between tick precedes its grid time, rounded to the
     # microsecond as timedelta rounds it
@@ -102,19 +108,13 @@ def write_tick_file(
             block = slice(d, d + _BLOCK_DAYS)
             grid_us = opens_us[block, None] + HALF_HOUR // MICROSECOND * np.arange(spd)
             level = levels[block]
-            wobble, lag_ms = [], []
-            for _ in range(grid_us.size):
-                for _ in range(n_between):
-                    wobble.append(normal(0, 2e-5))
-                lag_ms.append(integers(200, 1500))
+            wobble = wobble_rng.normal(0, 2e-5, grid_us.shape + (n_between,))
+            lag_ms = lag_rng.integers(200, 1500, grid_us.shape)
             t_us = np.empty(grid_us.shape + (n_between + 1,), dtype=np.int64)
             t_us[..., :-1] = grid_us[..., None] - lead_us
-            t_us[..., -1] = grid_us - 1000 * np.array(lag_ms, dtype=np.int64).reshape(grid_us.shape)
+            t_us[..., -1] = grid_us - 1000 * lag_ms
             price = np.empty(t_us.shape)
-            price[..., :-1] = np.maximum(
-                level[..., None] * (1.0 + np.array(wobble).reshape(grid_us.shape + (n_between,))),
-                1e-6,
-            )
+            price[..., :-1] = np.maximum(level[..., None] * (1.0 + wobble), 1e-6)
             price[..., -1] = level
             t_us = t_us.reshape(len(grid_us), -1)
             price = price.reshape(len(grid_us), -1)

@@ -792,3 +792,44 @@ class TestOutsideFileValues:
         events.write_text("date,change,new_rate\n2005-01-05,-0.5,4.5\n" + ",".join(row.values()) + "\n")
         assert analyze.analyze(tmp_path, table, calendar, extra=("--events", str(events))) == 2
         assert f"volseg: {events}: line 3: non-finite rate" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def one_sector(tmp_path_factory):
+    # 40 days: one sample a day still gives the segmenter two minimum segments
+    paths = make_demo_corpus(tmp_path_factory.mktemp("one"), sectors=("BM",), n_days=40, seed=7)
+    return [str(paths["BM"]), "--holidays", str(paths["holidays"])]
+
+
+class TestIngestOptionRanges:
+    """Ingest options out of range exit 2 naming the option, the value and the limit."""
+
+    @pytest.mark.parametrize(
+        "flag, good, bad, message",
+        [
+            (
+                "--samples-per-day", 48, 49,
+                "--samples-per-day 49 is out of range: the session of 2006-01-02 would reach the open "
+                "of 2006-01-03; at most 48 samples per day fit this calendar",
+            ),
+            ("--samples-per-day", 1, 0, "--samples-per-day 0 is out of range: it must be at least 1"),
+            ("--pre-open-grace-min", 0, -1, "--pre-open-grace-min -1 is out of range: it must be at least 0"),
+        ],
+        ids=["samples-above-max", "samples-zero", "grace-negative"],
+    )
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_limit_passes_and_one_beyond_exits_2(
+        self, one_sector, tmp_path, capsys, command, via_config, flag, good, bad, message
+    ):
+        def argv(value: int, out: str) -> list[str]:
+            if not via_config:
+                return [command, *one_sector, "--out", str(tmp_path / out), flag, str(value)]
+            cfg = tmp_path / f"{out}.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            return [command, *one_sector, "--out", str(tmp_path / out), "--config", str(cfg)]
+
+        assert run(argv(good, "good")) == 0
+        capsys.readouterr()
+        assert run(argv(bad, "bad")) == 2
+        assert capsys.readouterr().err == f"volseg: {message}\n"

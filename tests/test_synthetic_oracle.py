@@ -3,8 +3,9 @@ writer it replaced.
 
 The writer renders its rows from numpy arrays, a block of trading days at
 a time; the copy below emits one formatted line per tick.  Both draw from
-one PCG64 stream in the same order, so their files must be equal byte for
-byte on every calendar, level path, seed, tick count and noise setting.
+the same two PCG64 streams in the same order, the copy one scalar at a
+time, so their files must be equal byte for byte on every calendar, level
+path, seed, tick count and noise setting.
 """
 
 import datetime as dt
@@ -45,7 +46,7 @@ def oracle_write_tick_file(
     grid = cal.grid
     if len(levels) != len(grid):
         raise ValueError(f"need one level per grid point ({len(grid)}), got {len(levels)}")
-    rng = np.random.default_rng(seed)
+    wobble_rng, lag_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     ric = f".DJUS{sector}"
     lines = ["#RIC,Date[G],Time[G],GMT Offset,Type,Price"]
 
@@ -68,9 +69,9 @@ def oracle_write_tick_file(
             for j in range(ticks_per_half_hour - 1):
                 frac = (j + 1) / (ticks_per_half_hour + 1)
                 ts = g - dt.timedelta(seconds=1800 * (1 - frac))
-                wobble = 1.0 + float(rng.normal(0, 2e-5))
+                wobble = 1.0 + float(wobble_rng.normal(0, 2e-5))
                 emit(ts, max(level * wobble, 1e-6))
-            emit(g - dt.timedelta(milliseconds=int(rng.integers(200, 1500))), level)
+            emit(g - dt.timedelta(milliseconds=int(lag_rng.integers(200, 1500))), level)
             idx += 1
         if with_noise_rows:
             # post-close straggler, about 0.1% off: must be ignored
