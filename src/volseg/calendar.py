@@ -9,6 +9,7 @@ database, so one UTC offset applies to a whole session.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,24 +165,8 @@ class TradingCalendar:
     def __len__(self) -> int:
         return len(self.days) * self.samples_per_day
 
-    @cached_property
-    def _day_index(self) -> dict[dt.date, int]:
-        return {d: i for i, d in enumerate(self.days)}
-
     def trading_days_between(self, a: dt.date, b: dt.date) -> int:
-        """Signed count of sessions from ``a`` to ``b`` (positive if b later)."""
-        return self._nearest_day_index(b) - self._nearest_day_index(a)
+        """Signed count of sessions from ``a`` to ``b`` (positive if b later).
 
-    def _nearest_day_index(self, day: dt.date) -> int:
-        idx = self._day_index.get(day)
-        if idx is not None:
-            return idx
-        # non-trading date: count sessions strictly before it
-        lo, hi = 0, len(self.days)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.days[mid] < day:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        A date that is not a trading day stands at the first session after it."""
+        return bisect.bisect_left(self.days, b) - bisect.bisect_left(self.days, a)

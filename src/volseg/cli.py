@@ -215,6 +215,17 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
             f"would reach the open of {cal.days[d + 1]}; at most {-(-int(gaps[d]) // step)} samples "
             "per day fit this calendar"
         )
+    # the grace must not reach back past the previous session's close; at
+    # 48 samples a day the default grace reaches back exactly to it
+    minute = dt.timedelta(minutes=1) // MICROSECOND
+    to_open = gaps - (args.samples_per_day - 1) * step  # from each close to the next open
+    if len(to_open) and args.pre_open_grace_min * minute > int(to_open.min()):
+        d = int(to_open.argmin())
+        raise DataError(
+            f"--pre-open-grace-min {args.pre_open_grace_min} is out of range: the open of {cal.days[d + 1]} "
+            f"would reach back past the close of {cal.days[d]}; at most {int(to_open[d]) // minute} "
+            "minutes fit this calendar"
+        )
 
     grace = dt.timedelta(minutes=args.pre_open_grace_min)
     series_dir.mkdir(parents=True, exist_ok=True)

@@ -308,7 +308,7 @@ class ClusterAssignment:
     """
 
     labels: tuple[int, ...]
-    mean_vol: tuple[float, ...]  # per cluster id, length-weighted by default
+    mean_vol: tuple[float, ...]  # per cluster id, length-weighted
     k: int
     policy: str
     colors: tuple[str, ...] = ()
@@ -318,12 +318,12 @@ class ClusterAssignment:
 
 
 def _cluster_mean_vol(
-    stats: Sequence[SegmentStats], labels: Sequence[int], k: int, weighted: bool
+    stats: Sequence[SegmentStats], labels: Sequence[int], k: int
 ) -> tuple[float, ...]:
     sums = [0.0] * k
     weights = [0.0] * k
     for s, lab in zip(stats, labels):
-        w = float(s.n) if weighted else 1.0
+        w = float(s.n)
         sums[lab] += w * s.stdev
         weights[lab] += w
     return tuple(s / w for s, w in zip(sums, weights))
@@ -334,7 +334,6 @@ def extract_clusters(
     stats: Sequence[SegmentStats],
     k_range: Iterable[int],
     policy: str = "uniform-threshold",
-    weighted: bool = True,
 ) -> tuple[ClusterAssignment, list[KInterval]]:
     """Pick the most robust cluster count in ``k_range`` and label segments.
 
@@ -343,7 +342,8 @@ def extract_clusters(
     height (falling back to the overall widest when none of 4..6 is
     available).  The per-branch policy instead cuts the two top-level
     branches with independent thresholds and scores a k by the best
-    split k = k_left + k_right.
+    split k = k_left + k_right.  Each cluster's mean volatility is the
+    mean of its segments' stdevs weighted by their lengths.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -398,7 +398,7 @@ def extract_clusters(
     k_actual = len(remap)
     if k_actual != chosen:
         log.warning("requested %d clusters, threshold produced %d", chosen, k_actual)
-    mean_vol = _cluster_mean_vol(stats, labels, k_actual, weighted)
+    mean_vol = _cluster_mean_vol(stats, labels, k_actual)
     assignment = ClusterAssignment(
         labels=tuple(labels),
         mean_vol=mean_vol,

@@ -170,13 +170,31 @@ class PrefixSums:
             raise ValueError(f"split {t} leaves fewer than 2 points on one side of [{a}, {b})")
         n = b - a
         _, var = self.mean_var(a, b)
-        _, var_l = self.mean_var(a, t)
-        _, var_r = self.mean_var(t, b)
+        _, _, left, right = self._side_vars(a, t, t + 1, b)
+        var_l, var_r = float(left[0]), float(right[0])
         if min(var, var_l, var_r) <= VARIANCE_FLOOR:
             raise DegenerateSplitError(f"zero variance at split {t} of [{a}, {b})")
         return 0.5 * (
             n * math.log(var) - (t - a) * math.log(var_l) - (b - t) * math.log(var_r)
         ) + 0.5
+
+    def _side_vars(
+        self, a: int, lo: int, hi: int, b: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """For each split t in [lo, hi) of the window [a, b): t - a, b - t,
+        and the MLE variances of [a, t) and [t, b), each at least
+        VARIANCE_FLOOR.  The counts are views of the shared count arrays;
+        the variances are new arrays."""
+        nl = self._count[lo - a : hi - a]
+        nr = self._rcount[self.length - b + lo : self.length - b + hi]
+        cum, cum2 = self._cum, self._cum2
+        s = np.subtract(cum[lo:hi], cum[a])
+        var_l = np.subtract(cum2[lo:hi], cum2[a])
+        _side_var(var_l, s, nl)
+        np.subtract(cum[b], cum[lo:hi], out=s)
+        var_r = np.subtract(cum2[b], cum2[lo:hi])
+        _side_var(var_r, s, nr)
+        return nl, nr, var_l, var_r
 
     def scan(self, a: int, b: int, margin: int = 2) -> tuple[int, float] | None:
         """Argmax of the divergence over splits of [a, b), each side >= margin.
@@ -197,17 +215,7 @@ class PrefixSums:
         if var <= VARIANCE_FLOOR:
             return None
         lo = a + margin  # first admissible t
-        hi = b - margin + 1
-        nl = self._count[margin : n - margin + 1]  # t - a
-        nr = self._rcount[self.length - n + margin : self.length - margin + 1]  # b - t
-        cum, cum2 = self._cum, self._cum2
-
-        s = np.subtract(cum[lo:hi], cum[a])
-        var_l = np.subtract(cum2[lo:hi], cum2[a])
-        _side_var(var_l, s, nl)
-        np.subtract(cum[b], cum[lo:hi], out=s)
-        var_r = np.subtract(cum2[b], cum2[lo:hi])
-        _side_var(var_r, s, nr)
+        nl, nr, var_l, var_r = self._side_vars(a, lo, b - margin + 1, b)
 
         ok = None  # every split admissible
         if not (var_l.min() > VARIANCE_FLOOR and var_r.min() > VARIANCE_FLOOR):

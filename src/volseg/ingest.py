@@ -299,45 +299,13 @@ def write_reject_log(rejects: list[RejectedRow], path: str | Path) -> None:
     write_csv(path, ("line", "reason"), ((r.line, r.reason) for r in rejects))
 
 
-# The hand-built grid most recently formatted and its text.  Reuse is keyed on the
-# tuple object itself: aware times in different zones that denote the same
-# instants compare and hash equal but format differently.  The strong
-# reference keeps the tuple alive, so its id cannot be reused.
-_last_grid_text: tuple[tuple[dt.datetime, ...], tuple[str, ...]] = ((), ())
-
-
-def _isoformat_grid(grid: tuple[dt.datetime, ...]) -> tuple[str, ...]:
-    """``isoformat()`` of every time in ``grid``, formatted one date and one
-    ``(time, utcoffset)`` key at a time.  A date of years 1-9999 is always
-    10 characters, so the tail of one ``isoformat()`` fits every time that
-    shares its key."""
-    global _last_grid_text
-    last_grid, last_text = _last_grid_text
-    if grid is last_grid:
-        return last_text
-    tails: dict[tuple[dt.time, dt.timedelta | None], str] = {}
-    out = []
-    day, day_text = None, ""
-    for t in grid:
-        d = t.date()
-        if d != day:
-            day, day_text = d, d.isoformat()
-        key = t.time(), t.utcoffset()
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = t.isoformat()[10:]
-        out.append(day_text + tail)
-    text = tuple(out)
-    _last_grid_text = (grid, text)
-    return text
-
-
 @dataclass(frozen=True)
 class HalfHourSeries:
     """Calendar-aligned index levels X_t, one per grid timestamp.
 
     ``grid_text``, when given, is the ``isoformat()`` of every grid time;
-    ``resample`` passes its calendar's."""
+    ``resample`` passes its calendar's, so only series resampled on one
+    calendar share one text."""
 
     sector: str
     grid: tuple[dt.datetime, ...]
@@ -362,12 +330,12 @@ class HalfHourSeries:
 
     @property
     def timestamps(self) -> tuple[str, ...]:
-        """``isoformat()`` of every grid time; series that share one grid
-        tuple or one calendar share its text.  Values are not cached: they
-        may be edited in place between writes."""
+        """``isoformat()`` of every grid time: ``grid_text`` when it is set,
+        which series resampled on one calendar share, else formatted on
+        each call."""
         if self.grid_text is not None:
             return self.grid_text
-        return _isoformat_grid(self.grid)
+        return tuple(t.isoformat() for t in self.grid)
 
 
 @dataclass(frozen=True)

@@ -814,8 +814,13 @@ class TestIngestOptionRanges:
             ),
             ("--samples-per-day", 1, 0, "--samples-per-day 0 is out of range: it must be at least 1"),
             ("--pre-open-grace-min", 0, -1, "--pre-open-grace-min -1 is out of range: it must be at least 0"),
+            (
+                "--pre-open-grace-min", 1050, 1051,
+                "--pre-open-grace-min 1051 is out of range: the open of 2006-01-03 would reach back past the "
+                "close of 2006-01-02; at most 1050 minutes fit this calendar",
+            ),
         ],
-        ids=["samples-above-max", "samples-zero", "grace-negative"],
+        ids=["samples-above-max", "samples-zero", "grace-negative", "grace-above-max"],
     )
     @pytest.mark.parametrize("command", ["ingest", "pipeline"])
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])

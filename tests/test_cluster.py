@@ -410,15 +410,6 @@ class TestExtractClusters:
         expect = (100 * a.stdev + 300 * b.stdev) / 400
         assert merged == pytest.approx(expect, abs=1e-15)
 
-    def test_unweighted_mean_volatility_option(self, rng):
-        a = stats_of(rng, 100, 0.0, 1e-3)
-        b = stats_of(rng, 300, 0.0, 2e-3)
-        c = stats_of(rng, 100, 0.0, 9e-3)
-        tree = complete_link([a, b, c])
-        assignment, _ = extract_clusters(tree, [a, b, c], [2], weighted=False)
-        merged = sorted(assignment.mean_vol)[0]
-        assert merged == pytest.approx((a.stdev + b.stdev) / 2, abs=1e-15)
-
 
 class TestAssignPhases:
     def make_assignment(self, vols, lengths=None):

@@ -216,4 +216,3 @@ def test_series_sharing_one_grid_tuple(tmp_path):
     second = HalfHourSeries("CY", grid, np.linspace(202.0, 200.5, len(grid)))
     for series in (first, second, first):
         assert_same_bytes(series, tmp_path)
-    assert first.timestamps is second.timestamps

@@ -5,18 +5,21 @@ takes the fixed-point path (a shortest decimal in [1e-4, 1e9) with at most
 6 fractional digits) or falls back to ``repr``.  ``TradingCalendar.grid_text``
 must equal ``isoformat()`` of every grid time, on calendars whose UTC open
 moves with daylight saving, whose sessions cross UTC midnight, and whose
-sessions hold 1 or 27 samples.
+sessions hold 1 or 27 samples.  ``HalfHourSeries.timestamps`` of a grid
+no calendar made must equal ``isoformat()`` of every time too.
 """
 
 import datetime as dt
 import math
+
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
 
 from volseg import ingest
 from volseg.calendar import TradingCalendar
-from volseg.ingest import TickColumns, resample, series_to_csv, series_to_json
+from volseg.ingest import HalfHourSeries, TickColumns, resample, series_to_csv, series_to_json
 
 
 def assert_reprs(values) -> None:
@@ -149,3 +152,31 @@ def test_resampled_series_writes_the_calendar_text(tmp_path):
     rows = [f"{t.isoformat()},{v!r}" for t, v in zip(cal.grid, series.values.tolist())]
     assert (tmp_path / "s.csv").read_text() == "\n".join(["timestamp,value", *rows]) + "\n"
     assert ingest.series_from_json(tmp_path / "s.json").grid == cal.grid
+
+
+def _hand_built(tz: dt.tzinfo | None, microsecond: int = 0) -> tuple[dt.datetime, ...]:
+    # 14 half hours a day for 14 days from 22:30, so each day's times cross midnight
+    t0 = dt.datetime(2008, 3, 3, 22, 30, 0, microsecond, tzinfo=tz)
+    return tuple(t0 + dt.timedelta(days=d, minutes=30 * k) for d in range(14) for k in range(14))
+
+
+def _mixed_offsets() -> tuple[dt.datetime, ...]:
+    zones = [dt.timezone.utc, dt.timezone(dt.timedelta(hours=5, minutes=30)), dt.timezone(dt.timedelta(hours=-8))]
+    return tuple(t.astimezone(zones[i % 3]) for i, t in enumerate(_hand_built(dt.timezone.utc)))
+
+
+HAND_BUILT_GRIDS = {
+    "naive": lambda: _hand_built(None),
+    "utc": lambda: _hand_built(dt.timezone.utc),
+    "tokyo-local": lambda: _hand_built(ZoneInfo("Asia/Tokyo")),
+    "microsecond": lambda: _hand_built(dt.timezone.utc, 250),
+    "mixed-offsets": _mixed_offsets,
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT_GRIDS))
+def test_hand_built_grid_timestamps_equal_isoformat(name):
+    grid = HAND_BUILT_GRIDS[name]()
+    series = HalfHourSeries("X", grid, np.linspace(100.0, 101.0, len(grid)))
+    assert series.grid_text is None
+    assert series.timestamps == tuple(t.isoformat() for t in grid)
