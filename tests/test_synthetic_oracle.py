@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from volseg import synthetic
-from volseg.calendar import TradingCalendar
+from volseg.calendar import HALF_HOUR, TradingCalendar
 from volseg.synthetic import (
     DEMO_SECTORS,
     demo_sector_pieces,
@@ -76,7 +76,7 @@ def oracle_write_tick_file(
         if with_noise_rows:
             # post-close straggler, about 0.1% off: must be ignored
             emit(
-                cal.session_close(day) + dt.timedelta(minutes=3),
+                cal.session_open(day) + (cal.samples_per_day - 1) * HALF_HOUR + dt.timedelta(minutes=3),
                 float(levels[idx - 1]) * 1.001,
             )
     Path(path).write_text("\n".join(lines) + "\n")
@@ -211,6 +211,21 @@ def test_sector_names_are_copied_as_written(tmp_path):
     assert_same_file(tmp_path, "B%sM%%", cal, random_levels(len(cal), 6), 2)
 
 
+@pytest.mark.parametrize("sector", ["ÉN", "Ωmega", "B\0M"])
+def test_sector_names_beyond_ascii(tmp_path, sector):
+    # the rows are rendered as UTF-8 bytes; the file keeps its text encoding
+    cal = calendar(dt.date(2001, 5, 7), 3)
+    assert_same_file(tmp_path, sector, cal, random_levels(len(cal), 7), 4)
+
+
+@pytest.mark.parametrize("tz, open_local", [("America/New_York", dt.time(9, 30)), ("Asia/Tokyo", dt.time(8, 0))])
+def test_calendar_across_the_epoch(tmp_path, tz, open_local):
+    # ticks on both sides of 1970-01-01, whose millisecond counts are negative
+    cal = calendar(dt.date(1969, 12, 15), 20, open_local=open_local, tz=tz)
+    assert cal.days[0].year == 1969 and cal.days[-1].year == 1970
+    assert_same_file(tmp_path, "IN", cal, random_levels(len(cal), 12), 6)
+
+
 def test_level_count_error_is_unchanged(tmp_path):
     cal = calendar(dt.date(2001, 5, 7), 2)
     for writer in (oracle_write_tick_file, write_tick_file):
@@ -267,3 +282,112 @@ def test_peak_memory_is_no_higher_than_the_per_tick_writer(tmp_path, paper_calen
         tracemalloc.stop()
     assert (tmp_path / "rewrite.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert peaks["rewrite"] <= peaks["oracle"], peaks
+
+
+# ---------------------------------------------------------------------------
+# the row renderer against per-tick formatting
+
+DAY_US = 86_400_000_000
+EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+
+
+def oracle_rows(ric: str, t_us, prices) -> str:
+    """One row per tick from ``strftime`` and ``%``-formatting.  ``%Y`` is
+    not zero-padded below year 1000 on every platform, so the year is
+    formatted as four digits here."""
+    rows = []
+    for t, price in zip(t_us, prices):
+        u = EPOCH + dt.timedelta(microseconds=int(t))
+        rows.append(
+            f"{ric},{u.strftime('%m/%d/')}{u.year:04d},{u.strftime('%H:%M:%S')}."
+            f"{u.microsecond // 1000:03d},+0,Index,{'%.4f' % price}\n"
+        )
+    return "".join(rows)
+
+
+def rendered_rows(ric: str, t_us, prices) -> str:
+    t_us = np.asarray(t_us, dtype=np.int64)
+    days = t_us // 1000 // 86_400_000
+    first_day = int(days.min())
+    dates = synthetic._date_words(first_day, int(days.max()))
+    return synthetic._tick_rows(f"{ric},".encode(), first_day, dates, t_us, np.asarray(prices, dtype=np.float64))
+
+
+def assert_same_rows(t_us, prices, ric: str = ".DJUSBM") -> None:
+    got = rendered_rows(ric, t_us, prices).split("\n")
+    want = oracle_rows(ric, t_us, prices).split("\n")
+    assert len(got) == len(want)
+    wrong = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not wrong, wrong[:3]  # rendered, then formatted
+
+
+def with_neighbours(values) -> np.ndarray:
+    """Each value and the doubles just below and above it."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def some_times(n: int, seed: int = 0) -> np.ndarray:
+    return 1_136_214_000_000_000 + np.random.default_rng(seed).integers(0, 400 * DAY_US, n)
+
+
+def test_prices_at_exact_ties_of_every_width():
+    # j/32 for odd j is a tie of the 4-decimal rounding (0.03125 -> 312.5
+    # ten-thousandths), exact in binary: "%.4f" rounds it half to even
+    whole = [0, 7, 42, 314, 2718, 31415, 271828, 3141592, 27182818]
+    ties = [w + j / 32 for w in whole for j in range(1, 32, 2)]
+    prices = with_neighbours(ties)
+    assert_same_rows(some_times(len(prices)), prices)
+
+
+def test_prices_that_round_up_a_digit():
+    # 9.99995 through 99999.99995 lie within a rounding step of a power of ten
+    nines = [10.0**k - 5e-5 for k in range(0, 7)] + [10.0**k - 1e-4 for k in range(0, 7)]
+    prices = with_neighbours(nines + [10.0**k for k in range(0, 7)])
+    assert_same_rows(some_times(len(prices)), prices)
+
+
+def test_prices_at_the_edge_of_the_array_range():
+    # 999999.99995 rounds to 1000000.0000, the first price of seven integer
+    # digits, which "%.4f" formats itself
+    edge = [999_999.9999, 999_999.99994, 999_999.99995, 999_999.99996, 1e6, 1e6 + 0.5, 1e7,
+            123_456_789.98765, 3e15, 1e300, np.inf, -np.inf, np.nan]
+    prices = with_neighbours(edge)
+    assert_same_rows(some_times(len(prices)), prices)
+
+
+def test_prices_at_the_floor_and_below():
+    # the writer floors wobbled prices at 1e-6; the least level is 5e-05
+    small = [1e-6, 4.9999e-5, 5e-5, 5.00001e-5, 1.5e-4, 0.0, -0.0, -1e-6, -5e-5, -1.0, -123.45675]
+    prices = with_neighbours(small)
+    assert_same_rows(some_times(len(prices)), prices)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_prices_and_runs_of_formatted_ones(seed):
+    # prices over many magnitudes, with ties and out-of-range prices at
+    # the start, at the end and side by side
+    rng = np.random.default_rng(seed)
+    prices = 10 ** rng.uniform(-6, 8, 5000)
+    prices[rng.integers(0, 5000, 300)] = rng.integers(0, 10**6, 300) + rng.integers(0, 16, 300) * 2 / 32 + 1 / 32
+    prices[[0, 1, 2, -1]] = [0.03125, 2e6, np.nan, 1.96875]
+    assert_same_rows(some_times(len(prices), seed), prices)
+
+
+def test_times_around_midnight():
+    # the last and first microseconds and milliseconds of UTC days, as in
+    # Tokyo sessions, which open at 23:00 GMT the day before
+    days = np.array([12_000, 12_001, 13_880, 14_600]) * DAY_US
+    offsets = np.array([-1000, -999, -1, 0, 1, 999, 1000, 59_999_999, 3_599_999_999])
+    t_us = (days[:, None] + offsets).ravel()
+    assert_same_rows(t_us, np.full(len(t_us), 101.25))
+
+
+def test_times_before_1970_and_below_year_1000():
+    first = (EPOCH.replace(year=1) - EPOCH) // dt.timedelta(microseconds=1)  # 0001-01-01
+    year_999 = (EPOCH.replace(year=999, month=12, day=31) - EPOCH) // dt.timedelta(microseconds=1)
+    fixed = [first, first + 1, first + DAY_US - 1, year_999, year_999 + DAY_US - 1, year_999 + DAY_US,
+             -DAY_US - 1, -1001, -1000, -999, -1, 0]
+    rng = np.random.default_rng(4)
+    t_us = np.concatenate([fixed, rng.integers(first, 0, 400), rng.integers(first, -62_000 * DAY_US, 100)])
+    assert_same_rows(t_us, np.full(len(t_us), 7.5))
