@@ -152,15 +152,25 @@ class TradingCalendar:
         return tuple("\n".join(lines).split("\n"))
 
     @cached_property
-    def open_us(self) -> np.ndarray:
-        """Each day's session open as int64 microseconds since the epoch
-        (read-only)."""
-        out = np.array([(t - EPOCH) // MICROSECOND for t in self.grid[:: self.samples_per_day]], dtype=np.int64)
+    def grid_us(self) -> np.ndarray:
+        """``grid`` as int64 microseconds since the epoch, one row of
+        ``samples_per_day`` per day (read-only): column 0 holds the session
+        opens and the last column the closes."""
+        opens = np.array([(t - EPOCH) // MICROSECOND for t in self.grid[:: self.samples_per_day]], dtype=np.int64)
+        out = opens[:, None] + HALF_HOUR // MICROSECOND * np.arange(self.samples_per_day, dtype=np.int64)
         out.flags.writeable = False
         return out
 
     def __len__(self) -> int:
         return len(self.days) * self.samples_per_day
+
+    def __getitem__(self, i: int) -> dt.datetime:
+        """``grid[i]``, computed alone from its session's open, for a
+        caller that reads only a few grid times."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"grid index {i} out of range")
+        day, k = divmod(i, self.samples_per_day)
+        return self.session_open(self.days[day]) + HALF_HOUR * k
 
     def trading_days_between(self, a: dt.date, b: dt.date) -> int:
         """Signed count of sessions from ``a`` to ``b`` (positive if b later).

@@ -163,6 +163,21 @@ def _undecodable(path: Path, encoding: str, exc: UnicodeDecodeError) -> str:
     return str(exc)  # the file changed since it was read
 
 
+def _check_sector(sector: object, source: object) -> None:
+    """A sector names its output files, so it must be a nonempty string
+    other than ``.`` and ``..``, without ``/``, ``\\`` or NUL; else a data
+    error naming ``source``."""
+    if not isinstance(sector, str) or sector in ("", ".", "..") or any(c in sector for c in "/\\\0"):
+        raise DataError(f"{source}: sector {sector!r} cannot name an output file")
+
+
+def _hold(sources: dict[str, Path], sector: str, path: Path) -> None:
+    """Record that ``path`` holds ``sector``; a sector already held is a data error naming both files."""
+    if sector in sources:
+        raise DataError(f"{sources[sector]} and {path} both hold sector {sector}")
+    sources[sector] = path
+
+
 def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.HalfHourSeries]]:
     """Resample every tick file and write the series; returns the calendar and the series, sorted by sector."""
     if args.samples_per_day < 1:
@@ -189,9 +204,8 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
         if not len(ticks):
             raise DataError(f"{path}: no parseable tick records")
         sector = ingest.sector_from_ric(ticks.ric)
-        if sector in sources:
-            raise DataError(f"{sources[sector]} and {path} both hold sector {sector}")
-        sources[sector] = path
+        _check_sector(sector, path)
+        _hold(sources, sector, path)
         parsed.append((path, ticks, rejects))
 
     holidays = load_holidays(args.holidays) if args.holidays else ()
@@ -207,9 +221,10 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
     cal = TradingCalendar.from_range(start, end, holidays, args.samples_per_day)
     # a session's last sample must come before the next session's open
     step = HALF_HOUR // MICROSECOND
-    gaps = np.diff(cal.open_us)
-    if len(gaps) and (args.samples_per_day - 1) * step >= gaps.min():
-        d = int(gaps.argmin())
+    gaps = np.diff(cal.grid_us[:, 0])
+    to_open = cal.grid_us[1:, 0] - cal.grid_us[:-1, -1]  # from each close to the next open
+    if len(to_open) and to_open.min() <= 0:
+        d = int(to_open.argmin())
         raise DataError(
             f"--samples-per-day {args.samples_per_day} is out of range: the session of {cal.days[d]} "
             f"would reach the open of {cal.days[d + 1]}; at most {-(-int(gaps[d]) // step)} samples "
@@ -218,7 +233,6 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
     # the grace must not reach back past the previous session's close; at
     # 48 samples a day the default grace reaches back exactly to it
     minute = dt.timedelta(minutes=1) // MICROSECOND
-    to_open = gaps - (args.samples_per_day - 1) * step  # from each close to the next open
     if len(to_open) and args.pre_open_grace_min * minute > int(to_open.min()):
         d = int(to_open.argmin())
         raise DataError(
@@ -301,23 +315,6 @@ def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -
     cluster.write_robustness_json(report, cl_dir / f"{sector}.robustness.json", assignment.k)
     print(f"{sector}: {assignment.k} clusters")
     return assignment
-
-
-class _GridTimes(Sequence[dt.datetime]):
-    """``cal.grid`` computed one timestamp at a time, with the same
-    arithmetic, for a caller that reads only a few of them."""
-
-    def __init__(self, cal: TradingCalendar) -> None:
-        self._cal = cal
-
-    def __len__(self) -> int:
-        return len(self._cal)
-
-    def __getitem__(self, i: int) -> dt.datetime:
-        if not 0 <= i < len(self._cal):
-            raise IndexError(f"grid index {i} out of range")
-        day, k = divmod(i, self._cal.samples_per_day)
-        return self._cal.session_open(self._cal.days[day]) + HALF_HOUR * k
 
 
 def _timeline_inputs(
@@ -415,15 +412,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def _load_series(path: Path) -> ingest.HalfHourSeries:
     try:
         if path.suffix == ".json":
-            return ingest.series_from_json(path)
-        return ingest.series_from_csv(path)
+            series = ingest.series_from_json(path)
+        else:
+            series = ingest.series_from_csv(path)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed series ({type(exc).__name__}: {exc})") from exc
+    _check_sector(series.sector, path)
+    return series
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    sources: dict[str, Path] = {}
     for path in _existing(args.inputs):
-        _segment(args, _load_series(path), path)
+        series = _load_series(path)
+        _hold(sources, series.sector, path)
+        _segment(args, series, path)
     _write_resolved_config(args, Path(args.out))
     return EXIT_OK
 
@@ -466,6 +469,7 @@ def _read_segment_table(path: Path) -> tuple[str, list[dict[str, object]], list[
     try:
         payload = json.loads(path.read_text())
         sector = payload.get("sector") or path.stem
+        _check_sector(sector, path)
         rows = payload["rows"]
         if not rows:
             raise DataError(f"{path}: segment table has no rows")
@@ -481,47 +485,35 @@ def _read_segment_table(path: Path) -> tuple[str, list[dict[str, object]], list[
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    sources: dict[str, Path] = {}
     for path in _existing(args.inputs):
         sector, _, stats = _read_segment_table(path)
+        _hold(sources, sector, path)
         _cluster(args, sector, stats)
     _write_resolved_config(args, Path(args.out))
     return EXIT_OK
 
 
-def _read_assignment(path: Path, n_segments: int) -> cluster.ClusterAssignment:
-    """The labels, colors and phases of an assignment CSV."""
-    try:
-        asg_rows = cluster.read_assignment_csv(path)
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed assignment ({exc})") from exc
-    if len(asg_rows) != n_segments:
-        raise DataError(f"{path}: {len(asg_rows)} labels for {n_segments} segments")
-    k = max(int(r["cluster"]) for r in asg_rows) + 1
-    if k > n_segments:
-        raise DataError(f"{path}: cluster id {k - 1} for {n_segments} segments")
-    colors, phases = [""] * k, [""] * k
-    for r in asg_rows:
-        colors[int(r["cluster"])] = str(r["color"])
-        phases[int(r["cluster"])] = str(r["phase"])
-    labels = tuple(int(r["cluster"]) for r in asg_rows)
-    return cluster.ClusterAssignment(labels, (0.0,) * k, k, "file", tuple(colors), tuple(phases), ("",) * k)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     cal = _read_calendar(Path(args.calendar))
-    grid = _GridTimes(cal)  # the timelines read only the times at run edges
     timelines: dict[str, analysis.PhaseTimeline] = {}
     boundaries: dict[str, list[Boundary]] = {}
+    sources: dict[str, Path] = {}
     for seg_path in sorted(Path(p) for p in args.segments):
         if not seg_path.exists():
             raise DataError(f"segment table not found: {seg_path}")
         sector, rows, stats = _read_segment_table(seg_path)
+        _hold(sources, sector, seg_path)
         asg_path = Path(args.assignments_dir) / f"{sector}.assignment.csv"
         if not asg_path.exists():
             raise DataError(f"assignment not found: {asg_path}")
-        assignment = _read_assignment(asg_path, len(rows))
+        try:
+            assignment = cluster.read_assignment(asg_path, len(rows))
+        except ValueError as exc:
+            raise DataError(f"{asg_path}: malformed assignment ({exc})") from exc
+        # the timelines read only the grid times at run edges, one at a time from the calendar
         timelines[sector], boundaries[sector] = _timeline_inputs(
-            seg_path, sector, rows, stats, assignment, grid
+            seg_path, sector, rows, stats, assignment, cal
         )
     _analyze(args, cal, timelines, boundaries)
     _write_resolved_config(args, Path(args.out))
@@ -650,10 +642,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"volseg: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"volseg: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -572,28 +572,31 @@ def _cluster_id(text: str | None) -> int:
     return value
 
 
-def read_assignment_csv(path: str | Path) -> list[dict[str, object]]:
-    """Rows of an assignment CSV.  Raises ``ValueError`` on a missing
-    column, a cluster id that is not a non-negative integer or a color
-    off the ladder."""
+def read_assignment(path: str | Path, n_segments: int) -> ClusterAssignment:
+    """The labels, colors and phases of an assignment CSV of ``n_segments``
+    segments; the file holds no volatilities, so ``mean_vol`` is zeros.
+    Raises ``ValueError`` on a missing column, a cluster id that is not a
+    non-negative integer or is ``n_segments`` or more, a color off the
+    ladder, or a row count other than ``n_segments``."""
+    labels: list[int] = []
+    named: dict[int, tuple[str, str]] = {}  # cluster id -> color and phase of its last row
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ASSIGNMENT_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"assignment lacks columns {missing}")
-        rows: list[dict[str, object]] = []
         for rec in reader:
             if rec["color"] not in PHASE_BY_COLOR:
                 raise ValueError(f"segment {rec['segment']}: unknown color {rec['color']!r}")
-            rows.append(
-                {
-                    "segment": rec["segment"],
-                    "cluster": _cluster_id(rec["cluster"]),
-                    "color": rec["color"],
-                    "phase": rec["phase"],
-                }
-            )
-        return rows
+            labels.append(_cluster_id(rec["cluster"]))
+            named[labels[-1]] = rec["color"], rec["phase"]
+    if len(labels) != n_segments:
+        raise ValueError(f"{len(labels)} labels for {n_segments} segments")
+    k = max(labels) + 1
+    if k > n_segments:
+        raise ValueError(f"cluster id {k - 1} for {n_segments} segments")
+    colors, phases = zip(*(named.get(c, ("", "")) for c in range(k)))
+    return ClusterAssignment(tuple(labels), (0.0,) * k, k, "file", colors, phases, ("",) * k)
 
 
 def write_robustness_json(report: list[KInterval], path: str | Path, chosen: int) -> None:

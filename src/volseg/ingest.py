@@ -32,7 +32,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .artifacts import write_csv
-from .calendar import EPOCH, HALF_HOUR, MICROSECOND, TradingCalendar
+from .calendar import EPOCH, MICROSECOND, TradingCalendar
 
 log = logging.getLogger(__name__)
 
@@ -374,9 +374,8 @@ def resample(
     order = np.argsort(ticks.t_us, kind="stable")  # ties keep file order
     t = ticks.t_us[order]
     spd = cal.samples_per_day
-    step = HALF_HOUR // MICROSECOND
-    opens = cal.open_us
-    grid = (opens[:, None] + step * np.arange(spd)).ravel()
+    opens, closes = cal.grid_us[:, 0], cal.grid_us[:, -1]
+    grid = cal.grid_us.ravel()
 
     # A cursor walks the sorted ticks: each day it skips those before
     # open - grace, takes those before each grid time, then skips those
@@ -384,7 +383,7 @@ def resample(
     # skip is a running maximum of the skip targets.
     cursor = np.empty(2 * len(opens), dtype=np.int64)
     cursor[0::2] = np.searchsorted(t, opens - pre_open_grace // MICROSECOND, side="left")
-    cursor[1::2] = np.searchsorted(t, opens + step * (spd - 1), side="right")
+    cursor[1::2] = np.searchsorted(t, closes, side="right")
     np.maximum.accumulate(cursor, out=cursor)
     day_start, day_end = cursor[0::2], cursor[1::2]
     for d in np.flatnonzero(day_end == day_start):

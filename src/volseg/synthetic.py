@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calendar import DEFAULT_SAMPLES_PER_DAY, HALF_HOUR, MICROSECOND, TradingCalendar
+from .calendar import DEFAULT_SAMPLES_PER_DAY, MICROSECOND, TradingCalendar
 
 DEMO_SECTORS = ("BM", "CY", "EN", "FN", "HC", "IN", "NC", "TC", "TL", "UT")
 # The least level whose tick price prints as positive at 4 decimals.
@@ -130,16 +130,13 @@ def write_tick_file(
         ],
         dtype=np.int64,
     )
-    spd = cal.samples_per_day
-    opens_us = cal.open_us
-    levels = levels.reshape(-1, spd)
+    levels = levels.reshape(cal.grid_us.shape)
     head = f".DJUS{sector},".encode()
-    half_hour_us = HALF_HOUR // MICROSECOND
-    correction_us = opens_us[:1] - dt.timedelta(hours=2) // MICROSECOND
+    correction_us = cal.grid_us[:1, 0] - dt.timedelta(hours=2) // MICROSECOND
     straggler_us = dt.timedelta(minutes=3) // MICROSECOND
     # every UTC day from the correction row to the last straggler
     first_day = int(correction_us[0]) // 1000 // _DAY_MS
-    last_day = (int(opens_us[-1]) + (spd - 1) * half_hour_us + straggler_us) // 1000 // _DAY_MS
+    last_day = (int(cal.grid_us[-1, -1]) + straggler_us) // 1000 // _DAY_MS
     dates = _date_words(first_day, last_day)
 
     with Path(path).open("w") as fh:
@@ -147,9 +144,9 @@ def write_tick_file(
         if with_noise_rows:
             # exchange-correction row hours before the open: must be ignored
             fh.write(_tick_rows(head, first_day, dates, correction_us, levels[0, :1] * 1.5))
-        for d in range(0, len(opens_us), _BLOCK_DAYS):
+        for d in range(0, len(cal.days), _BLOCK_DAYS):
             block = slice(d, d + _BLOCK_DAYS)
-            grid_us = opens_us[block, None] + half_hour_us * np.arange(spd)
+            grid_us = cal.grid_us[block]
             level = levels[block]
             wobble = wobble_rng.normal(0, 2e-5, grid_us.shape + (n_between,))
             lag_ms = lag_rng.integers(200, 1500, grid_us.shape)

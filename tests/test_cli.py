@@ -498,6 +498,8 @@ class TestAnalyzeCommand:
             "segment,cluster,color,phase\n1,0,blue,growth\n2\n",
             "segment,cluster,color,phase\n1,0,blue,growth\n2,1,purple,crash\n",
             "segment,cluster,color,phase\n1,0,blue,growth\n2,2,red,crash\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n2,1,red,crash\n3,1,red,crash\n",
+            "segment,cluster,color,phase\n1,0,blue,growth\n",
         ],
         ids=[
             "cluster-column-missing",
@@ -508,6 +510,8 @@ class TestAnalyzeCommand:
             "short-row",
             "unknown-color",
             "id-beyond-segments",
+            "too-many-rows",
+            "too-few-rows",
         ],
     )
     def test_malformed_assignment_is_data_error_naming_the_file(self, tmp_path, capsys, assignment):
@@ -583,15 +587,27 @@ class TestAnalyzeCommand:
 
 
 class TestAnalyzeGrid:
-    def test_grid_times_equal_the_calendar_grid(self):
-        # spans both daylight-saving switches of 2005
-        cal = weekday_calendar(dt.date(2005, 3, 1), 200, samples_per_day=3)
-        times = cli._GridTimes(cal)
-        assert len(times) == len(cal.grid)
-        assert [times[i] for i in range(len(times))] == list(cal.grid)
-        for bad in (-1, len(times)):
+    @pytest.mark.parametrize(
+        "cal",
+        [
+            # spans both daylight-saving switches of 2005
+            weekday_calendar(dt.date(2005, 3, 1), 200, samples_per_day=3),
+            # 08:00 in Tokyo is 23:00 UTC of the day before
+            TradingCalendar.from_range(
+                dt.date(2007, 12, 17), dt.date(2008, 1, 18), open_local=dt.time(8, 0), tz="Asia/Tokyo"
+            ),
+            TradingCalendar.from_range(
+                dt.date(2005, 3, 1), dt.date(2005, 3, 31), samples_per_day=48, open_local=dt.time(0, 0), tz="UTC"
+            ),
+            weekday_calendar(dt.date(2005, 3, 1), 1),
+        ],
+        ids=["new-york-dst", "tokyo", "48-a-day", "one-day"],
+    )
+    def test_grid_times_equal_the_calendar_grid(self, cal):
+        assert [cal[i] for i in range(len(cal))] == list(cal.grid)
+        for bad in (-1, len(cal)):
             with pytest.raises(IndexError):
-                times[bad]
+                cal[bad]
 
     def test_standalone_analyze_builds_no_grid(self, corpus, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -688,7 +704,7 @@ class TestPipelineComposition:
 
         monkeypatch.setattr(ingest, "series_from_json", read_back)
         monkeypatch.setattr(cli, "_read_segment_table", read_back)
-        monkeypatch.setattr(cluster, "read_assignment_csv", read_back)
+        monkeypatch.setattr(cluster, "read_assignment", read_back)
         monkeypatch.setattr(cli, "_read_calendar", read_back)
         argv = ["pipeline", *corpus["ticks"], "--out", str(tmp_path / "run"), "--holidays", corpus["holidays"]]
         assert run([*argv, "--events", corpus["events"]]) == 0
@@ -838,3 +854,79 @@ class TestIngestOptionRanges:
         capsys.readouterr()
         assert run(argv(bad, "bad")) == 2
         assert capsys.readouterr().err == f"volseg: {message}\n"
+
+
+class TestSectorNames:
+    """A sector names its output files: a sector that cannot, or one that two
+    input files hold, exits 2 naming the file or files and the sector."""
+
+    @staticmethod
+    def with_sector(path: Path, sector: str) -> Path:
+        payload = json.loads(path.read_text())
+        payload["sector"] = sector
+        path.write_text(json.dumps(payload))
+        return path
+
+    @staticmethod
+    def input_file(tmp_path, command: str) -> Path:
+        """A valid input of ``command`` holding sector ZZ; for ``analyze`` a
+        one-row segment table, with its calendar and assignment beside it."""
+        if command == "segment":
+            return TestSegmentCommand().make_series_file(tmp_path)
+        if command == "cluster":
+            return TestClusterCommand().segment_table(tmp_path)
+        table, _ = TestAnalyzeCommand().valid_inputs(tmp_path)
+        (tmp_path / "ZZ.assignment.csv").write_text(TestAnalyzeCommand.ONE_ROW_ASSIGNMENT)
+        path = tmp_path / "ZZ.json"
+        path.write_text(json.dumps(table))
+        return path
+
+    @staticmethod
+    def analyze(tmp_path, tables: list[Path], assignments_dir: Path) -> int:
+        return run(
+            [
+                "analyze", "--segments", *map(str, tables),
+                "--assignments-dir", str(assignments_dir),
+                "--calendar", str(tmp_path / "calendar.json"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "ric, sector",
+        [(".DJUS../../x", "../../x"), (".", ""), (".DJUS.", "."), (".DJUS..", ".."), (".DJUSa\\b", "a\\b")],
+    )
+    def test_ingest_rejects_a_sector_that_cannot_name_a_file(self, tmp_path, capsys, ric, sector):
+        tick_file = tmp_path / "ticks.csv"
+        tick_file.write_text(f"{HEADER}\n{ric},02/14/2000,14:30:29.829,+0,Index,149.93\n")
+        assert run(["ingest", str(tick_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"volseg: {tick_file}: sector {sector!r} cannot name an output file\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["ticks.csv"]
+
+    @pytest.mark.parametrize("command", ["segment", "cluster"])
+    def test_sector_read_back_that_escapes_the_output_directory_exits_2(self, tmp_path, capsys, command):
+        path = self.with_sector(self.input_file(tmp_path, command), "../../x")  # out/<stage>/../../x is tmp_path/x
+        assert run([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"volseg: {path}: sector '../../x' cannot name an output file\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["ZZ.json"]
+
+    def test_analyze_rejects_a_sector_that_would_look_up_another_directory(self, tmp_path, capsys):
+        # assignments/../ZZ.assignment.csv is the assignment beside the table
+        path = self.with_sector(self.input_file(tmp_path, "analyze"), "../ZZ")
+        (tmp_path / "assignments").mkdir()
+        assert self.analyze(tmp_path, [path], tmp_path / "assignments") == 2
+        assert capsys.readouterr().err == f"volseg: {path}: sector '../ZZ' cannot name an output file\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("same_file", [True, False], ids=["same-file", "copy"])
+    @pytest.mark.parametrize("command", ["segment", "cluster", "analyze"])
+    def test_sector_held_twice_exits_2_naming_both_files(self, tmp_path, capsys, command, same_file):
+        first = self.input_file(tmp_path, command)
+        second = first if same_file else tmp_path / "ZZ-copy.json"
+        second.write_bytes(first.read_bytes())
+        if command == "analyze":
+            assert self.analyze(tmp_path, [first, second], tmp_path) == 2
+        else:
+            assert run([command, str(first), str(second), "--out", str(tmp_path / "out")]) == 2
+        a, b = sorted((first, second)) if command == "analyze" else (first, second)
+        assert capsys.readouterr().err == f"volseg: {a} and {b} both hold sector ZZ\n"

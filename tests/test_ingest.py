@@ -75,12 +75,14 @@ class TestCalendar:
         short = weekday_calendar(dt.date(2004, 1, 5), 3, samples_per_day=4)
         assert short.grid[3] == dt.datetime(2004, 1, 5, 16, 0, tzinfo=dt.timezone.utc)
 
-    def test_open_us_are_the_session_opens(self):
+    def test_grid_us_is_the_grid_a_session_per_row(self):
         # 2006 spans both daylight-saving switches
         cal = TradingCalendar.from_range(dt.date(2006, 3, 20), dt.date(2006, 11, 10))
-        assert cal.open_us.dtype == np.int64
-        assert cal.open_us.tolist() == [epoch_us(cal.session_open(day)) for day in cal.days]
-        assert not cal.open_us.flags.writeable
+        assert cal.grid_us.dtype == np.int64
+        assert cal.grid_us.shape == (len(cal.days), cal.samples_per_day)
+        assert cal.grid_us[:, 0].tolist() == [epoch_us(cal.session_open(day)) for day in cal.days]
+        assert cal.grid_us.ravel().tolist() == [epoch_us(t) for t in cal.grid]
+        assert not cal.grid_us.flags.writeable
 
     def test_holidays_excluded(self):
         holiday = dt.date(2000, 7, 4)

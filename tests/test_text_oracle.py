@@ -142,8 +142,7 @@ def test_calendars_cover_what_they_claim():
 
 def test_resampled_series_writes_the_calendar_text(tmp_path):
     cal = tokyo()
-    step = 30 * 60 * 10**6
-    t_us = (cal.open_us[:, None] + step * np.arange(cal.samples_per_day) - 1).ravel()
+    t_us = (cal.grid_us - 1).ravel()
     prices = np.round(np.linspace(12000.0, 13000.0, len(t_us)), 4)
     series = resample(TickColumns(".N225", t_us, prices), cal)
     assert series.timestamps is cal.grid_text
