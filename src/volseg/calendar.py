@@ -24,6 +24,33 @@ HALF_HOUR = dt.timedelta(minutes=30)
 DEFAULT_SAMPLES_PER_DAY = 14
 DEFAULT_OPEN = dt.time(9, 30)
 DEFAULT_TZ = "America/New_York"
+_DAY_US = dt.timedelta(days=1) // MICROSECOND
+
+
+def _digits(width: int) -> np.ndarray:
+    """Every number below 10**width as ``width`` ASCII digits, one row each."""
+    return np.indices((10,) * width, dtype=np.uint8).reshape(width, -1).T + ord("0")
+
+
+def _words(table: np.ndarray) -> np.ndarray:
+    """Each row of a uint8 table as one void item, to copy a field at once."""
+    return np.ascontiguousarray(table).view(f"V{table.shape[1]}").ravel()
+
+
+def _field(rows: np.ndarray, col: int, width: int) -> np.ndarray:
+    """Bytes ``col`` to ``col + width`` of every row, one void item per row."""
+    return np.ndarray(len(rows), f"V{width}", rows, col, (rows.shape[1],))
+
+
+def _iso_dates(first_day: int, last_day: int) -> np.ndarray:
+    """``YYYY-MM-DD`` of every UTC day from ``first_day`` to ``last_day``
+    (days since the epoch), one row of ASCII bytes each; years below 1000
+    keep four digits."""
+    iso = np.datetime_as_string(np.arange(first_day, last_day + 1).astype("datetime64[D]"))
+    return iso.astype("S10").view(np.uint8).reshape(-1, 10)
+
+
+_TWO_DIGITS = _words(_digits(2))
 
 
 def _weekdays(start: dt.date, end: dt.date) -> list[dt.date]:
@@ -51,19 +78,6 @@ def load_holidays(path: str | Path) -> tuple[dt.date, ...]:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return tuple(holidays)
-
-
-def _date_runs(times: tuple[dt.datetime, ...]) -> list[tuple[int, list[str]]]:
-    """``times`` cut where the date changes: each run's first index and the
-    ``isoformat()`` of its times without the date."""
-    runs: list[tuple[int, list[str]]] = []
-    day = None
-    for k, t in enumerate(times):
-        if t.date() != day:
-            day = t.date()
-            runs.append((k, []))
-        runs[-1][1].append(t.isoformat()[10:])
-    return runs
 
 
 @dataclass(frozen=True)
@@ -129,27 +143,33 @@ class TradingCalendar:
         return tuple(out)
 
     @cached_property
-    def grid_text(self) -> tuple[str, ...]:
-        """``isoformat()`` of every grid time, built a session at a time.
+    def grid_iso(self) -> np.ndarray:
+        """``isoformat()`` of every grid time as ASCII bytes, one row each
+        (read-only): ``YYYY-MM-DDTHH:MM:SS+00:00``, 25 bytes, or 32 with
+        ``.ffffff`` after the seconds when the open carries microseconds,
+        which every grid time then shares.
 
-        Sessions that open at the same UTC time and offset share the tails
-        of one session's ``isoformat()`` calls; each session adds one date
-        text per UTC date it spans, two when it crosses midnight.  A date
-        of years 1-9999 is always 10 characters, so date and tail join
-        into the full text."""
-        spd = self.samples_per_day
-        grid = self.grid
-        pieces: dict[tuple[dt.time, dt.timedelta | None], list[tuple[int, list[str]]]] = {}
-        lines: list[str] = []  # one per date run, its times' text joined by newlines
-        for i in range(0, len(grid), spd):
-            key = grid[i].time(), grid[i].utcoffset()
-            parts = pieces.get(key)
-            if parts is None:
-                parts = pieces[key] = _date_runs(grid[i : i + spd])
-            for k, tails in parts:
-                day = grid[i + k].date().isoformat()
-                lines.append(day + ("\n" + day).join(tails))
-        return tuple("\n".join(lines).split("\n"))
+        The rows are filled from ``grid_us``: the date from one table of
+        every UTC day the grid spans, so a session that crosses UTC
+        midnight takes the next date after it, and the time from
+        two-digit tables."""
+        day, us = np.divmod(self.grid_us.ravel(), _DAY_US)
+        sec, micro = np.divmod(us, 1_000_000)
+        minute, second = np.divmod(sec, 60)
+        hour, minute = np.divmod(minute, 60)
+        fraction = b".000000" if micro.any() else b""
+        template = b"0000-00-00T00:00:00" + fraction + b"+00:00"
+        out = np.empty((len(day), len(template)), dtype=np.uint8)
+        out[:] = np.frombuffer(template, dtype=np.uint8)
+        first = int(day[0])
+        _field(out, 0, 10)[...] = _words(_iso_dates(first, int(day[-1])))[day - first]
+        for col, value in ((11, hour), (14, minute), (17, second)):
+            _field(out, col, 2)[...] = _TWO_DIGITS[value]
+        if fraction:
+            for col, value in ((20, micro // 10_000), (22, micro // 100 % 100), (24, micro % 100)):
+                _field(out, col, 2)[...] = _TWO_DIGITS[value]
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def grid_us(self) -> np.ndarray:

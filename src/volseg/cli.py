@@ -245,7 +245,8 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
     series_dir.mkdir(parents=True, exist_ok=True)
 
     all_series = []
-    for path, ticks, rejects in parsed:
+    while parsed:
+        path, ticks, rejects = parsed.pop(0)  # each file's ticks are freed once its series is written
         series = ingest.resample(ticks, cal, grace)
         ingest.series_to_csv(series, series_dir / f"{series.sector}.csv")
         ingest.series_to_json(series, series_dir / f"{series.sector}.json")

@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -126,6 +126,27 @@ def _digits(buf: np.ndarray, pos: np.ndarray, width: int) -> tuple[np.ndarray, n
     return value, ok
 
 
+# Days in each month of a common year, with no days in months 0 and 13.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+
+
+def _civil_days(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Days since 1970-01-01 of proleptic Gregorian dates with non-negative
+    fields, and whether each is a date of years 1 and later.
+
+    The count is Hinnant's ``days_from_civil``: years start in March, so
+    the leap day ends one; each 400-year era holds 146,097 days."""
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
+    ok = (year >= 1) & (day >= 1) & (day <= month_days)
+    y = year - (month <= 2)
+    era = y // 400
+    year_of_era = y - era * 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    return era * 146_097 + day_of_era - 719_468, ok
+
+
 def _decode_timestamps(
     buf: np.ndarray, c0: np.ndarray, c1: np.ndarray, c2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,11 +157,8 @@ def _decode_timestamps(
     month, ok_m = _digits(buf, c0 + 1, 2)
     day, ok_d = _digits(buf, c0 + 4, 2)
     year, ok_y = _digits(buf, c0 + 7, 4)
-    ok &= ok_m & ok_d & ok_y & (month >= 1) & (month <= 12) & (day >= 1) & (year >= 1)
-    # a civil date survives the round trip through its month
-    months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
-    days = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) + day - 1
-    ok &= days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) == months
+    days, ok_date = _civil_days(year, month, day)
+    ok &= ok_m & ok_d & ok_y & ok_date
 
     t = c1 + 1
     ok &= (c2 - c1 == 13) & (buf[t + 2] == ord(":")) & (buf[t + 5] == ord(":")) & (buf[t + 8] == ord("."))
@@ -303,21 +321,21 @@ def write_reject_log(rejects: list[RejectedRow], path: str | Path) -> None:
 class HalfHourSeries:
     """Calendar-aligned index levels X_t, one per grid timestamp.
 
-    ``grid_text``, when given, is the ``isoformat()`` of every grid time;
-    ``resample`` passes its calendar's, so only series resampled on one
-    calendar share one text."""
+    ``grid_iso``, when given, is the ``isoformat()`` bytes of every grid
+    time, one fixed-width uint8 row each; ``resample`` passes its
+    calendar's, so only series resampled on one calendar share one text."""
 
     sector: str
     grid: tuple[dt.datetime, ...]
     values: np.ndarray
-    grid_text: tuple[str, ...] | None = field(default=None, repr=False, compare=False)
+    grid_iso: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if len(self.grid) != len(self.values):
             raise ValueError("grid and values must have equal length")
-        if self.grid_text is not None and len(self.grid_text) != len(self.grid):
-            raise ValueError("grid and grid_text must have equal length")
+        if self.grid_iso is not None and len(self.grid_iso) != len(self.grid):
+            raise ValueError("grid and grid_iso must have equal length")
         if len(self.values) and not np.all(self.values > 0.0):
             bad = int(np.argmin(self.values > 0.0))
             raise ValueError(f"non-positive level at {self.grid[bad].isoformat()}")
@@ -327,15 +345,6 @@ class HalfHourSeries:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    @property
-    def timestamps(self) -> tuple[str, ...]:
-        """``isoformat()`` of every grid time: ``grid_text`` when it is set,
-        which series resampled on one calendar share, else formatted on
-        each call."""
-        if self.grid_text is not None:
-            return self.grid_text
-        return tuple(t.isoformat() for t in self.grid)
 
 
 @dataclass(frozen=True)
@@ -405,7 +414,7 @@ def resample(
         )
         source[:first_real] = first_real
     values = ticks.price[order[taken[source] - 1]]
-    return HalfHourSeries(sector, cal.grid, values, cal.grid_text)
+    return HalfHourSeries(sector, cal.grid, values, cal.grid_iso)
 
 
 def log_returns(series: HalfHourSeries) -> LogReturnSeries:
@@ -427,7 +436,10 @@ def log_returns(series: HalfHourSeries) -> LogReturnSeries:
 
 # Timestamps and float reprs hold no comma, quote, backslash or control
 # character, so joining them as plain text gives the bytes that
-# artifacts.write_csv and artifacts.write_json would write.
+# artifacts.write_csv and artifacts.write_json would write.  The series
+# files are written a chunk of rows at a time, each chunk filled in as
+# fixed-width bytes whose NUL pads are then deleted.
+_CHUNK_ROWS = 4096
 
 
 # Values in [1e-4, 1e9) whose shortest decimal has at most 6 fractional
@@ -439,6 +451,8 @@ def log_returns(series: HalfHourSeries) -> LogReturnSeries:
 # exponent and with at least one fractional digit.
 _FIXED_SCALE = 1e6
 _FIXED_MIN, _FIXED_MAX = 1e-4, 1e9
+# The longest repr of a float, as in "-1.7976931348623157e+308".
+_VALUE_WIDTH = 24
 
 
 _K = np.arange(1000)
@@ -457,20 +471,21 @@ def _digit_words(shown: Sequence[np.ndarray | bool], end: str) -> np.ndarray:
 
 # A value's text is five words, m's 3-digit groups from the most
 # significant: three integer groups, the last ending in ".", then two
-# fractional groups, the last ending in "\n".  The tables write leading
-# integer zeros (but the units digit) and trailing fractional zeros (but
-# the first fractional digit) as NUL bytes, which are then deleted.
+# fractional groups.  The tables write leading integer zeros (but the
+# units digit) and trailing fractional zeros (but the first fractional
+# digit) as NUL bytes, which are then deleted.
 _ALL = (True, True, True)
 _FULL, _FULL_DOT = _digit_words(_ALL, "\0"), _digit_words(_ALL, ".")
 _NO_LEAD = _digit_words((_K >= 100, _K >= 10, _K >= 1), "\0")
 _UNITS_DOT = _digit_words((_K >= 100, _K >= 10, True), ".")
 _FIRST_FRAC = _digit_words((True, _K % 100 != 0, _K % 10 != 0), "\0")
-_LAST_FRAC_END = _digit_words((_K != 0, _K % 100 != 0, _K % 10 != 0), "\n")
+_LAST_FRAC = _digit_words((_K != 0, _K % 100 != 0, _K % 10 != 0), "\0")
 
 
-def _render_values(values: np.ndarray) -> list[str]:
-    """``repr`` of every value: from arrays where the value is in the fixed
-    domain above, by ``repr`` itself elsewhere."""
+def _render_values(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every value as ``_VALUE_WIDTH`` bytes with NUL pads, one
+    row each: from the word tables where the value is in the fixed domain
+    above, by ``repr`` itself elsewhere."""
     with np.errstate(over="ignore"):
         m = np.rint(values * _FIXED_SCALE)
     fixed = (values >= _FIXED_MIN) & (values < _FIXED_MAX) & (m / _FIXED_SCALE == values)
@@ -480,41 +495,50 @@ def _render_values(values: np.ndarray) -> list[str]:
         m, group = np.divmod(m, 1000)
         groups.append(group)
     frac0, frac1, int0, int1 = groups
-    words = np.empty((len(values), 5), dtype=np.uint32)
+    words = np.zeros((len(values), _VALUE_WIDTH // 4), dtype=np.uint32)
     words[:, 0] = _NO_LEAD[m]
     words[:, 1] = np.where(m != 0, _FULL[int1], _NO_LEAD[int1])
     words[:, 2] = np.where((m | int1) != 0, _FULL_DOT[int0], _UNITS_DOT[int0])
     words[:, 3] = np.where(frac0 != 0, _FULL[frac1], _FIRST_FRAC[frac1])
-    words[:, 4] = _LAST_FRAC_END[frac0]
-    text = words.tobytes().translate(None, b"\0").decode("ascii").split("\n")
-    text.pop()
+    words[:, 4] = _LAST_FRAC[frac0]
+    text = words.view(np.uint8)
     other = np.flatnonzero(~fixed)
-    for i, v in zip(other.tolist(), values[other].tolist()):
-        text[i] = repr(v)
+    text.view(f"S{_VALUE_WIDTH}")[other, 0] = [repr(v).encode() for v in values[other].tolist()]
     return text
 
 
-# The values most recently formatted, as bytes, and their text.  Equal
-# bytes are equal floats with equal reprs; keeping the bytes rather than
-# the array means an in-place edit still reaches the next write.
-_last_value_text: tuple[bytes, tuple[str, ...]] = (b"", ())
+def _render_grid(series: HalfHourSeries, rows: slice) -> np.ndarray:
+    """``isoformat()`` of the grid times ``rows`` as bytes with NUL pads,
+    one row each: cut from ``grid_iso`` when it is set, else formatted
+    time by time."""
+    if series.grid_iso is not None:
+        return series.grid_iso[rows]
+    text = np.array([t.isoformat().encode() for t in series.grid[rows]])
+    return text.view(np.uint8).reshape(len(text), -1)
 
 
-def _value_text(values: np.ndarray) -> tuple[str, ...]:
-    """``repr`` of every value, reused from the last call on equal bytes."""
-    global _last_value_text
-    raw = values.tobytes()
-    last_raw, last_text = _last_value_text
-    if raw == last_raw:
-        return last_text
-    text = tuple(_render_values(values))
-    _last_value_text = (raw, text)
-    return text
+def _chunks(n: int) -> Iterator[slice]:
+    return (slice(i, min(i + _CHUNK_ROWS, n)) for i in range(0, n, _CHUNK_ROWS))
+
+
+def _rows(cells: Sequence[bytes | np.ndarray]) -> bytes:
+    """Rows made of ``cells`` side by side, each a constant or a uint8
+    array of one row per row, with every NUL byte deleted."""
+    widths = [cell.shape[1] if isinstance(cell, np.ndarray) else len(cell) for cell in cells]
+    n = next(len(cell) for cell in cells if isinstance(cell, np.ndarray))
+    out = np.empty((n, sum(widths)), dtype=np.uint8)
+    col = 0
+    for cell, width in zip(cells, widths):
+        out[:, col : col + width] = np.frombuffer(cell, dtype=np.uint8) if isinstance(cell, bytes) else cell
+        col += width
+    return out.tobytes().translate(None, b"\0")
 
 
 def series_to_csv(series: HalfHourSeries, path: str | Path) -> None:
-    rows = map(",".join, zip(series.timestamps, _value_text(series.values)))
-    Path(path).write_text("\n".join(["timestamp,value", *rows]) + "\n", newline="")
+    with open(path, "wb") as fh:
+        fh.write(b"timestamp,value\n")
+        for rows in _chunks(series.n):
+            fh.write(_rows((_render_grid(series, rows), b",", _render_values(series.values[rows]), b"\n")))
 
 
 def series_from_csv(path: str | Path, sector: str | None = None) -> HalfHourSeries:
@@ -529,19 +553,26 @@ def series_from_csv(path: str | Path, sector: str | None = None) -> HalfHourSeri
     return HalfHourSeries(name, tuple(grid), np.array(values))
 
 
-def _json_strings(items: Sequence[str]) -> str:
-    """A list of strings that need no escapes, as a value of the top-level object."""
-    if not items:
-        return "[]"
-    return '[\n  "' + '",\n  "'.join(items) + '"\n ]'
+def _write_strings(fh: BinaryIO, n: int, render: Callable[[slice], np.ndarray]) -> None:
+    """A list of ``n`` strings that need no escapes, as a value of the
+    top-level object, rendered a chunk of rows at a time."""
+    if not n:
+        fh.write(b"[]")
+        return
+    fh.write(b"[\n")
+    for rows in _chunks(n):
+        text = _rows((b'  "', render(rows), b'",\n'))
+        fh.write(text if rows.stop < n else text[:-2])
+    fh.write(b"\n ]")
 
 
 def series_to_json(series: HalfHourSeries, path: str | Path) -> None:
-    Path(path).write_text(
-        f'{{\n "sector": {json.dumps(series.sector)},'
-        f'\n "timestamps": {_json_strings(series.timestamps)},'
-        f'\n "values": {_json_strings(_value_text(series.values))}\n}}\n'
-    )
+    with open(path, "wb") as fh:
+        fh.write(f'{{\n "sector": {json.dumps(series.sector)},\n "timestamps": '.encode())
+        _write_strings(fh, series.n, lambda rows: _render_grid(series, rows))
+        fh.write(b',\n "values": ')
+        _write_strings(fh, series.n, lambda rows: _render_values(series.values[rows]))
+        fh.write(b"\n}\n")
 
 
 def series_from_json(path: str | Path) -> HalfHourSeries:

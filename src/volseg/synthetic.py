@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .calendar import DEFAULT_SAMPLES_PER_DAY, MICROSECOND, TradingCalendar
+from .calendar import (
+    _TWO_DIGITS, DEFAULT_SAMPLES_PER_DAY, MICROSECOND, TradingCalendar, _digits, _field, _iso_dates, _words
+)
 
 DEMO_SECTORS = ("BM", "CY", "EN", "FN", "HC", "IN", "NC", "TC", "TL", "UT")
 # The least level whose tick price prints as positive at 4 decimals.
@@ -44,18 +46,7 @@ _PAD = 0xFF
 _PRICE_LIMIT = 1e10
 
 
-def _digits(width: int) -> np.ndarray:
-    """Every number below 10**width as ``width`` ASCII digits, one row each."""
-    return np.indices((10,) * width, dtype=np.uint8).reshape(width, -1).T + ord("0")
-
-
-def _words(table: np.ndarray) -> np.ndarray:
-    """Each row of a uint8 table as one void item, to copy a field at once."""
-    return np.ascontiguousarray(table).view(f"V{table.shape[1]}").ravel()
-
-
 _K = np.arange(1000)[:, None]
-_TWO_DIGITS = _words(_digits(2))
 _THREE_DIGITS = _words(_digits(3))
 _FOUR_DIGITS = _words(_digits(4))
 # a price's thousands, then its units below 1000: _LOW_GROUP[g] pads the
@@ -169,18 +160,12 @@ def _date_words(first_day: int, last_day: int) -> np.ndarray:
     """``MM/DD/YYYY,`` of every UTC day from ``first_day`` to ``last_day``
     (days since the epoch), one void item each; years below 1000 keep four
     digits."""
-    iso = np.datetime_as_string(np.arange(first_day, last_day + 1).astype("datetime64[D]"))
-    chars = iso.astype("S10").view(np.uint8).reshape(-1, 10)
-    text = np.empty((len(iso), 11), dtype=np.uint8)
+    chars = _iso_dates(first_day, last_day)
+    text = np.empty((len(chars), 11), dtype=np.uint8)
     text[:, :10] = chars[:, [5, 6, 4, 8, 9, 4, 0, 1, 2, 3]]
     text[:, [2, 5]] = ord("/")
     text[:, 10] = ord(",")
     return _words(text)
-
-
-def _field(rows: np.ndarray, col: int, width: int) -> np.ndarray:
-    """Bytes ``col`` to ``col + width`` of every row, one void item per row."""
-    return np.ndarray(len(rows), f"V{width}", rows, col, (rows.shape[1],))
 
 
 def _tick_rows(head: bytes, first_day: int, dates: np.ndarray, t_us: np.ndarray, price: np.ndarray) -> str:

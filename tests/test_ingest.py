@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import weekday_calendar
-from volseg import ingest
 from volseg.calendar import TradingCalendar, load_holidays
 from volseg.ingest import (
     HalfHourSeries,
@@ -370,13 +369,3 @@ class TestSeriesFiles:
         assert back.sector == "EN"
         assert back.grid == s.grid
         assert np.array_equal(back.values, s.values)
-
-    def test_value_text_reused_only_for_equal_bytes(self):
-        values = np.array([149.92, 0.1 + 0.2, 1e300, 5e-324])
-        text = ingest._value_text(values)
-        assert text == tuple(map(repr, values.tolist()))
-        assert ingest._value_text(values.copy()) is text
-        edited = values.copy()
-        edited[1] = math.nextafter(edited[1], 1.0)
-        assert ingest._value_text(edited) == tuple(map(repr, edited.tolist()))
-        assert ingest._value_text(edited)[1] != text[1]

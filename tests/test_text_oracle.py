@@ -1,12 +1,16 @@
 """The two array-built text paths against the per-item calls they replace.
 
-``ingest._render_values`` must equal ``repr`` of every value, whether it
-takes the fixed-point path (a shortest decimal in [1e-4, 1e9) with at most
-6 fractional digits) or falls back to ``repr``.  ``TradingCalendar.grid_text``
-must equal ``isoformat()`` of every grid time, on calendars whose UTC open
-moves with daylight saving, whose sessions cross UTC midnight, and whose
-sessions hold 1 or 27 samples.  ``HalfHourSeries.timestamps`` of a grid
-no calendar made must equal ``isoformat()`` of every time too.
+``ingest._render_values`` must give ``repr`` of every value once its NUL
+pads are deleted, whether it takes the fixed-point path (a shortest
+decimal in [1e-4, 1e9) with at most 6 fractional digits) or falls back to
+``repr``.  ``TradingCalendar.grid_iso`` must hold ``isoformat()`` of every
+grid time, on calendars whose UTC open moves with daylight saving, whose
+sessions cross UTC midnight, whose sessions hold 1 or 27 samples, and
+whose open carries microseconds.  A series on a grid no calendar made
+must be written with ``isoformat()`` of every time too.  The series
+writers render a chunk of rows at a time, so whole files are compared
+against the row-by-row oracles at the chunk edges and with ``repr``
+fallbacks in the first, a middle and the last chunk.
 """
 
 import datetime as dt
@@ -17,6 +21,8 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
+from conftest import weekday_calendar
+from test_series_io_oracle import WRITERS
 from volseg import ingest
 from volseg.calendar import TradingCalendar
 from volseg.ingest import HalfHourSeries, TickColumns, resample, series_to_csv, series_to_json
@@ -24,7 +30,8 @@ from volseg.ingest import HalfHourSeries, TickColumns, resample, series_to_csv, 
 
 def assert_reprs(values) -> None:
     values = np.asarray(values, dtype=np.float64)
-    assert ingest._render_values(values) == list(map(repr, values.tolist()))
+    text = [row.tobytes().replace(b"\0", b"").decode() for row in ingest._render_values(values)]
+    assert text == list(map(repr, values.tolist()))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -88,7 +95,7 @@ def test_neighbours_of_four_decimal_prices():
 
 
 def test_empty_and_mixed():
-    assert ingest._render_values(np.array([])) == []
+    assert_reprs([])
     rng = np.random.default_rng(5)
     values = np.round(rng.uniform(1.0, 1e4, 1000), 4)
     values[::7] = rng.random(len(values[::7])) * 10.0 ** rng.integers(-320, 300, len(values[::7]))
@@ -127,9 +134,10 @@ CALENDARS = {
 
 
 @pytest.mark.parametrize("name", list(CALENDARS))
-def test_grid_text_equals_isoformat(name):
+def test_grid_iso_equals_isoformat(name):
     cal = CALENDARS[name]()
-    assert cal.grid_text == tuple(t.isoformat() for t in cal.grid)
+    assert cal.grid_iso.dtype == np.uint8 and not cal.grid_iso.flags.writeable
+    assert [row.tobytes().decode() for row in cal.grid_iso] == [t.isoformat() for t in cal.grid]
 
 
 def test_calendars_cover_what_they_claim():
@@ -145,7 +153,7 @@ def test_resampled_series_writes_the_calendar_text(tmp_path):
     t_us = (cal.grid_us - 1).ravel()
     prices = np.round(np.linspace(12000.0, 13000.0, len(t_us)), 4)
     series = resample(TickColumns(".N225", t_us, prices), cal)
-    assert series.timestamps is cal.grid_text
+    assert series.grid_iso is cal.grid_iso
     series_to_csv(series, tmp_path / "s.csv")
     series_to_json(series, tmp_path / "s.json")
     rows = [f"{t.isoformat()},{v!r}" for t, v in zip(cal.grid, series.values.tolist())]
@@ -174,8 +182,64 @@ HAND_BUILT_GRIDS = {
 
 
 @pytest.mark.parametrize("name", list(HAND_BUILT_GRIDS))
-def test_hand_built_grid_timestamps_equal_isoformat(name):
+def test_hand_built_grid_writes_isoformat(name, tmp_path):
     grid = HAND_BUILT_GRIDS[name]()
     series = HalfHourSeries("X", grid, np.linspace(100.0, 101.0, len(grid)))
-    assert series.grid_text is None
-    assert series.timestamps == tuple(t.isoformat() for t in grid)
+    assert series.grid_iso is None
+    series_to_csv(series, tmp_path / "s.csv")
+    rows = [f"{t.isoformat()},{v!r}" for t, v in zip(grid, series.values.tolist())]
+    assert (tmp_path / "s.csv").read_text() == "\n".join(["timestamp,value", *rows]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# chunked writers
+
+
+CHUNK = ingest._CHUNK_ROWS
+
+
+def long_calendar() -> TradingCalendar:
+    # more than 2 chunks of grid times
+    return weekday_calendar(dt.date(2001, 1, 2), (2 * CHUNK) // 14 + 2)
+
+
+def mixed_width_grid(n: int) -> tuple[dt.datetime, ...]:
+    # every third time without microseconds, so its text is 7 bytes shorter
+    t0 = dt.datetime(2001, 1, 2, 14, 30, tzinfo=dt.timezone.utc)
+    return tuple(t0 + dt.timedelta(minutes=30 * i, microseconds=250 * (i % 3 != 0)) for i in range(n))
+
+
+def assert_writes_as_oracle(fmt: str, series: HalfHourSeries, tmp_path) -> None:
+    writer, oracle = WRITERS[fmt]
+    writer(series, tmp_path / f"fast.{fmt}")
+    oracle(series, tmp_path / f"oracle.{fmt}")
+    assert (tmp_path / f"fast.{fmt}").read_bytes() == (tmp_path / f"oracle.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", list(WRITERS))
+@pytest.mark.parametrize("text", ["calendar", "per-time"])
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK], ids=["chunk-1", "chunk", "chunk+1", "2chunk"])
+def test_chunk_edges(n, text, fmt, tmp_path):
+    values = np.round(np.linspace(90.0, 130.0, n), 4)
+    if text == "calendar":
+        cal = long_calendar()
+        series = HalfHourSeries("X", cal.grid[:n], values, cal.grid_iso[:n])
+    else:
+        series = HalfHourSeries("X", mixed_width_grid(n), values)
+    assert_writes_as_oracle(fmt, series, tmp_path)
+
+
+@pytest.mark.parametrize("fmt", list(WRITERS))
+def test_repr_fallback_in_first_middle_and_last_chunk(fmt, tmp_path):
+    cal = long_calendar()
+    n = 2 * CHUNK + 5
+    values = np.round(np.linspace(90.0, 130.0, n), 4)
+    values[[3, CHUNK + 7, n - 1]] = [1 / 3, 1.7976931348623157e308, 5e-324]
+    series = HalfHourSeries("X", cal.grid[:n], values, cal.grid_iso[:n])
+    assert_writes_as_oracle(fmt, series, tmp_path)
+
+
+def test_longest_reprs_fill_the_value_width():
+    longest = [-1.7976931348623157e308, -2.2250738585072014e-308, -1.2345678901234567e-100]
+    assert max(map(len, map(repr, longest))) == ingest._VALUE_WIDTH
+    assert_reprs(longest)
