@@ -268,7 +268,6 @@ def _segment_config(args: argparse.Namespace) -> segmenter.SegmentationConfig:
         cutoff=args.cutoff,
         min_segment_len=args.min_seg,
         long_segment_len=args.long_seg,
-        refine_floor=args.refine_floor,
         max_opt_iters=args.max_opt_iters,
     )
 
@@ -564,7 +563,6 @@ def _add_segment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cutoff", type=float, default=10.0)
     p.add_argument("--min-seg", type=int, default=14)
     p.add_argument("--long-seg", type=int, default=1000)
-    p.add_argument("--refine-floor", type=float, default=2.0)
     p.add_argument("--max-opt-iters", type=int, default=100)
     p.add_argument("--no-refine", action="store_true", help="skip long-segment refinement")
 

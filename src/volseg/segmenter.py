@@ -8,9 +8,9 @@ boundary moves.  Recursion stops when no segment offers a split at the
 cutoff.
 
 Segments longer than ``long_segment_len`` can hide internal structure
-behind their context; ``refine_long_segments`` re-segments them at a
-progressively halved local cutoff and keeps any internal boundary
-whose re-optimized divergence clears the original cutoff.
+behind their context; ``refine_long_segments`` re-segments each of them
+once at half the cutoff and keeps any internal boundary whose
+re-optimized divergence clears the original cutoff.
 """
 
 from __future__ import annotations
@@ -61,20 +61,13 @@ class SegmentationConfig:
     cutoff: float = 10.0
     min_segment_len: int = 14  # one trading day
     long_segment_len: int = 1000
-    refine_floor: float = 2.0
     max_opt_iters: int = 100
 
     def __post_init__(self) -> None:
-        # refinement halves the cutoff down to refine_floor: both must be
-        # positive and finite for the halving to end
         if not 0 < self.cutoff < math.inf:
             raise ValueError("cutoff must be positive and finite")
         if self.min_segment_len < 4:
             raise ValueError("min_segment_len must be at least 4")
-        if not self.refine_floor > 0:
-            raise ValueError("refine_floor must be positive")
-        if self.refine_floor > self.cutoff:
-            raise ValueError("refine_floor cannot exceed the cutoff")
 
 
 @dataclass(frozen=True)
@@ -374,14 +367,14 @@ def optimize_boundaries(
 
 
 def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig | None = None) -> SegmentationResult:
-    """Split overly long segments at a progressively lowered cutoff.
+    """Split overly long segments at half the cutoff.
 
-    Each halving step re-segments the long window locally; internal
-    boundaries whose post-optimization divergence clears the original
-    cutoff are kept (flagged ``refined``) and the whole series is then
-    re-optimized.  Segments that never yield such a boundary, even at
-    ``refine_floor``, remain whole.  A result without a long segment is
-    returned as it is, under ``cfg``.
+    Each long window is re-segmented once, locally, at ``cutoff / 2``;
+    internal boundaries whose post-optimization divergence clears the
+    original cutoff are kept (flagged ``refined``) and the whole series
+    is then re-optimized.  Segments that yield no such boundary remain
+    whole.  A result without a long segment is returned as it is, under
+    ``cfg``.
     """
     cfg = cfg or result.config
     if all(seg.length <= cfg.long_segment_len for seg in result.segments):
@@ -423,29 +416,19 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
 
 
 def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> list[int]:
-    """Progressively halve the cutoff inside [a, b) until an internal
-    boundary re-optimizes above the original cutoff; return those."""
-    local_cutoff = cfg.cutoff
-    while local_cutoff > cfg.refine_floor:
-        local_cutoff = max(local_cutoff * 0.5, cfg.refine_floor)
-        sub_bounds, _, _ = _recurse(sc, a, b, local_cutoff, cfg.max_opt_iters)
-        keep = []
-        for k, pos in enumerate(sub_bounds):
-            wa = sub_bounds[k - 1] if k > 0 else a
-            wb = sub_bounds[k + 1] if k + 1 < len(sub_bounds) else b
-            found = sc.scan(wa, wb)
-            if found is not None and found[0] == pos and found[1] > cfg.cutoff:
-                keep.append(pos)
-        if keep:
-            log.info(
-                "refined segment [%d, %d): %d boundary(ies) at local cutoff %.3g",
-                a,
-                b,
-                len(keep),
-                local_cutoff,
-            )
-            return keep
-    return []
+    """Re-segment [a, b) at half the cutoff; return the internal
+    boundaries that re-optimize above the original cutoff."""
+    sub_bounds, _, _ = _recurse(sc, a, b, cfg.cutoff / 2, cfg.max_opt_iters)
+    keep = []
+    for k, pos in enumerate(sub_bounds):
+        wa = sub_bounds[k - 1] if k > 0 else a
+        wb = sub_bounds[k + 1] if k + 1 < len(sub_bounds) else b
+        found = sc.scan(wa, wb)
+        if found is not None and found[0] == pos and found[1] > cfg.cutoff:
+            keep.append(pos)
+    if keep:
+        log.info("refined segment [%d, %d): %d boundary(ies)", a, b, len(keep))
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,14 @@ class TestSegmentCommand:
         cfg.write_text(json.dumps({"cutofff": 5}))
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
 
+    def test_refine_floor_in_config_file_is_unknown_key(self, tmp_path, capsys):
+        # refinement runs one local pass at half the cutoff; no floor is left to set
+        path = self.make_series_file(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"refine_floor": 5}))
+        assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        assert f"volseg: {cfg}: unknown config key 'refine_floor'" in capsys.readouterr().err
+
     def test_config_file_not_an_object_is_data_error_naming_the_file(self, tmp_path, capsys):
         path = self.make_series_file(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -188,12 +196,10 @@ class TestSegmentCommand:
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
         assert f"volseg: {cfg}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--refine-floor", "-1"), ("--refine-floor", "0"), ("--cutoff", "inf")]
-    )
+    @pytest.mark.parametrize("flag, value", [("--cutoff", "inf")])
     def test_refinement_that_cannot_end_is_data_error(self, tmp_path, flag, value):
-        # refinement halves the cutoff down to the floor, which these values
-        # never reach: a child with a timeout keeps a regression from hanging
+        # a cutoff that is not finite is rejected before any scan: a child
+        # with a timeout keeps a regression from hanging
         path = self.make_series_file(tmp_path)
         argv = ["segment", str(path), "--out", str(tmp_path / "o"), "--long-seg", "100", flag, value]
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -427,9 +427,5 @@ class TestResultValidation:
             SegmentationConfig(cutoff=-1.0)
         with pytest.raises(ValueError):
             SegmentationConfig(min_segment_len=2)
-        with pytest.raises(ValueError):
-            SegmentationConfig(refine_floor=50.0)
-        # refinement halves the cutoff down to the floor: these never get there
-        for bad in ({"refine_floor": 0.0}, {"refine_floor": -1.0}, {"refine_floor": math.nan}, {"cutoff": math.inf}):
-            with pytest.raises(ValueError, match="must be positive"):
-                SegmentationConfig(**bad)
+        with pytest.raises(ValueError, match="must be positive"):
+            SegmentationConfig(cutoff=math.inf)

@@ -3,7 +3,8 @@
 ``PrefixSums.scan`` below is the earlier fancy-indexing kernel, and
 ``_Scanner`` through ``_refine_window`` are the earlier segmenter
 internals: every sweep visited every boundary and every recursion round
-rescanned every segment.  The current code scans lean, in place, and
+rescanned every segment.  ``_refine_window`` follows the current rule,
+one local pass at half the cutoff.  The current code scans lean, in place, and
 re-places only boundaries whose window changed; both must give the same
 bits.  The corpora use the 5-level sigma ladder, zero-return stretches
 and long quiet stretches, and ``max_opt_iters`` of 1-3 leaves many runs
@@ -230,13 +231,13 @@ def optimize_boundaries(
 
 
 def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig | None = None) -> SegmentationResult:
-    """Split overly long segments at a progressively lowered cutoff.
+    """Split overly long segments at half the cutoff.
 
-    Each halving step re-segments the long window locally; internal
-    boundaries whose post-optimization divergence clears the original
-    cutoff are kept (flagged ``refined``) and the whole series is then
-    re-optimized.  Segments that never yield such a boundary, even at
-    ``refine_floor``, remain whole.
+    Each long window is re-segmented once, locally, at ``cutoff / 2``;
+    internal boundaries whose post-optimization divergence clears the
+    original cutoff are kept (flagged ``refined``) and the whole series
+    is then re-optimized.  Segments that yield no such boundary remain
+    whole.
     """
     cfg = cfg or result.config
     arr = np.asarray(x, dtype=np.float64)
@@ -276,29 +277,17 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
 
 
 def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> list[int]:
-    """Progressively halve the cutoff inside [a, b) until an internal
-    boundary re-optimizes above the original cutoff; return those."""
-    local_cutoff = cfg.cutoff
-    while local_cutoff > cfg.refine_floor:
-        local_cutoff = max(local_cutoff * 0.5, cfg.refine_floor)
-        sub_bounds, _ = _recurse(sc, a, b, local_cutoff, cfg.max_opt_iters)
-        keep = []
-        for k, pos in enumerate(sub_bounds):
-            wa = sub_bounds[k - 1] if k > 0 else a
-            wb = sub_bounds[k + 1] if k + 1 < len(sub_bounds) else b
-            found = sc.scan(wa, wb)
-            if found is not None and found[0] == pos and found[1] > cfg.cutoff:
-                keep.append(pos)
-        if keep:
-            log.info(
-                "refined segment [%d, %d): %d boundary(ies) at local cutoff %.3g",
-                a,
-                b,
-                len(keep),
-                local_cutoff,
-            )
-            return keep
-    return []
+    """Re-segment [a, b) at half the cutoff; return the internal
+    boundaries that re-optimize above the original cutoff."""
+    sub_bounds, _ = _recurse(sc, a, b, cfg.cutoff / 2, cfg.max_opt_iters)
+    keep = []
+    for k, pos in enumerate(sub_bounds):
+        wa = sub_bounds[k - 1] if k > 0 else a
+        wb = sub_bounds[k + 1] if k + 1 < len(sub_bounds) else b
+        found = sc.scan(wa, wb)
+        if found is not None and found[0] == pos and found[1] > cfg.cutoff:
+            keep.append(pos)
+    return keep
 
 
 # ---------------------------------------------------------------------------
