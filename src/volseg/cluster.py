@@ -41,6 +41,10 @@ VOLATILITY_LABELS = (
     "very high",
     "extremely high",
 )
+# the ladder of 1-3 clusters: a top-k suffix of COLOR_LADDER would label
+# the calm baseline crisis; a second class is "very high", the default
+# shock class, and a third "extremely high"
+_SHORT_LADDER = ("blue", "orange", "red")
 PHASE_BY_COLOR = {
     "black": "growth",
     "blue": "growth",
@@ -490,10 +494,12 @@ def _per_branch_labels(tree: Dendrogram, k: int) -> list[int] | None:
 def assign_phases(assignment: ClusterAssignment) -> ClusterAssignment:
     """Order clusters by mean volatility and label them along the ladder.
 
-    k <= 6 takes the top-k suffix of the ladder (5 clusters: blue..red;
-    6: black..red); a lone cluster is treated as the growth baseline
-    (blue).  Counts outside 4..6 are labeled on a best-effort ladder
-    suffix with a warning.  Volatility ties break by earliest segment.
+    4..6 clusters take the top-k suffix of the ladder (4: green..red;
+    5: blue..red; 6: black..red), and more than 6 pad the bottom with
+    black.  k <= 3 takes the first k of ``_SHORT_LADDER``, so the calmest
+    class is the growth baseline (1 cluster: blue; 2: blue, orange; 3:
+    blue, orange, red).  Counts outside 4..6 carry a warning.
+    Volatility ties break by earliest segment.
     """
     k = assignment.k
     warnings = list(assignment.warnings)
@@ -505,9 +511,10 @@ def assign_phases(assignment: ClusterAssignment) -> ClusterAssignment:
         log.warning("cluster mean volatilities tie; ordering by earliest segment")
     order = sorted(range(k), key=lambda c: (assignment.mean_vol[c], first_member[c]))
 
-    if k == 1:
-        ladder = ("blue",)
-        warnings.append("single cluster: labeled as the growth baseline")
+    if k <= 3:
+        ladder = _SHORT_LADDER[:k]
+        if k == 1:
+            warnings.append("single cluster: labeled as the growth baseline")
     elif k <= 6:
         ladder = COLOR_LADDER[-k:]
     else:

@@ -15,6 +15,8 @@ from volseg import cli, cluster, ingest, segmenter
 from volseg.calendar import TradingCalendar
 from volseg.divergence import VARIANCE_FLOOR, segment_stats
 from volseg.synthetic import (
+    DEMO_SECTORS,
+    demo_sector_pieces,
     levels_from_returns,
     make_demo_corpus,
     regime_returns,
@@ -590,6 +592,32 @@ class TestAnalyzeCommand:
             assert (analysis_dir / name).exists(), name
         shocks = (analysis_dir / "shocks.csv").read_text().splitlines()
         assert len(shocks) > 1  # every demo sector carries at least one shock
+
+
+class TestPhaseLabelsOnDemoCorpus:
+    def test_calm_stretches_and_shock_windows_keep_their_meaning(self, tmp_path):
+        # the unmodified demo corpus: calm stretches with two volatility
+        # shocks per sector, checked against the planted layout
+        paths = make_demo_corpus(tmp_path / "corpus")
+        out = tmp_path / "run"
+        argv = ["pipeline", *(str(paths[s]) for s in DEMO_SECTORS), "--out", str(out)]
+        assert run([*argv, "--holidays", str(paths["holidays"]), "--events", str(paths["events"])]) == 0
+        margin = 14  # one trading day either side of a planted edge
+        for i, sector in enumerate(DEMO_SECTORS):
+            rows = json.loads((out / "segments" / f"{sector}.json").read_text())["rows"]
+            assignment = (out / "clusters" / f"{sector}.assignment.csv").read_text().splitlines()
+            phases = [r["phase"] for r in csv.DictReader(assignment)]
+            phase_at = np.empty(rows[-1]["end"], dtype=object)
+            for row, phase in zip(rows, phases):
+                phase_at[row["start"] - 1 : row["end"]] = phase
+            start = 0
+            for k, (length, _, _) in enumerate(demo_sector_pieces(i, 120)):
+                inside = set(phase_at[start + margin : start + length - margin])
+                start += length
+                if k % 2:  # a shock window
+                    assert "growth" not in inside, (sector, k, inside)
+                else:  # a calm stretch
+                    assert not inside & {"crisis", "crash"}, (sector, k, inside)
 
 
 class TestAnalyzeGrid:

@@ -454,7 +454,7 @@ class TestAssignPhases:
             policy="uniform-threshold",
         )
         out = assign_phases(asg)
-        assert out.colors[0] == "orange" and out.colors[1] == "red"
+        assert out.colors[0] == "blue" and out.colors[1] == "orange"
         assert any("tie" in w for w in out.warnings)
 
     def test_more_than_six_clusters_clamped(self):
