@@ -288,7 +288,7 @@ def _segment(
         raise DataError(f"{source}: {exc}") from exc
     rows = segmenter.emit_segment_table(result, series.grid)
     segmenter.write_segment_csv(rows, seg_dir / f"{series.sector}.csv")
-    segmenter.write_segment_json(rows, seg_dir / f"{series.sector}.json", series.sector, cfg)
+    segmenter.write_segment_json(rows, seg_dir / f"{series.sector}.json", series.sector, cfg, result.converged)
     print(f"{series.sector}: {len(result.segments)} segments")
     return rows
 

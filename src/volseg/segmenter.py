@@ -484,8 +484,13 @@ def write_segment_json(
     path: str | Path,
     sector: str = "",
     config: SegmentationConfig | None = None,
+    converged: bool | None = None,
 ) -> None:
+    """The table as JSON, with the configuration and the result's
+    ``converged`` flag when given."""
     payload: dict[str, object] = {"sector": sector, "rows": rows}
     if config is not None:
         payload["config"] = asdict(config)
+    if converged is not None:
+        payload["converged"] = converged
     write_json(path, payload)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import weekday_calendar
+from test_segmenter_oracle import ladder_corpus
 from volseg import cli, cluster, ingest, segmenter
 from volseg.calendar import TradingCalendar
 from volseg.divergence import VARIANCE_FLOOR, segment_stats
@@ -182,6 +183,18 @@ class TestSegmentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cutofff": 5}))
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("max_opt_iters, converged", [("1", False), ("100", True)])
+    def test_table_records_whether_optimization_converged(self, tmp_path, max_opt_iters, converged):
+        # a ladder window on which one optimization sweep per round runs out
+        x = ladder_corpus(39, n=1470)
+        grid = weekday_calendar(dt.date(2005, 1, 3), 106).grid[: x.size + 1]
+        path = tmp_path / "ZZ.json"
+        ingest.series_to_json(ingest.HalfHourSeries("ZZ", grid, levels_from_returns(x)), path)
+        out = tmp_path / "o"
+        argv = ["segment", str(path), "--out", str(out), "--cutoff", "5", "--min-seg", "4"]
+        assert run([*argv, "--max-opt-iters", max_opt_iters]) == 0
+        assert json.loads((out / "segments" / "ZZ.json").read_text())["converged"] is converged
 
     def test_refine_floor_in_config_file_is_unknown_key(self, tmp_path, capsys):
         # refinement runs one local pass at half the cutoff; no floor is left to set
