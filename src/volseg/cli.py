@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -283,7 +284,13 @@ def _segment(
         returns = ingest.log_returns(series)
         result = segmenter.recursive_segment(returns.x, cfg)
         if not args.no_refine:
+            start = time.perf_counter()
             result = segmenter.refine_long_segments(returns.x, result, cfg)
+            # wall time is not deterministic: it goes to the log, never to --out
+            log.debug(
+                "%s: refinement: %d long window(s), %d scan(s), %.4f s", series.sector,
+                result.refine_windows, result.refine_scans, time.perf_counter() - start,
+            )
     except ValueError as exc:
         raise DataError(f"{source}: {exc}") from exc
     rows = segmenter.emit_segment_table(result, series.grid)

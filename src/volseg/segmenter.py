@@ -19,7 +19,7 @@ import datetime as dt
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Sequence
@@ -90,6 +90,10 @@ class SegmentationResult:
     flags: tuple[str, ...]  # automatic | refined, aligned with boundaries
     config: SegmentationConfig
     converged: bool = True
+    # the work refine_long_segments did: long windows re-segmented and
+    # divergence scans made; not part of the result's value
+    refine_windows: int = field(default=0, compare=False)
+    refine_scans: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.boundaries) != len(self.segments) - 1:
@@ -412,7 +416,8 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
             include_refined=True,
         )
 
-    return _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
+    result = _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
+    return replace(result, refine_windows=len(attempted), refine_scans=len(sc._cache))
 
 
 def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> list[int]:

@@ -3,6 +3,7 @@ import datetime as dt
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -800,6 +801,28 @@ class TestPipelineComposition:
             for line in (out / "analysis" / "plotdata.csv").read_text().splitlines()[1:]
         }
         assert plotted == set(manifest) == {"BM"}
+
+
+    def test_verbose_logs_refinement_work_per_sector_and_writes_the_same_files(self, corpus, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["pipeline", *corpus["ticks"], "--holidays", corpus["holidays"], "--long-seg", "100"]
+        stderr = {}
+        for name, extra in (("quiet", []), ("verbose", ["--verbose"])):
+            proc = subprocess.run(
+                [sys.executable, "-m", "volseg.cli", *argv, "--out", str(tmp_path / name), *extra],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            stderr[name] = [line for line in proc.stderr.splitlines() if ": refinement: " in line]
+        assert stderr["quiet"] == []
+        pattern = r"DEBUG \S+: (\w+): refinement: (\d+) long window\(s\), (\d+) scan\(s\), \d+\.\d{4} s"
+        found = [re.fullmatch(pattern, line) for line in stderr["verbose"]]
+        assert all(found), stderr["verbose"]
+        assert [m[1] for m in found] == ["BM", "CY", "EN"]
+        assert all(int(m[2]) >= 1 and int(m[3]) >= int(m[2]) for m in found)
+        # the timings stay out of the output directory
+        assert artifact_tree(tmp_path / "verbose") == artifact_tree(tmp_path / "quiet")
 
 
 class TestOutsideFileValues:
