@@ -416,8 +416,8 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
             include_refined=True,
         )
 
-    result = _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
-    return replace(result, refine_windows=len(attempted), refine_scans=len(sc._cache))
+    refined = _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
+    return replace(refined, refine_windows=len(attempted), refine_scans=len(sc._cache))
 
 
 def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> list[int]:

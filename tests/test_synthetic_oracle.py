@@ -264,9 +264,10 @@ def test_demo_corpus_file_by_file(tmp_path, n_sectors, n_days, seed):
 @pytest.mark.parametrize("n_days, ticks_per_half_hour", [(120, 3), (2254, 1)], ids=["demo", "paper"])
 def test_peak_memory_is_no_higher_than_the_per_tick_writer(tmp_path, paper_calendar, n_days, ticks_per_half_hour):
     # the paper length runs at one tick per half hour, which keeps both
-    # writers to a few seconds under tracemalloc.  Peaks measured: 1.06 MB
-    # (per-tick) and 0.37 MB (blocks) at 120 days; 6.9 and 0.15 MB at 2,254
-    # days; 19.9 and 0.39 MB at 2,254 days and three ticks
+    # writers to a few seconds under tracemalloc.  Peaks measured with the
+    # writer's 32-day blocks: 1.08 MB (per-tick) and 0.41 MB (blocks) at 120
+    # days; 6.9 and 0.74 MB at 2,254 days; 19.9 and 0.74 MB at 2,254 days
+    # and three ticks
     cal = paper_calendar if n_days == 2254 else demo_calendar(n_days)
     cal.grid  # noqa: B018 -- built outside the measurement
     levels = random_levels(len(cal), 21)
