@@ -11,10 +11,16 @@ The pipeline runs in four stages, each usable on its own:
 ``volseg.cli`` wires the stages into a command-line tool.
 
 The names in ``__all__`` load their home module on first use (PEP 562),
-so ``import volseg`` loads no submodule and no numpy.
+so ``import volseg`` loads no submodule and no numpy.  The submodules bind
+numpy (and ``calendar`` zoneinfo) through ``_lazy``, so importing them
+executes neither: ``volseg analyze`` never loads numpy, and ``segment``
+and ``cluster`` never load a time zone.
 """
 
 import importlib
+import importlib.util
+import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -53,6 +59,27 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value  # later lookups skip this hook
     return value
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """Module ``name``: the loaded one if there is one, else a module that
+    executes on first attribute access (``importlib.util.LazyLoader``).
+
+    A module that cannot be found raises ``ModuleNotFoundError`` here, as
+    ``import name`` would, and so does a ``None`` entry in ``sys.modules``."""
+    if name in sys.modules:  # read directly: the import system would execute a lazy entry
+        module = sys.modules[name]
+        if module is None:
+            raise ModuleNotFoundError(f"import of {name} halted; None in sys.modules", name=name)
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def __dir__() -> list[str]:

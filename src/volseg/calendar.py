@@ -12,11 +12,13 @@ from __future__ import annotations
 import bisect
 import datetime as dt
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
-import numpy as np
+from . import _lazy
+
+np = _lazy("numpy")
+zoneinfo = _lazy("zoneinfo")
 
 EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 MICROSECOND = dt.timedelta(microseconds=1)
@@ -50,7 +52,10 @@ def _iso_dates(first_day: int, last_day: int) -> np.ndarray:
     return iso.astype("S10").view(np.uint8).reshape(-1, 10)
 
 
-_TWO_DIGITS = _words(_digits(2))
+@cache
+def _two_digits() -> np.ndarray:
+    """Every number below 100 as two ASCII digits, one void item each."""
+    return _words(_digits(2))
 
 
 def _weekdays(start: dt.date, end: dt.date) -> list[dt.date]:
@@ -103,8 +108,8 @@ class TradingCalendar:
         if any(b <= a for a, b in zip(self.days, self.days[1:])):
             raise ValueError("trading days must be strictly increasing")
         try:
-            ZoneInfo(self.tz)
-        except (ValueError, ZoneInfoNotFoundError) as exc:
+            zoneinfo.ZoneInfo(self.tz)
+        except (ValueError, zoneinfo.ZoneInfoNotFoundError) as exc:
             raise ValueError(f"unknown time zone {self.tz!r}") from exc
 
     @classmethod
@@ -125,8 +130,8 @@ class TradingCalendar:
         return cls(days, samples_per_day, open_local, tz)
 
     @cached_property
-    def _zone(self) -> ZoneInfo:
-        return ZoneInfo(self.tz)
+    def _zone(self) -> zoneinfo.ZoneInfo:
+        return zoneinfo.ZoneInfo(self.tz)
 
     def session_open(self, day: dt.date) -> dt.datetime:
         local = dt.datetime.combine(day, self.open_local, tzinfo=self._zone)
@@ -163,11 +168,12 @@ class TradingCalendar:
         out[:] = np.frombuffer(template, dtype=np.uint8)
         first = int(day[0])
         _field(out, 0, 10)[...] = _words(_iso_dates(first, int(day[-1])))[day - first]
+        two_digits = _two_digits()
         for col, value in ((11, hour), (14, minute), (17, second)):
-            _field(out, col, 2)[...] = _TWO_DIGITS[value]
+            _field(out, col, 2)[...] = two_digits[value]
         if fraction:
             for col, value in ((20, micro // 10_000), (22, micro // 100 % 100), (24, micro % 100)):
-                _field(out, col, 2)[...] = _TWO_DIGITS[value]
+                _field(out, col, 2)[...] = two_digits[value]
         out.flags.writeable = False
         return out
 

@@ -19,16 +19,15 @@ from pathlib import Path
 from typing import Sequence
 
 # volseg makes no BLAS call, so numpy's OpenBLAS needs no worker threads:
-# an idle pool costs CPU time in every process.  Set before the first
-# import that loads numpy; a value the user set wins.
+# an idle pool costs CPU time in every process.  Set before numpy first
+# executes; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from . import analysis, artifacts, cluster, ingest, segmenter
+from . import _lazy, analysis, artifacts, cluster, ingest, segmenter
 from .calendar import HALF_HOUR, MICROSECOND, TradingCalendar, load_holidays
 from .divergence import VARIANCE_FLOOR, Boundary, SegmentStats
 
+np = _lazy("numpy")
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0

@@ -25,11 +25,11 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from . import _lazy
 from .artifacts import write_csv, write_json
 from .divergence import VARIANCE_FLOOR, SegmentStats
 
+np = _lazy("numpy")
 log = logging.getLogger(__name__)
 
 COLOR_LADDER = ("black", "blue", "green", "yellow", "orange", "red")

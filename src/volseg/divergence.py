@@ -29,7 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import _lazy
+
+np = _lazy("numpy")
 
 # variances at or below this are treated as degenerate rather than
 # producing huge or infinite log terms

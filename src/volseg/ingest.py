@@ -26,14 +26,15 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
-import numpy as np
-
+from . import _lazy
 from .artifacts import write_csv
 from .calendar import EPOCH, MICROSECOND, TradingCalendar
 
+np = _lazy("numpy")
 log = logging.getLogger(__name__)
 
 TICK_HEADER = "#RIC,Date[G],Time[G],GMT Offset,Type,Price"
@@ -77,11 +78,16 @@ def sector_from_ric(ric: str) -> str:
 # power of ten, so one IEEE division rounds it exactly as float() does.
 _MAX_PRICE_DIGITS = 15
 _MAX_PRICE_LEN = _MAX_PRICE_DIGITS + 1  # with the decimal point
-_POW10 = 10.0 ** np.arange(_MAX_PRICE_DIGITS + 1)
 _MAX_OFFSET_LEN = 3
 _PAD = _MAX_PRICE_LEN  # zero bytes after the text, so field windows never index past it
 # Characters read per block: a block's per-row temporaries stay within L2.
 _BLOCK_CHARS = 1 << 18
+
+
+@cache
+def _pow10() -> np.ndarray:
+    """``10.0 ** i`` for every count ``i`` of fractional digits."""
+    return 10.0 ** np.arange(_MAX_PRICE_DIGITS + 1)
 
 
 def _parse_row(lineno: int, line: str) -> tuple[str, int, float] | RejectedRow | None:
@@ -126,8 +132,10 @@ def _digits(buf: np.ndarray, pos: np.ndarray, width: int) -> tuple[np.ndarray, n
     return value, ok
 
 
-# Days in each month of a common year, with no days in months 0 and 13.
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+@cache
+def _month_days() -> np.ndarray:
+    """Days in each month of a common year, with no days in months 0 and 13."""
+    return np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
 
 def _civil_days(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +145,7 @@ def _civil_days(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> tuple[n
     The count is Hinnant's ``days_from_civil``: years start in March, so
     the leap day ends one; each 400-year era holds 146,097 days."""
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
+    month_days = _month_days()[np.minimum(month, 13)] + (leap & (month == 2))
     ok = (year >= 1) & (day >= 1) & (day <= month_days)
     y = year - (month <= 2)
     era = y // 400
@@ -200,7 +208,7 @@ def _decode_prices(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> tu
     ok &= (dots <= 1) & (length - dots <= _MAX_PRICE_DIGITS) & (mantissa > 0)
     ok &= ~has_dot | ((dot_at > 0) & (dot_at < length - 1))
     frac_digits = np.where(ok & has_dot, length - 1 - dot_at, 0)
-    return mantissa / _POW10[frac_digits], ok
+    return mantissa / _pow10()[frac_digits], ok
 
 
 def _line_blocks(stream: TextIO) -> Iterator[str]:
@@ -455,31 +463,37 @@ _FIXED_MIN, _FIXED_MAX = 1e-4, 1e9
 _VALUE_WIDTH = 24
 
 
-_K = np.arange(1000)
-
-
-def _digit_words(shown: Sequence[np.ndarray | bool], end: str) -> np.ndarray:
-    """Each 3-digit group 000-999 as one 4-byte word: its digits where
-    ``shown`` (one mask per digit, the most significant first), NUL bytes
-    elsewhere, then ``end``."""
+def _digit_words(k: np.ndarray, shown: Sequence[np.ndarray | bool], end: str) -> np.ndarray:
+    """Each 3-digit group ``k`` = 000-999 as one 4-byte word: its digits
+    where ``shown`` (one mask per digit, the most significant first), NUL
+    bytes elsewhere, then ``end``."""
     text = np.zeros((1000, 4), dtype=np.uint8)
-    for j, (digit, show) in enumerate(zip((_K // 100, _K // 10 % 10, _K % 10), shown)):
+    for j, (digit, show) in enumerate(zip((k // 100, k // 10 % 10, k % 10), shown)):
         text[:, j] = np.where(show, ord("0") + digit, 0)
     text[:, 3] = ord(end)
     return text.view(np.uint32).ravel()
 
 
-# A value's text is five words, m's 3-digit groups from the most
-# significant: three integer groups, the last ending in ".", then two
-# fractional groups.  The tables write leading integer zeros (but the
-# units digit) and trailing fractional zeros (but the first fractional
-# digit) as NUL bytes, which are then deleted.
-_ALL = (True, True, True)
-_FULL, _FULL_DOT = _digit_words(_ALL, "\0"), _digit_words(_ALL, ".")
-_NO_LEAD = _digit_words((_K >= 100, _K >= 10, _K >= 1), "\0")
-_UNITS_DOT = _digit_words((_K >= 100, _K >= 10, True), ".")
-_FIRST_FRAC = _digit_words((True, _K % 100 != 0, _K % 10 != 0), "\0")
-_LAST_FRAC = _digit_words((_K != 0, _K % 100 != 0, _K % 10 != 0), "\0")
+@cache
+def _value_words() -> tuple[np.ndarray, ...]:
+    """The word tables of a value's text: full, full_dot, no_lead,
+    units_dot, first_frac and last_frac.
+
+    A value's text is five words, m's 3-digit groups from the most
+    significant: three integer groups, the last ending in ".", then two
+    fractional groups.  The tables write leading integer zeros (but the
+    units digit) and trailing fractional zeros (but the first fractional
+    digit) as NUL bytes, which are then deleted."""
+    k = np.arange(1000)
+    every = (True, True, True)
+    return (
+        _digit_words(k, every, "\0"),
+        _digit_words(k, every, "."),
+        _digit_words(k, (k >= 100, k >= 10, k >= 1), "\0"),
+        _digit_words(k, (k >= 100, k >= 10, True), "."),
+        _digit_words(k, (True, k % 100 != 0, k % 10 != 0), "\0"),
+        _digit_words(k, (k != 0, k % 100 != 0, k % 10 != 0), "\0"),
+    )
 
 
 def _render_values(values: np.ndarray) -> np.ndarray:
@@ -495,12 +509,13 @@ def _render_values(values: np.ndarray) -> np.ndarray:
         m, group = np.divmod(m, 1000)
         groups.append(group)
     frac0, frac1, int0, int1 = groups
+    full, full_dot, no_lead, units_dot, first_frac, last_frac = _value_words()
     words = np.zeros((len(values), _VALUE_WIDTH // 4), dtype=np.uint32)
-    words[:, 0] = _NO_LEAD[m]
-    words[:, 1] = np.where(m != 0, _FULL[int1], _NO_LEAD[int1])
-    words[:, 2] = np.where((m | int1) != 0, _FULL_DOT[int0], _UNITS_DOT[int0])
-    words[:, 3] = np.where(frac0 != 0, _FULL[frac1], _FIRST_FRAC[frac1])
-    words[:, 4] = _LAST_FRAC[frac0]
+    words[:, 0] = no_lead[m]
+    words[:, 1] = np.where(m != 0, full[int1], no_lead[int1])
+    words[:, 2] = np.where((m | int1) != 0, full_dot[int0], units_dot[int0])
+    words[:, 3] = np.where(frac0 != 0, full[frac1], first_frac[frac1])
+    words[:, 4] = last_frac[frac0]
     text = words.view(np.uint8)
     other = np.flatnonzero(~fixed)
     text.view(f"S{_VALUE_WIDTH}")[other, 0] = [repr(v).encode() for v in values[other].tolist()]

@@ -24,8 +24,7 @@ from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
+from . import _lazy
 from .artifacts import write_csv, write_json
 from .divergence import (
     Boundary,
@@ -35,6 +34,7 @@ from .divergence import (
     delta_error,
 )
 
+np = _lazy("numpy")
 log = logging.getLogger(__name__)
 
 FLAG_AUTOMATIC = "automatic"

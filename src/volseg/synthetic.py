@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .calendar import (
-    _TWO_DIGITS, DEFAULT_SAMPLES_PER_DAY, MICROSECOND, TradingCalendar, _digits, _field, _iso_dates, _words
+    DEFAULT_SAMPLES_PER_DAY, MICROSECOND, TradingCalendar, _digits, _field, _iso_dates, _two_digits, _words
 )
 
 DEMO_SECTORS = ("BM", "CY", "EN", "FN", "HC", "IN", "NC", "TC", "TL", "UT")
@@ -185,9 +185,10 @@ def _tick_rows(head: bytes, first_day: int, dates: np.ndarray, t_us: np.ndarray,
     minute, s = np.divmod(sec, 60)
     h, minute = np.divmod(minute, 60)
     col += 11
-    _field(rows, col, 2)[...] = _TWO_DIGITS[h]
-    _field(rows, col + 3, 2)[...] = _TWO_DIGITS[minute]
-    _field(rows, col + 6, 2)[...] = _TWO_DIGITS[s]
+    two_digits = _two_digits()
+    _field(rows, col, 2)[...] = two_digits[h]
+    _field(rows, col + 3, 2)[...] = two_digits[minute]
+    _field(rows, col + 6, 2)[...] = two_digits[s]
     _field(rows, col + 9, 3)[...] = _THREE_DIGITS[ms]
     col += 22
     with np.errstate(invalid="ignore", over="ignore"):

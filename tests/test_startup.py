@@ -2,9 +2,15 @@
 
 - ``import volseg`` loads no submodule and no numpy; each exported name
   loads its home module on first use.
+- ``import volseg.cli`` loads every CLI module but executes neither numpy
+  nor zoneinfo: both are bound through ``volseg._lazy`` and execute on
+  first use.  ``analyze``, ``--help`` and usage or data-error exits never
+  load numpy, and ``segment`` and ``cluster`` never load a time zone.  A
+  missing numpy still fails at ``import volseg.cli``.
 - ``volseg.cli`` sets ``OPENBLAS_NUM_THREADS=1`` unless the user set it,
-  so numpy starts no idle BLAS worker threads.  The premise, that volseg
-  makes no BLAS call, is checked on the source with ``ast``.
+  so numpy starts no idle BLAS worker threads when it loads.  The
+  premise, that volseg makes no BLAS call, is checked on the source with
+  ``ast``.
 - ``python -m volseg.cli`` ends through ``cli.console_main``, which skips
   interpreter teardown; its output equals that of ``cli.main`` in process.
 
@@ -12,6 +18,7 @@ What a fresh interpreter loads is checked in child processes.
 """
 
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -26,6 +33,7 @@ from volseg.synthetic import make_demo_corpus
 
 SRC = Path(volseg.__file__).resolve().parent
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+CLI_MODULES = ("calendar", "divergence", "ingest", "segmenter", "cluster", "analysis", "cli")
 
 
 def child_env(**overrides: str | None) -> dict[str, str]:
@@ -84,6 +92,139 @@ class TestLazyPackage:
 
 
 # ---------------------------------------------------------------------------
+# numpy and zoneinfo execute on first use
+
+# a list of the numpy and time-zone modules a child has executed; the lazy
+# ``numpy`` and ``zoneinfo`` entries themselves are there from the import on
+EXECUTED = (
+    "sorted(m for m in sys.modules if m.startswith(('numpy.', 'zoneinfo.')) or m == '_zoneinfo')"
+)
+
+
+def numpy_of(modules: list[str]) -> list[str]:
+    return [m for m in modules if m.startswith("numpy.")]
+
+
+def zoneinfo_of(modules: list[str]) -> list[str]:
+    return [m for m in modules if m.startswith("zoneinfo.") or m == "_zoneinfo"]
+
+
+class TestLazyNumpy:
+    def test_cli_import_loads_every_module_but_executes_no_numpy_or_zoneinfo(self):
+        code = (
+            "import sys, volseg.cli\n"
+            f"print(all('volseg.' + name in sys.modules for name in {CLI_MODULES!r}))\n"
+            f"print({EXECUTED})\n"
+        )
+        assert stdout_of(code) == "True\n[]\n"
+
+    def test_first_use_executes_the_module(self):
+        code = (
+            "import sys, volseg.cli as c\n"
+            "import numpy\n"
+            "print(c.np is numpy is sys.modules['numpy'], c.np.zeros(2).tolist())\n"
+            "print(c.TradingCalendar((c.dt.date(2008, 3, 10),))[0])\n"
+            f"print({EXECUTED})\n"
+        )
+        first, second, modules = stdout_of(code).splitlines()
+        assert (first, second) == ("True [0.0, 0.0]", "2008-03-10 13:30:00+00:00")
+        modules = ast.literal_eval(modules)
+        assert numpy_of(modules) != [] and zoneinfo_of(modules) != []
+
+    def test_lazy_returns_a_loaded_module_as_it_is(self):
+        assert volseg._lazy("json") is json
+        assert volseg._lazy("numpy") is sys.modules["numpy"]
+
+    def test_lazy_missing_module_fails_at_once(self):
+        with pytest.raises(ModuleNotFoundError, match="no_such_module_here") as info:
+            volseg._lazy("no_such_module_here")
+        assert info.value.name == "no_such_module_here"
+
+    def test_blocked_numpy_fails_at_cli_import(self):
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "try:\n"
+            "    import volseg.cli\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print(exc.name, exc)\n"
+        )
+        assert stdout_of(code) == "numpy import of numpy halted; None in sys.modules\n"
+
+    def test_missing_numpy_fails_at_cli_import(self):
+        # without the site directories, where numpy is installed
+        if python("-S", "-c", "import numpy").returncode == 0:
+            pytest.skip("numpy is importable without site-packages")
+        proc = python("-S", "-c", "import volseg.cli")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    """A pipeline run's inputs and output directory."""
+    root = tmp_path_factory.mktemp("lazy")
+    paths = make_demo_corpus(root / "corpus", sectors=("BM", "CY"), n_days=60, seed=11)
+    out = root / "out"
+    argv = [
+        "pipeline", str(paths["BM"]), str(paths["CY"]), "--out", str(out),
+        "--holidays", str(paths["holidays"]), "--events", str(paths["events"]),
+    ]
+    assert cli.main(argv) == 0
+    return paths, out
+
+
+def run_and_list(*argv: str) -> tuple[int, list[str]]:
+    """``cli.main(argv)`` in a child: its exit code and the numpy and
+    time-zone modules executed by its end."""
+    code = f"import sys, volseg.cli\nrc = volseg.cli.main(sys.argv[1:])\nprint(rc, {EXECUTED})\n"
+    proc = python("-c", code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+    return int(rc), ast.literal_eval(modules)
+
+
+def test_analyze_loads_no_numpy(pipeline_out, tmp_path):
+    paths, out = pipeline_out
+    rc, modules = run_and_list(
+        "analyze", "--segments", *sorted(map(str, (out / "segments").glob("*.json"))),
+        "--assignments-dir", str(out / "clusters"), "--calendar", str(out / "calendar.json"),
+        "--events", str(paths["events"]), "--out", str(tmp_path),
+    )
+    assert rc == 0
+    assert numpy_of(modules) == []
+    assert zoneinfo_of(modules) != []  # the calendar's time zone is resolved
+    assert tree_of(tmp_path / "analysis") == tree_of(out / "analysis")
+
+
+def test_segment_and_cluster_load_no_time_zone(pipeline_out, tmp_path):
+    _, out = pipeline_out
+    series = sorted(map(str, (out / "series").glob("*.json")))
+    rc, modules = run_and_list("segment", *series, "--out", str(tmp_path))
+    assert rc == 0 and numpy_of(modules) != []
+    assert zoneinfo_of(modules) == []
+    assert tree_of(tmp_path / "segments") == tree_of(out / "segments")
+
+    tables = sorted(map(str, (tmp_path / "segments").glob("*.json")))
+    rc, modules = run_and_list("cluster", *tables, "--out", str(tmp_path))
+    assert rc == 0 and numpy_of(modules) != []
+    assert zoneinfo_of(modules) == []
+    assert tree_of(tmp_path / "clusters") == tree_of(out / "clusters")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["segment", "--help"], 0), (["bogus"], 1), (["segment", "--cutoff", "x"], 1),
+     (["segment", "no-such-series.json", "--out", "unused"], 2)],
+    ids=["help", "command-help", "usage", "bad-value", "data-error"],
+)
+def test_early_exits_load_no_numpy(argv, code):
+    rc, modules = run_and_list(*argv)
+    assert rc == code
+    assert modules == []
+
+
+# ---------------------------------------------------------------------------
 # the BLAS thread default
 
 BLAS_FUNCTIONS = {
@@ -93,14 +234,17 @@ BLAS_FUNCTIONS = {
 
 
 def blas_calls(tree: ast.Module) -> list[str]:
-    """Uses of BLAS-backed numpy functions: attributes of a numpy alias,
-    names imported from numpy, any ``.dot`` or ``.linalg``, and ``@``."""
+    """Uses of BLAS-backed numpy functions: attributes of a numpy alias
+    (imported, or bound by ``_lazy("numpy")``), names imported from numpy,
+    any ``.dot`` or ``.linalg``, and ``@``."""
     aliases = {"numpy"}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             aliases.update(a.asname or a.name for a in node.names if a.name == "numpy")
             found += [f"import {a.name}" for a in node.names if a.name.startswith("numpy.linalg")]
+        elif isinstance(node, ast.Assign) and ast.unparse(node.value) == "_lazy('numpy')":
+            aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
     for node in ast.walk(tree):
         line = getattr(node, "lineno", 0)
         if isinstance(node, ast.Attribute) and node.attr in BLAS_FUNCTIONS:
@@ -134,10 +278,19 @@ def test_blas_guard_sees_every_form():
     )
     assert len(blas_calls(tree)) == 11
     assert blas_calls(ast.parse("import numpy as np\nx = np.add.outer(a, b) @ 1")) == ["line 2: @"]
+    assert blas_calls(ast.parse('xp = _lazy("numpy")\ny = xp.cov(x)\nz = np.cov(x)')) == ["line 2: .cov"]
 
 
 def threads_after_import(**env: str | None) -> tuple[str, int]:
-    code = "import os, volseg.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+    """OPENBLAS_NUM_THREADS and the thread count once ``import volseg.cli``
+    has run and numpy has then executed, as a command's first array does."""
+    code = (
+        "import os, sys, volseg.cli\n"
+        "import numpy\n"
+        "numpy.zeros(1)\n"
+        "assert any(m.startswith('numpy.') for m in sys.modules)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+    )
     value, threads = stdout_of(code, **env).split()
     return value, int(threads)
 
