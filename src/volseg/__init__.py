@@ -14,7 +14,11 @@ The names in ``__all__`` load their home module on first use (PEP 562),
 so ``import volseg`` loads no submodule and no numpy.  The submodules bind
 numpy (and ``calendar`` zoneinfo) through ``_lazy``, so importing them
 executes neither: ``volseg analyze`` never loads numpy, and ``segment``
-and ``cluster`` never load a time zone.
+and ``cluster`` never load a time zone.  ``volseg.cli`` binds the four
+stage modules the same way, so each command executes only the stages it
+runs: ``segment`` executes ``ingest`` and ``segmenter``, ``cluster``
+executes ``segmenter`` and ``cluster``, ``analyze`` executes
+``segmenter``, ``cluster`` and ``analysis``, and ``--help`` none.
 """
 
 import importlib
@@ -64,6 +68,7 @@ def __getattr__(name: str):
 def _lazy(name: str) -> types.ModuleType:
     """Module ``name``: the loaded one if there is one, else a module that
     executes on first attribute access (``importlib.util.LazyLoader``).
+    A submodule is bound on its package at once, as ``import`` binds it.
 
     A module that cannot be found raises ``ModuleNotFoundError`` here, as
     ``import name`` would, and so does a ``None`` entry in ``sys.modules``."""
@@ -79,6 +84,9 @@ def _lazy(name: str) -> types.ModuleType:
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:  # bound on its package, as ``import name`` does
+        setattr(sys.modules[parent], child, module)
     return module
 
 

@@ -23,10 +23,15 @@ from typing import Sequence
 # executes; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import _lazy, analysis, artifacts, cluster, ingest, segmenter
+from . import _lazy, artifacts
 from .calendar import HALF_HOUR, MICROSECOND, TradingCalendar, load_holidays
 from .divergence import VARIANCE_FLOOR, Boundary, SegmentStats
 
+# the stages execute on first use, so each command executes only its own
+ingest = _lazy("volseg.ingest")
+segmenter = _lazy("volseg.segmenter")
+cluster = _lazy("volseg.cluster")
+analysis = _lazy("volseg.analysis")
 np = _lazy("numpy")
 log = logging.getLogger(__name__)
 
@@ -178,12 +183,31 @@ def _hold(sources: dict[str, Path], sector: str, path: Path) -> None:
     sources[sector] = path
 
 
+# the least value of each integer option whose limits do not depend on the data
+_AT_LEAST = {
+    "samples_per_day": 1, "pre_open_grace_min": 0, "max_opt_iters": 0, "k_min": 1, "min_run_days": 1,
+    "match_window_days": 0, "event_window_days": 0, "anticipation_days": 0,
+}
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Raise a data error naming the option and its range when an option
+    of the command lies outside the limits that hold whatever the data.
+    The limits the calendar sets are checked in ``_ingest`` once it is built."""
+    given = vars(args)
+    for dest, least in _AT_LEAST.items():
+        if dest in given and given[dest] < least:
+            raise DataError(f"--{dest.replace('_', '-')} {given[dest]} is out of range: it must be at least {least}")
+    if "k_max" in given and args.k_max < args.k_min:
+        raise DataError(f"--k-max {args.k_max} is out of range: it must be at least --k-min ({args.k_min})")
+    if "predominance" in given and not 0 < args.predominance <= 1:
+        raise DataError(
+            f"--predominance {args.predominance} is out of range: it must be greater than 0 and at most 1"
+        )
+
+
 def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.HalfHourSeries]]:
     """Resample every tick file and write the series; returns the calendar and the series, sorted by sector."""
-    if args.samples_per_day < 1:
-        raise DataError(f"--samples-per-day {args.samples_per_day} is out of range: it must be at least 1")
-    if args.pre_open_grace_min < 0:
-        raise DataError(f"--pre-open-grace-min {args.pre_open_grace_min} is out of range: it must be at least 0")
     outdir = Path(args.out)
     series_dir = outdir / "series"
     manifest: dict[str, dict] = {}
@@ -646,6 +670,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _check_ranges(args)
         return args.func(args)
     except (DataError, ValueError, OSError) as exc:
         print(f"volseg: {exc}", file=sys.stderr)

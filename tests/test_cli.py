@@ -926,6 +926,79 @@ class TestIngestOptionRanges:
         assert capsys.readouterr().err == f"volseg: {message}\n"
 
 
+@pytest.fixture(scope="module")
+def one_sector_run(one_sector, tmp_path_factory):
+    """A pipeline run of ``one_sector``: the inputs of each later step."""
+    out = tmp_path_factory.mktemp("one_run")
+    assert run(["pipeline", *one_sector, "--out", str(out)]) == 0
+    return out
+
+
+def stage_inputs(command: str, one_sector: list[str], out: Path) -> list[str]:
+    tables = [str(out / "segments" / "BM.json")]
+    return {
+        "segment": [str(out / "series" / "BM.json")],
+        "cluster": tables,
+        "analyze": [
+            "--segments", *tables, "--assignments-dir", str(out / "clusters"),
+            "--calendar", str(out / "calendar.json"),
+        ],
+        "pipeline": one_sector,
+    }[command]
+
+
+class TestStageOptionRanges:
+    """Segment, cluster and analyze options out of range exit 2 naming the
+    option, the value and the limit, before any output is written."""
+
+    @pytest.mark.parametrize(
+        "command, good, bad, message",
+        [
+            ("segment", {"max-opt-iters": 0}, {"max-opt-iters": -1},
+             "--max-opt-iters -1 is out of range: it must be at least 0"),
+            ("cluster", {"k-min": 1}, {"k-min": 0}, "--k-min 0 is out of range: it must be at least 1"),
+            ("cluster", {"k-min": 3, "k-max": 3}, {"k-min": 4, "k-max": 3},
+             "--k-max 3 is out of range: it must be at least --k-min (4)"),
+            ("analyze", {"predominance": 1.0}, {"predominance": 1.0000000000000002},
+             "--predominance 1.0000000000000002 is out of range: it must be greater than 0 and at most 1"),
+            ("analyze", {"predominance": 5e-324}, {"predominance": 0.0},
+             "--predominance 0.0 is out of range: it must be greater than 0 and at most 1"),
+            ("analyze", {"min-run-days": 1}, {"min-run-days": 0},
+             "--min-run-days 0 is out of range: it must be at least 1"),
+            ("analyze", {"match-window-days": 0}, {"match-window-days": -1},
+             "--match-window-days -1 is out of range: it must be at least 0"),
+            ("analyze", {"event-window-days": 0}, {"event-window-days": -1},
+             "--event-window-days -1 is out of range: it must be at least 0"),
+            ("analyze", {"anticipation-days": 0}, {"anticipation-days": -1},
+             "--anticipation-days -1 is out of range: it must be at least 0"),
+        ],
+        ids=[
+            "max-opt-iters", "k-min", "k-max-below-k-min", "predominance-above-one", "predominance-zero",
+            "min-run-days", "match-window-days", "event-window-days", "anticipation-days",
+        ],
+    )
+    @pytest.mark.parametrize("in_pipeline", [False, True], ids=["step", "pipeline"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_limit_passes_and_one_beyond_exits_2(
+        self, one_sector, one_sector_run, tmp_path, capsys, in_pipeline, via_config, command, good, bad, message
+    ):
+        command = "pipeline" if in_pipeline else command
+
+        def argv(values: dict[str, object], out: str) -> list[str]:
+            head = [command, *stage_inputs(command, one_sector, one_sector_run), "--out", str(tmp_path / out)]
+            if not via_config:
+                return head + [item for key, value in values.items() for item in (f"--{key}", repr(value))]
+            cfg = tmp_path / f"{out}.json"
+            cfg.write_text(json.dumps(values))
+            return [*head, "--config", str(cfg)]
+
+        assert run(argv(good, "good")) == 0
+        capsys.readouterr()
+        assert run(argv(bad, "bad")) == 2
+        assert capsys.readouterr().err == f"volseg: {message}\n"
+        assert not (tmp_path / "bad").exists()
+
+
 class TestSectorNames:
     """A sector names its output files: a sector that cannot, or one that two
     input files hold, exits 2 naming the file or files and the sector."""

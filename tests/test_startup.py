@@ -7,6 +7,13 @@
   first use.  ``analyze``, ``--help`` and usage or data-error exits never
   load numpy, and ``segment`` and ``cluster`` never load a time zone.  A
   missing numpy still fails at ``import volseg.cli``.
+- ``volseg.cli`` binds the stage modules ``ingest``, ``segmenter``,
+  ``cluster`` and ``analysis`` the same way, so each command executes
+  only the stages it runs, writing the same bytes as ``pipeline``;
+  ``--help`` and early exits execute none.  A lazily bound stage is an
+  attribute of ``volseg`` at once, as ``import`` would make it, and the
+  benchmark's tracer, which executes every CLI module when it wraps
+  them, still puts its spans on the stages.
 - ``volseg.cli`` sets ``OPENBLAS_NUM_THREADS=1`` unless the user set it,
   so numpy starts no idle BLAS worker threads when it loads.  The
   premise, that volseg makes no BLAS call, is checked on the source with
@@ -174,10 +181,10 @@ def pipeline_out(tmp_path_factory):
     return paths, out
 
 
-def run_and_list(*argv: str) -> tuple[int, list[str]]:
-    """``cli.main(argv)`` in a child: its exit code and the numpy and
-    time-zone modules executed by its end."""
-    code = f"import sys, volseg.cli\nrc = volseg.cli.main(sys.argv[1:])\nprint(rc, {EXECUTED})\n"
+def run_and_list(*argv: str, listing: str = EXECUTED) -> tuple[int, list[str]]:
+    """``cli.main(argv)`` in a child: its exit code and ``listing`` by its
+    end, by default the numpy and time-zone modules it executed."""
+    code = f"import importlib.util, sys, volseg.cli\nrc = volseg.cli.main(sys.argv[1:])\nprint(rc, {listing})\n"
     proc = python("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     rc, modules = proc.stdout.splitlines()[-1].split(" ", 1)
@@ -222,6 +229,120 @@ def test_early_exits_load_no_numpy(argv, code):
     rc, modules = run_and_list(*argv)
     assert rc == code
     assert modules == []
+
+
+# ---------------------------------------------------------------------------
+# each command executes only the stages it runs
+
+# the volseg modules a child has executed, short names; a lazy entry's type
+# is read without touching its attributes, which would execute it
+EXECUTED_VOLSEG = (
+    "sorted(name[7:] for name, module in sys.modules.items()"
+    " if name.startswith('volseg.') and type(module) is not importlib.util._LazyModule)"
+)
+EAGER = ["artifacts", "calendar", "cli", "divergence"]
+STAGES = ["analysis", "cluster", "ingest", "segmenter"]
+
+
+def test_lazy_stage_is_bound_on_its_package():
+    code = (
+        "import importlib.util, sys, volseg.cli\n"
+        "print(type(vars(volseg)['analysis']) is importlib.util._LazyModule)\n"
+        "import volseg.analysis\n"
+        "print(volseg.analysis.Shock.__module__)\n"
+        "from volseg import analysis\n"
+        "print(analysis is volseg.cli.analysis is sys.modules['volseg.analysis'])\n"
+    )
+    assert stdout_of(code) == "True\nvolseg.analysis\nTrue\n"
+
+
+def step_argv(command: str, paths: dict, out: Path, dest: Path) -> list[str]:
+    """The argv of one step of the pipeline run ``out``, reading that run's files and writing to ``dest``."""
+    inputs = {
+        "ingest": [str(paths["BM"]), str(paths["CY"]), "--holidays", str(paths["holidays"])],
+        "segment": sorted(map(str, (out / "series").glob("*.json"))),
+        "cluster": sorted(map(str, (out / "segments").glob("*.json"))),
+        "analyze": [
+            "--segments", *sorted(map(str, (out / "segments").glob("*.json"))),
+            "--assignments-dir", str(out / "clusters"), "--calendar", str(out / "calendar.json"),
+            "--events", str(paths["events"]),
+        ],
+    }
+    return [command, *inputs[command], "--out", str(dest)]
+
+
+# what each step writes, as paths under --out
+STEP_OUTPUTS = {
+    "ingest": ["series", "calendar.json", "manifest.json"],
+    "segment": ["segments"],
+    "cluster": ["clusters"],
+    "analyze": ["analysis"],
+}
+
+
+def outputs_of(command: str, root: Path) -> dict[Path, bytes]:
+    return {path: data for path, data in tree_of(root).items() if path.parts[0] in STEP_OUTPUTS[command]}
+
+
+@pytest.mark.parametrize(
+    "command, stages",
+    [
+        ("ingest", ["ingest"]),
+        ("segment", ["ingest", "segmenter"]),
+        ("cluster", ["cluster", "segmenter"]),
+        ("analyze", ["analysis", "cluster", "segmenter"]),
+    ],
+)
+def test_step_executes_only_its_stages(pipeline_out, tmp_path, command, stages):
+    paths, out = pipeline_out
+    rc, modules = run_and_list(*step_argv(command, paths, out, tmp_path), listing=EXECUTED_VOLSEG)
+    assert rc == 0
+    assert modules == sorted(EAGER + stages)
+    assert outputs_of(command, tmp_path) == outputs_of(command, out)
+
+
+def test_pipeline_executes_every_stage(pipeline_out, tmp_path):
+    paths, out = pipeline_out
+    rc, modules = run_and_list(
+        "pipeline", str(paths["BM"]), str(paths["CY"]), "--out", str(tmp_path),
+        "--holidays", str(paths["holidays"]), "--events", str(paths["events"]), listing=EXECUTED_VOLSEG,
+    )
+    assert rc == 0
+    assert modules == sorted(EAGER + STAGES)
+    for command in STEP_OUTPUTS:
+        assert outputs_of(command, tmp_path) == outputs_of(command, out)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["cluster", "--help"], 0), (["bogus"], 1), (["segment", "--cutoff", "x"], 1),
+     (["segment", "no-such-series.json", "--out", "unused"], 2),
+     (["cluster", "no-such-table.json", "--out", "unused", "--k-min", "0"], 2)],
+    ids=["help", "command-help", "usage", "bad-value", "data-error", "range-error"],
+)
+def test_early_exits_execute_no_stage(argv, code):
+    rc, modules = run_and_list(*argv, listing=EXECUTED_VOLSEG)
+    assert rc == code
+    assert modules == EAGER
+
+
+def test_tracer_spans_the_lazily_loaded_stages(pipeline_out, tmp_path):
+    tracer = SRC.parents[1] / "bench" / "tracer.py"
+    if not tracer.exists():
+        pytest.skip("not a source checkout")
+    np = pytest.importorskip("numpy")
+    paths, out = pipeline_out
+    spans = {}
+    for command, src in (("segment", out), ("cluster", tmp_path)):
+        spans_file = tmp_path / f"{command}.npz"
+        argv = step_argv(command, paths, src, tmp_path)
+        proc = python(str(tracer), "--launch", "0", "--spans", str(spans_file), "--", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert outputs_of(command, tmp_path) == outputs_of(command, out)
+        with np.load(spans_file) as data:
+            spans[command] = set(data["table"].tolist())
+    assert {"segmenter.recursive_segment", "divergence.PrefixSums.scan"} <= spans["segment"]
+    assert "cluster.complete_link" in spans["cluster"]
 
 
 # ---------------------------------------------------------------------------
