@@ -20,7 +20,8 @@ import csv
 import datetime as dt
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -123,30 +124,21 @@ def build_timeline(
     """Merge adjacent same-cluster segments into color runs.
 
     ``grid`` holds the level-series timestamps; a run over return
-    indices [s, e) spans grid[s] to grid[e].
+    indices [s, e) spans grid[s] to grid[e], and only these run edges
+    are read.
     """
     if len(segments) != len(assignment.labels):
         raise ValueError("one cluster label per segment required")
     if not assignment.colors:
         raise ValueError("assignment has no colors; run assign_phases first")
-    runs: list[Run] = []
+    spans: list[list] = []  # [start, end, color] of each run
     for seg, lab in zip(segments, assignment.labels):
         color = assignment.colors[lab]
-        if runs and runs[-1].color == color:
-            prev = runs[-1]
-            runs[-1] = replace(prev, end=seg.end, end_ts=grid[seg.end])
+        if spans and spans[-1][2] == color:
+            spans[-1][1] = seg.end
         else:
-            runs.append(
-                Run(
-                    start=seg.start,
-                    end=seg.end,
-                    start_ts=grid[seg.start],
-                    end_ts=grid[seg.end],
-                    color=color,
-                    phase=PHASE_BY_COLOR[color],
-                )
-            )
-    return PhaseTimeline(sector, tuple(runs))
+            spans.append([seg.start, seg.end, color])
+    return PhaseTimeline(sector, tuple(Run(s, e, grid[s], grid[e], c, PHASE_BY_COLOR[c]) for s, e, c in spans))
 
 
 def detect_recovery(
@@ -214,34 +206,25 @@ def extract_shocks(
         return level >= want if include_higher else level == want
 
     shocks: list[Shock] = []
-    i = 0
-    runs = timeline.runs
-    while i < len(runs):
-        if not matches(runs[i]):
-            i += 1
+    for matched, group in groupby(timeline.runs, matches):
+        if not matched:
             continue
-        j = i
-        while j + 1 < len(runs) and matches(runs[j + 1]):
-            j += 1
-        start_run = runs[i]
-        duration = runs[j].end - start_run.start
-        boundary = by_position.get(start_run.start)
-        if boundary is None and start_run.start != timeline.start:
-            log.warning(
-                "%s: no boundary found at shock start %d", timeline.sector, start_run.start
-            )
+        runs = list(group)
+        first = runs[0]
+        boundary = by_position.get(first.start)
+        if boundary is None and first.start != timeline.start:
+            log.warning("%s: no boundary found at shock start %d", timeline.sector, first.start)
         shocks.append(
             Shock(
                 sector=timeline.sector,
                 klass=klass,
-                start=start_run.start,
-                start_ts=start_run.start_ts,
-                duration=duration,
+                start=first.start,
+                start_ts=first.start_ts,
+                duration=runs[-1].end - first.start,
                 delta=boundary.divergence if boundary else None,
                 delta_err=boundary.divergence_err if boundary else None,
             )
         )
-        i = j + 1
     return shocks
 
 

@@ -25,7 +25,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import _lazy, artifacts
 from .calendar import HALF_HOUR, MICROSECOND, TradingCalendar, load_holidays
-from .divergence import VARIANCE_FLOOR, Boundary, SegmentStats
+from .divergence import Boundary, SegmentStats
 
 # the stages execute on first use, so each command executes only its own
 ingest = _lazy("volseg.ingest")
@@ -298,8 +298,8 @@ def _segment_config(args: argparse.Namespace) -> segmenter.SegmentationConfig:
 
 def _segment(
     args: argparse.Namespace, series: ingest.HalfHourSeries, source: object
-) -> list[dict[str, object]]:
-    """Segment one series, write its tables and return their rows; errors name ``source``."""
+) -> segmenter.SegmentationResult:
+    """Segment one series, write its tables and return the result; errors name ``source``."""
     seg_dir = Path(args.out) / "segments"
     seg_dir.mkdir(parents=True, exist_ok=True)
     cfg = _segment_config(args)
@@ -320,7 +320,7 @@ def _segment(
     segmenter.write_segment_csv(rows, seg_dir / f"{series.sector}.csv")
     segmenter.write_segment_json(rows, seg_dir / f"{series.sector}.json", series.sector, cfg, result.converged)
     print(f"{series.sector}: {len(result.segments)} segments")
-    return rows
+    return result
 
 
 def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -> cluster.ClusterAssignment:
@@ -347,34 +347,11 @@ def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -
     return assignment
 
 
-def _timeline_inputs(
-    source: object, sector: str, rows: list[dict[str, object]], stats: list[SegmentStats],
-    assignment: cluster.ClusterAssignment, grid: Sequence[dt.datetime],
-) -> tuple[analysis.PhaseTimeline, list[Boundary]]:
-    """A sector's timeline and boundaries; a segment off the grid is a data error naming ``source``."""
-    if not all(1 <= r["start"] <= r["end"] < len(grid) for r in rows):
-        raise DataError(f"{source}: a segment lies outside the {len(grid)}-point calendar grid")
-    segments = [segmenter.Segment(int(r["start"]) - 1, int(r["end"]), s) for r, s in zip(rows, stats)]
-    timeline = analysis.build_timeline(segments, assignment, grid, sector)
-    boundaries = [
-        Boundary(
-            position=int(row["start"]) - 1,
-            divergence=float(row["delta"]),
-            divergence_err=float(row["delta_err"]),
-            left_len=int(prev["duration"]),
-            right_len=int(row["duration"]),
-        )
-        for prev, row in zip(rows, rows[1:])
-        if row["delta"] not in ("", None)
-    ]
-    return timeline, boundaries
-
-
 def _analyze(
     args: argparse.Namespace,
     cal: TradingCalendar,
     timelines: dict[str, analysis.PhaseTimeline],
-    boundaries: dict[str, list[Boundary]],
+    boundaries: dict[str, Sequence[Boundary]],
 ) -> None:
     """Cross-sector analytics over the timelines; writes the analysis bundle."""
     an_dir = Path(args.out) / "analysis"
@@ -461,65 +438,22 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stats_from_rows(rows: list[dict[str, object]]) -> list[SegmentStats]:
-    stats = []
-    for row in rows:
-        n = int(row["duration"])
-        stdev = float(row["stdev"])
-        stats.append(
-            SegmentStats(
-                n=n,
-                mean=float(row["mean"]),
-                stdev=stdev,
-                mean_err=float(row["mean_err"]),
-                stdev_err=float(row["stdev_err"]),
-                degenerate=stdev**2 <= VARIANCE_FLOOR,
-            )
-        )
-    return stats
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_boundary_cells(row: dict[str, object]) -> None:
-    """Integer ``start`` and ``end``; ``delta`` and ``delta_err`` both
-    numbers or both empty."""
-    for col in ("start", "end"):
-        if not isinstance(row[col], int) or isinstance(row[col], bool):
-            raise ValueError(f"row {row['m']}: {col} {row[col]!r} is not an integer")
-    cells = row["delta"], row["delta_err"]
-    if not (all(c in ("", None) for c in cells) or all(map(_is_number, cells))):
-        raise ValueError(f"row {row['m']}: delta and delta_err {cells!r} must be two numbers or two blanks")
-
-
-def _read_segment_table(path: Path) -> tuple[str, list[dict[str, object]], list[SegmentStats]]:
-    """Sector, rows and per-row statistics of a segment table JSON file."""
+def _read_segment_table(path: Path) -> tuple[str, list[segmenter.Segment], list[Boundary]]:
+    """Sector, segments and boundaries of a segment table JSON file."""
     try:
-        payload = json.loads(path.read_text())
-        sector = payload.get("sector") or path.stem
-        _check_sector(sector, path)
-        rows = payload["rows"]
-        if not rows:
-            raise DataError(f"{path}: segment table has no rows")
-        missing = sorted({c for row in rows for c in segmenter.TABLE_COLUMNS if c not in row})
-        if missing:
-            raise DataError(f"{path}: segment table rows lack columns {missing}")
-        for row in rows:
-            _check_boundary_cells(row)
-        stats = _stats_from_rows(rows)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed segment table ({type(exc).__name__}: {exc})") from exc
-    return sector, rows, stats
+        sector, segments, boundaries = segmenter.read_segment_table(path)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    _check_sector(sector, path)
+    return sector, segments, boundaries
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     sources: dict[str, Path] = {}
     for path in _existing(args.inputs):
-        sector, _, stats = _read_segment_table(path)
+        sector, segments, _ = _read_segment_table(path)
         _hold(sources, sector, path)
-        _cluster(args, sector, stats)
+        _cluster(args, sector, [s.stats for s in segments])
     _write_resolved_config(args, Path(args.out))
     return EXIT_OK
 
@@ -527,24 +461,25 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     cal = _read_calendar(Path(args.calendar))
     timelines: dict[str, analysis.PhaseTimeline] = {}
-    boundaries: dict[str, list[Boundary]] = {}
+    boundaries: dict[str, Sequence[Boundary]] = {}
     sources: dict[str, Path] = {}
     for seg_path in sorted(Path(p) for p in args.segments):
         if not seg_path.exists():
             raise DataError(f"segment table not found: {seg_path}")
-        sector, rows, stats = _read_segment_table(seg_path)
+        sector, segments, sector_boundaries = _read_segment_table(seg_path)
         _hold(sources, sector, seg_path)
         asg_path = Path(args.assignments_dir) / f"{sector}.assignment.csv"
         if not asg_path.exists():
             raise DataError(f"assignment not found: {asg_path}")
         try:
-            assignment = cluster.read_assignment(asg_path, len(rows))
+            assignment = cluster.read_assignment(asg_path, len(segments))
         except ValueError as exc:
             raise DataError(f"{asg_path}: malformed assignment ({exc})") from exc
+        if not all(0 <= seg.start < seg.end < len(cal) for seg in segments):
+            raise DataError(f"{seg_path}: a segment lies outside the {len(cal)}-point calendar grid")
         # the timelines read only the grid times at run edges, one at a time from the calendar
-        timelines[sector], boundaries[sector] = _timeline_inputs(
-            seg_path, sector, rows, stats, assignment, cal
-        )
+        timelines[sector] = analysis.build_timeline(segments, assignment, cal, sector)
+        boundaries[sector] = sector_boundaries
     _analyze(args, cal, timelines, boundaries)
     _write_resolved_config(args, Path(args.out))
     return EXIT_OK
@@ -555,16 +490,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     # later stages take exactly the series this run ingested, never an earlier run's files
     cal, all_series = _ingest(args)
-    tables = [(s.sector, _segment(args, s, f"sector {s.sector}")) for s in all_series]
+    results = {s.sector: _segment(args, s, f"sector {s.sector}") for s in all_series}
     timelines: dict[str, analysis.PhaseTimeline] = {}
-    boundaries: dict[str, list[Boundary]] = {}
-    for sector, rows in tables:
-        # the statistics cluster would read back: the table's floats round-trip exactly
-        stats = _stats_from_rows(rows)
-        assignment = _cluster(args, sector, stats)
-        timelines[sector], boundaries[sector] = _timeline_inputs(
-            sector, sector, rows, stats, assignment, cal.grid
-        )
+    boundaries: dict[str, Sequence[Boundary]] = {}
+    for sector, result in results.items():
+        assignment = _cluster(args, sector, [seg.stats for seg in result.segments])
+        timelines[sector] = analysis.build_timeline(result.segments, assignment, cal.grid, sector)
+        boundaries[sector] = result.boundaries
     _analyze(args, cal, timelines, boundaries)
     _write_resolved_config(args, outdir)
     return EXIT_OK

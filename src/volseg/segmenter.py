@@ -16,6 +16,7 @@ re-optimized divergence clears the original cutoff.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import logging
 import math
 from bisect import bisect_left
@@ -27,6 +28,7 @@ from typing import Callable, Sequence
 from . import _lazy
 from .artifacts import write_csv, write_json
 from .divergence import (
+    VARIANCE_FLOOR,
     Boundary,
     DegenerateSplitError,
     PrefixSums,
@@ -499,3 +501,56 @@ def write_segment_json(
     if converged is not None:
         payload["converged"] = converged
     write_json(path, payload)
+
+
+class _TableError(ValueError):
+    """A segment table's own message, not wrapped as malformed."""
+
+
+def _row_segment(row: dict[str, object]) -> Segment:
+    """One table row's segment, once the cells that place it and its boundary check out."""
+    start, end, m = row["start"], row["end"], row["m"]
+    for col, value in (("start", start), ("end", end)):
+        if type(value) is not int:
+            raise ValueError(f"row {m}: {col} {value!r} is not an integer")
+    if row["duration"] != end - start + 1:
+        raise ValueError(f"row {m}: duration {row['duration']!r} is not end - start + 1 ({end - start + 1})")
+    cells = row["delta"], row["delta_err"]
+    if not (all(c in ("", None) for c in cells) or all(type(c) in (int, float) for c in cells)):
+        raise ValueError(f"row {m}: delta and delta_err {cells!r} must be two numbers or two blanks")
+    stdev = float(row["stdev"])
+    stats = SegmentStats(
+        n=end - start + 1, mean=float(row["mean"]), stdev=stdev, mean_err=float(row["mean_err"]),
+        stdev_err=float(row["stdev_err"]), degenerate=stdev**2 <= VARIANCE_FLOOR,
+    )
+    return Segment(start - 1, end, stats)
+
+
+def read_segment_table(path: str | Path) -> tuple[str, list[Segment], list[Boundary]]:
+    """The sector (unchecked; by default the file's stem), segments and
+    boundaries of a table ``write_segment_json`` wrote.  Rows need not
+    tile a series.  A segment is degenerate when ``stdev**2`` is at most
+    ``VARIANCE_FLOOR``.  A row after the first has a boundary before it
+    unless its ``delta`` and ``delta_err`` are empty.  A malformed table
+    raises ValueError."""
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+        sector = payload.get("sector") or path.stem
+        rows = payload["rows"]
+        if not rows:
+            raise _TableError("segment table has no rows")
+        missing = sorted({c for row in rows for c in TABLE_COLUMNS if c not in row})
+        if missing:
+            raise _TableError(f"segment table rows lack columns {missing}")
+        segments = [_row_segment(row) for row in rows]
+        boundaries = [
+            Boundary(seg.start, float(row["delta"]), float(row["delta_err"]), prev.length, seg.length)
+            for prev, seg, row in zip(segments, segments[1:], rows[1:])
+            if row["delta"] not in ("", None)
+        ]
+    except _TableError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed segment table ({type(exc).__name__}: {exc})") from exc
+    return sector, segments, boundaries

@@ -408,24 +408,30 @@ class TestClusterCommand:
         stdevs = [at, below, above, 0.0, 1e-14, 1e-3 / 3]
         cal = weekday_calendar(dt.date(2004, 1, 5), 40)
         x = regime_returns([(200, 0.0, 1e-3), (200, 0.0, 5e-3), (len(cal.grid) - 401, 0.0, 1e-3)], 5)
-        rows = segmenter.emit_segment_table(segmenter.recursive_segment(x), cal.grid)
-        rows += [self.table_row(len(rows) + i + 1, 30, sd) for i, sd in enumerate(stdevs)]
+        result = segmenter.recursive_segment(x)
+        rows = segmenter.emit_segment_table(result, cal.grid)
+        extra = [self.table_row(len(rows) + i + 1, 30, sd) for i, sd in enumerate(stdevs)]
         path = tmp_path / "FL.json"
-        segmenter.write_segment_json(rows, path, "FL")
+        segmenter.write_segment_json(rows + extra, path, "FL")
 
-        _, rows_back, stats_back = cli._read_segment_table(path)
-        assert rows_back == rows
-        stats = cli._stats_from_rows(rows)
-        assert stats == stats_back
-        assert [s.degenerate for s in stats[-len(stdevs):]] == [True, True, False, True, False, False]
+        _, segments, _ = segmenter.read_segment_table(path)
+        stats = [s.stats for s in segments]
+        assert stats[: len(rows)] == [s.stats for s in result.segments]
+        assert [(s.n, s.mean, s.stdev, s.mean_err, s.stdev_err) for s in stats[len(rows) :]] == [
+            (r["duration"], r["mean"], r["stdev"], r["mean_err"], r["stdev_err"]) for r in extra
+        ]
+        assert [s.degenerate for s in stats[len(rows) :]] == [True, True, False, True, False, False]
 
-    def test_degeneracy_follows_the_variance_floor(self):
+    def test_degeneracy_follows_the_variance_floor(self, tmp_path):
         # stdev 1e-16 is positive, but its variance 1e-32 is below the
         # floor, so the segmenter flags such a window degenerate too
         window = segment_stats([0.0, 2e-16])
         assert window.degenerate and window.stdev > 0.0
         rows = [self.table_row(1, 2, window.stdev), self.table_row(2, 30, 1e-14), self.table_row(3, 30, 0.0)]
-        assert [s.degenerate for s in cli._stats_from_rows(rows)] == [True, False, True]
+        path = tmp_path / "DG.json"
+        segmenter.write_segment_json(rows, path, "DG")
+        _, segments, _ = segmenter.read_segment_table(path)
+        assert [s.stats.degenerate for s in segments] == [True, False, True]
 
 
 class TestAnalyzeCommand:
