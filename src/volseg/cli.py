@@ -12,6 +12,7 @@ import argparse
 import datetime as dt
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -186,7 +187,7 @@ def _hold(sources: dict[str, Path], sector: str, path: Path) -> None:
 # the least value of each integer option whose limits do not depend on the data
 _AT_LEAST = {
     "samples_per_day": 1, "pre_open_grace_min": 0, "max_opt_iters": 0, "k_min": 1, "min_run_days": 1,
-    "match_window_days": 0, "event_window_days": 0, "anticipation_days": 0,
+    "match_window_days": 0, "event_window_days": 0, "anticipation_days": 0, "min_seg": 4,
 }
 
 
@@ -204,6 +205,27 @@ def _check_ranges(args: argparse.Namespace) -> None:
         raise DataError(
             f"--predominance {args.predominance} is out of range: it must be greater than 0 and at most 1"
         )
+    if "long_seg" in given and args.long_seg < args.min_seg:
+        raise DataError(f"--long-seg {args.long_seg} is out of range: it must be at least --min-seg ({args.min_seg})")
+    if "cutoff" in given and not 0 < args.cutoff < math.inf:
+        raise DataError(f"--cutoff {args.cutoff} is out of range: it must be positive and finite")
+    if "shock_classes" in given:
+        classes = [klass.strip() for klass in args.shock_classes.split(",")]
+        for i, klass in enumerate(classes):
+            if klass not in analysis.SHOCK_CLASS_COLOR:
+                known = ", ".join(analysis.SHOCK_CLASS_COLOR)
+                raise DataError(f"--shock-classes {args.shock_classes}: class {klass!r} is not one of {known}")
+            if klass in classes[:i]:
+                raise DataError(f"--shock-classes {args.shock_classes}: class {klass!r} is given twice")
+    dates = {}
+    for dest in ("start", "end"):
+        if given.get(dest):  # an empty bound is not given, as in _ingest
+            try:
+                dates[dest] = dt.date.fromisoformat(given[dest])
+            except ValueError as exc:
+                raise DataError(f"--{dest} {given[dest]} is not an ISO date ({exc})") from exc
+    if len(dates) == 2 and dates["start"] > dates["end"]:
+        raise DataError(f"--end {args.end} is out of range: it must be on or after --start ({args.start})")
 
 
 def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.HalfHourSeries]]:

@@ -690,6 +690,28 @@ class TestAnalyzeGrid:
         assert artifact_tree(again / "analysis") == expected
 
 
+    def test_standalone_analyze_reads_the_grid_only_at_run_edges(self, tmp_path, monkeypatch):
+        # four segments in two runs of two: the grid is read at 0, 60 and the end
+        analyze = TestAnalyzeCommand()
+        table, calendar = analyze.valid_inputs(tmp_path)
+        (row,) = table["rows"]
+        cuts = [0, 30, 60, 90, row["end"]]
+        table["rows"] = [dict(row, m=1, end=30, duration=30)] + [
+            dict(row, m=k + 1, start=a + 1, end=b, duration=b - a, delta=3.5, delta_err=0.4)
+            for k, (a, b) in enumerate(zip(cuts[1:], cuts[2:]), start=1)
+        ]
+        assignment = "segment,cluster,color,phase\n1,0,blue,growth\n2,0,blue,growth\n3,1,red,crash\n4,1,red,crash\n"
+        read = []
+        getitem = TradingCalendar.__getitem__
+
+        def recording_getitem(self, i):
+            read.append(i)
+            return getitem(self, i)
+
+        monkeypatch.setattr(TradingCalendar, "__getitem__", recording_getitem)
+        assert analyze.analyze(tmp_path, table, calendar, assignment) == 0
+        assert sorted(read) == [0, 60, 60, row["end"]]
+
 def artifact_tree(root: Path) -> dict[Path, bytes]:
     """Every file under ``root`` but the invocation echo, by relative path."""
     return {
@@ -1003,6 +1025,89 @@ class TestStageOptionRanges:
         assert run(argv(bad, "bad")) == 2
         assert capsys.readouterr().err == f"volseg: {message}\n"
         assert not (tmp_path / "bad").exists()
+
+
+
+class TestOptionLimitsBeforeAnyWork:
+    """--min-seg, --long-seg, --cutoff, --shock-classes, --start and --end
+    outside their limits exit 2 naming the option, from a flag or from
+    --config, before anything is written under --out."""
+
+    @pytest.mark.parametrize(
+        "commands, good, bad, message",
+        [
+            (("segment", "pipeline"), {"min-seg": 4}, {"min-seg": 3},
+             "--min-seg 3 is out of range: it must be at least 4"),
+            (("segment", "pipeline"), {"long-seg": 14}, {"long-seg": 13},
+             "--long-seg 13 is out of range: it must be at least --min-seg (14)"),
+            (("segment", "pipeline"), {"min-seg": 20, "long-seg": 20}, {"min-seg": 20, "long-seg": 0},
+             "--long-seg 0 is out of range: it must be at least --min-seg (20)"),
+            (("segment", "pipeline"), {"cutoff": 5e-324}, {"cutoff": 0.0},
+             "--cutoff 0.0 is out of range: it must be positive and finite"),
+            (("segment", "pipeline"), {"cutoff": 1.7976931348623157e308}, {"cutoff": math.inf},
+             "--cutoff inf is out of range: it must be positive and finite"),
+            (("analyze", "pipeline"), {"shock-classes": "high,very-high,extremely-high"},
+             {"shock-classes": "very-high,bogus"},
+             "--shock-classes very-high,bogus: class 'bogus' is not one of high, very-high, extremely-high"),
+            (("analyze", "pipeline"), {"shock-classes": "very-high, high"}, {"shock-classes": "very-high,high,very-high"},
+             "--shock-classes very-high,high,very-high: class 'very-high' is given twice"),
+            (("ingest", "pipeline"), {"start": "2006-01-02"}, {"start": "2006-13-01"},
+             "--start 2006-13-01 is not an ISO date (month must be in 1..12)"),
+            (("ingest", "pipeline"), {"end": "2006-02-28"}, {"end": "2006-02-29"},
+             "--end 2006-02-29 is not an ISO date (day is out of range for month)"),
+            (("ingest",), {"start": "2006-01-04", "end": "2006-01-04"}, {"start": "2006-01-05", "end": "2006-01-04"},
+             "--end 2006-01-04 is out of range: it must be on or after --start (2006-01-05)"),
+        ],
+        ids=[
+            "min-seg", "long-seg", "long-seg-below-min-seg", "cutoff-zero", "cutoff-infinite", "unknown-shock-class",
+            "shock-class-twice", "start-not-a-date", "end-not-a-date", "end-before-start",
+        ],
+    )
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_limit_passes_and_one_beyond_exits_2(
+        self, one_sector, one_sector_run, tmp_path, capsys, via_config, commands, good, bad, message
+    ):
+        for command in commands:
+            inputs = one_sector if command == "ingest" else stage_inputs(command, one_sector, one_sector_run)
+
+            def argv(values: dict[str, object], out: str) -> list[str]:
+                head = [command, *inputs, "--out", str(tmp_path / out)]
+                if not via_config:
+                    return head + [item for key, value in values.items() for item in (f"--{key}", str(value))]
+                cfg = tmp_path / f"{out}.json"
+                cfg.write_text(json.dumps(values))
+                return [*head, "--config", str(cfg)]
+
+            assert run(argv(good, f"{command}-good")) == 0, command
+            capsys.readouterr()
+            assert run(argv(bad, f"{command}-bad")) == 2, command
+            assert capsys.readouterr().err == f"volseg: {message}\n"
+            assert not (tmp_path / f"{command}-bad").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "analyze"])
+def test_duration_other_than_end_minus_start_plus_one_exits_2_naming_the_row(
+    one_sector_run, tmp_path, capsys, command
+):
+    payload = json.loads((one_sector_run / "segments" / "BM.json").read_text())
+    row = payload["rows"][1]
+    row["duration"] *= 5
+    table = tmp_path / "BM.json"
+    table.write_text(json.dumps(payload))
+    argv = {
+        "cluster": ["cluster", str(table)],
+        "analyze": [
+            "analyze", "--segments", str(table), "--assignments-dir", str(one_sector_run / "clusters"),
+            "--calendar", str(one_sector_run / "calendar.json"),
+        ],
+    }[command]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+    length = row["end"] - row["start"] + 1
+    assert capsys.readouterr().err == (
+        f"volseg: {table}: malformed segment table (ValueError: row 2: duration {5 * length} "
+        f"is not end - start + 1 ({length}))\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 class TestSectorNames:

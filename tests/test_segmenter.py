@@ -18,6 +18,7 @@ from volseg.segmenter import (
     SegmentationResult,
     emit_segment_table,
     optimize_boundaries,
+    read_segment_table,
     recursive_segment,
     refine_long_segments,
     write_segment_csv,
@@ -401,6 +402,28 @@ class TestSegmentTable:
         assert payload["sector"] == "BM"
         assert payload["config"]["cutoff"] == 10.0
         assert len(payload["rows"]) == 2
+
+
+    @pytest.mark.parametrize("refined", [True, False], ids=["refined", "one-segment"])
+    def test_table_reads_back_the_segments_and_boundaries_written(self, tmp_path, rng, refined):
+        if refined:
+            x = masking_series(12)
+            result = refine_long_segments(x, recursive_segment(x))
+            assert FLAG_REFINED in result.flags
+        else:
+            result = recursive_segment(rng.normal(0, 1e-3, 100))
+            assert len(result.segments) == 1
+        path = tmp_path / "RT.json"
+        write_segment_json(emit_segment_table(result), path, "RT", result.config, result.converged)
+        sector, segments, boundaries = read_segment_table(path)
+        assert sector == "RT"
+
+        def fields(seg: Segment) -> tuple:
+            s = seg.stats
+            return seg.start, seg.end, s.n, s.mean, s.stdev, s.mean_err, s.stdev_err
+
+        assert [fields(seg) for seg in segments] == [fields(seg) for seg in result.segments]
+        assert [dataclasses.astuple(b) for b in boundaries] == [dataclasses.astuple(b) for b in result.boundaries]
 
 
 class TestResultValidation:
