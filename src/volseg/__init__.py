@@ -35,8 +35,7 @@ _HOMES = {
         "delta_error", "delta_error_max", "js_divergence", "segment_stats",
     ),
     "ingest": (
-        "HalfHourSeries", "LogReturnSeries", "RejectedRow", "TickColumns", "log_returns",
-        "parse_ticks", "resample",
+        "HalfHourSeries", "RejectedRow", "TickColumns", "log_returns", "parse_ticks", "resample",
     ),
     "segmenter": (
         "Segment", "SegmentationConfig", "SegmentationResult", "emit_segment_table",

@@ -327,10 +327,10 @@ def _segment(
     cfg = _segment_config(args)
     try:
         returns = ingest.log_returns(series)
-        result = segmenter.recursive_segment(returns.x, cfg)
+        result = segmenter.recursive_segment(returns, cfg)
         if not args.no_refine:
             start = time.perf_counter()
-            result = segmenter.refine_long_segments(returns.x, result, cfg)
+            result = segmenter.refine_long_segments(returns, result, cfg)
             # wall time is not deterministic: it goes to the log, never to --out
             log.debug(
                 "%s: refinement: %d long window(s), %d scan(s), %.4f s", series.sector,

@@ -33,14 +33,6 @@ np = _lazy("numpy")
 log = logging.getLogger(__name__)
 
 COLOR_LADDER = ("black", "blue", "green", "yellow", "orange", "red")
-VOLATILITY_LABELS = (
-    "extremely low",
-    "low",
-    "moderate",
-    "high",
-    "very high",
-    "extremely high",
-)
 # the ladder of 1-3 clusters: a top-k suffix of COLOR_LADDER would label
 # the calm baseline crisis; a second class is "very high", the default
 # shock class, and a third "extremely high"
@@ -317,7 +309,6 @@ class ClusterAssignment:
     policy: str
     colors: tuple[str, ...] = ()
     phases: tuple[str, ...] = ()
-    vol_labels: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
 
@@ -527,16 +518,7 @@ def assign_phases(assignment: ClusterAssignment) -> ClusterAssignment:
     for rank, cid in enumerate(order):
         colors[cid] = ladder[rank]
     phases = tuple(PHASE_BY_COLOR[c] for c in colors)
-    vol_labels = tuple(
-        VOLATILITY_LABELS[COLOR_LADDER.index(c)] for c in colors
-    )
-    return replace(
-        assignment,
-        colors=tuple(colors),
-        phases=phases,
-        vol_labels=vol_labels,
-        warnings=tuple(warnings),
-    )
+    return replace(assignment, colors=tuple(colors), phases=phases, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +585,7 @@ def read_assignment(path: str | Path, n_segments: int) -> ClusterAssignment:
     if k > n_segments:
         raise ValueError(f"cluster id {k - 1} for {n_segments} segments")
     colors, phases = zip(*(named.get(c, ("", "")) for c in range(k)))
-    return ClusterAssignment(tuple(labels), (0.0,) * k, k, "file", colors, phases, ("",) * k)
+    return ClusterAssignment(tuple(labels), (0.0,) * k, k, "file", colors, phases)
 
 
 def write_robustness_json(report: list[KInterval], path: str | Path, chosen: int) -> None:

@@ -51,18 +51,15 @@ class SegmentStats:
     stdev: float
     mean_err: float
     stdev_err: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
 class Boundary:
-    """A scored split: left side has ``left_len`` points, t* = position."""
+    """A scored split at t* = position."""
 
     position: int
     divergence: float
     divergence_err: float
-    left_len: int
-    right_len: int
 
 
 def mu_err(n: int, stdev: float) -> float:
@@ -76,7 +73,7 @@ def sigma_err(n: int, stdev: float) -> float:
 def segment_stats(x) -> SegmentStats:
     """Mean and population-MLE standard deviation of a window.
 
-    Zero variance is allowed (constant window) and flagged degenerate.
+    Zero variance is allowed (constant window).
     """
     arr = np.asarray(x, dtype=np.float64)
     n = arr.size
@@ -91,7 +88,6 @@ def segment_stats(x) -> SegmentStats:
         stdev=stdev,
         mean_err=mu_err(n, stdev),
         stdev_err=sigma_err(n, stdev),
-        degenerate=var <= VARIANCE_FLOOR,
     )
 
 
@@ -160,7 +156,6 @@ class PrefixSums:
             stdev=stdev,
             mean_err=mu_err(n, stdev),
             stdev_err=sigma_err(n, stdev),
-            degenerate=var <= VARIANCE_FLOOR,
         )
 
     def delta_at(self, a: int, t: int, b: int) -> float:
@@ -285,10 +280,4 @@ def best_split(x, min_margin: int = 2) -> Boundary | None:
     if found is None:
         return None
     t, delta = found
-    return Boundary(
-        position=t,
-        divergence=delta,
-        divergence_err=delta_error(t, arr.size - t),
-        left_len=t,
-        right_len=arr.size - t,
-    )
+    return Boundary(position=t, divergence=delta, divergence_err=delta_error(t, arr.size - t))

@@ -63,7 +63,6 @@ class TickColumns:
 class RejectedRow:
     line: int
     reason: str
-    raw: str
 
 
 def sector_from_ric(ric: str) -> str:
@@ -97,22 +96,22 @@ def _parse_row(lineno: int, line: str) -> tuple[str, int, float] | RejectedRow |
         return None
     fields = line.split(",")
     if len(fields) != 6:
-        return RejectedRow(lineno, f"expected 6 fields, got {len(fields)}", line)
+        return RejectedRow(lineno, f"expected 6 fields, got {len(fields)}")
     ric, date_s, time_s, offset_s, _kind, price_s = (f.strip() for f in fields)
     try:
         ts = dt.datetime.strptime(f"{date_s} {time_s}", "%m/%d/%Y %H:%M:%S.%f")
     except ValueError:
-        return RejectedRow(lineno, f"unparseable date/time {date_s!r} {time_s!r}", line)
+        return RejectedRow(lineno, f"unparseable date/time {date_s!r} {time_s!r}")
     try:
         int(offset_s)
     except ValueError:
-        return RejectedRow(lineno, f"unparseable GMT offset {offset_s!r}", line)
+        return RejectedRow(lineno, f"unparseable GMT offset {offset_s!r}")
     try:
         price = float(price_s)
     except ValueError:
-        return RejectedRow(lineno, f"unparseable price {price_s!r}", line)
+        return RejectedRow(lineno, f"unparseable price {price_s!r}")
     if not math.isfinite(price) or price <= 0.0:
-        return RejectedRow(lineno, f"non-positive price {price_s!r}", line)
+        return RejectedRow(lineno, f"non-positive price {price_s!r}")
     return ric, (ts.replace(tzinfo=dt.timezone.utc) - EPOCH) // MICROSECOND, price
 
 
@@ -355,24 +354,6 @@ class HalfHourSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class LogReturnSeries:
-    """Log-index movements x_t = ln X_{t+1} - ln X_t."""
-
-    sector: str
-    x: np.ndarray
-    base_grid: tuple[dt.datetime, ...]  # left endpoint of each return
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        if len(self.base_grid) != len(self.x):
-            raise ValueError("base_grid and x must have equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-
 def resample(
     ticks: TickColumns,
     cal: TradingCalendar,
@@ -425,8 +406,9 @@ def resample(
     return HalfHourSeries(sector, cal.grid, values, cal.grid_iso)
 
 
-def log_returns(series: HalfHourSeries) -> LogReturnSeries:
-    """x_t = ln X_{t+1} - ln X_t; requires N >= 2 and positive levels."""
+def log_returns(series: HalfHourSeries) -> np.ndarray:
+    """The float64 log-index movements x_t = ln X_{t+1} - ln X_t;
+    requires N >= 2 and positive levels."""
     if series.n < 2:
         raise ValueError("need at least two samples to form returns")
     # positivity is a HalfHourSeries invariant, but re-check defensively
@@ -434,8 +416,7 @@ def log_returns(series: HalfHourSeries) -> LogReturnSeries:
     nonpos = np.flatnonzero(series.values <= 0.0)
     if nonpos.size:
         raise ValueError(f"non-positive level at {series.grid[int(nonpos[0])].isoformat()}")
-    x = np.diff(np.log(series.values))
-    return LogReturnSeries(series.sector, x, series.grid[:-1])
+    return np.diff(np.log(series.values))
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,7 @@ from typing import Callable, Sequence
 
 from . import _lazy
 from .artifacts import write_csv, write_json
-from .divergence import (
-    VARIANCE_FLOOR,
-    Boundary,
-    DegenerateSplitError,
-    PrefixSums,
-    SegmentStats,
-    delta_error,
-)
+from .divergence import Boundary, DegenerateSplitError, PrefixSums, SegmentStats, delta_error
 
 np = _lazy("numpy")
 log = logging.getLogger(__name__)
@@ -256,20 +249,16 @@ def _prune_weak(
     cutoff: float,
     max_iters: int,
     dirty: set[int],
-    include_refined: bool = False,
 ) -> bool:
     """Drop boundaries whose final-window divergence fell below the cutoff
     (optimization can shrink a window after later splits).  Automatic
-    boundaries must reach the cutoff; refined ones, when included, must
-    exceed it.  ``dirty`` carries the unsettled boundaries in and out, as
+    boundaries must reach the cutoff; refined ones must exceed it.  ``dirty`` carries the unsettled boundaries in and out, as
     in ``_optimize``.  Returns the accumulated optimization convergence
     flag."""
     converged = True
     while True:
         weakest: tuple[float, int] | None = None
         for k in range(len(bounds)):
-            if flags[k] == FLAG_REFINED and not include_refined:
-                continue
             a = bounds[k - 1] if k > 0 else lo
             b = bounds[k + 1] if k + 1 < len(bounds) else hi
             try:
@@ -307,16 +296,7 @@ def _build_result(
     for k, pos in enumerate(bounds):
         a = edges[k]
         b = edges[k + 2]
-        delta = delta_at(a, pos, b)
-        boundaries.append(
-            Boundary(
-                position=pos,
-                divergence=delta,
-                divergence_err=delta_error(pos - a, b - pos),
-                left_len=pos - a,
-                right_len=b - pos,
-            )
-        )
+        boundaries.append(Boundary(pos, delta_at(a, pos, b), delta_error(pos - a, b - pos)))
     return SegmentationResult(segments, tuple(boundaries), tuple(flags), cfg, converged)
 
 
@@ -413,10 +393,7 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
         converged &= _optimize(sc, bounds, 0, arr.size, cfg.max_opt_iters, dirty)
         # global optimization may shift positions; refined boundaries only
         # survive if they still clear the cutoff in their final windows
-        converged &= _prune_weak(
-            sc, bounds, flags, 0, arr.size, cfg.cutoff, cfg.max_opt_iters, dirty,
-            include_refined=True,
-        )
+        converged &= _prune_weak(sc, bounds, flags, 0, arr.size, cfg.cutoff, cfg.max_opt_iters, dirty)
 
     refined = _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
     return replace(refined, refine_windows=len(attempted), refine_scans=len(sc._cache))
@@ -518,10 +495,9 @@ def _row_segment(row: dict[str, object]) -> Segment:
     cells = row["delta"], row["delta_err"]
     if not (all(c in ("", None) for c in cells) or all(type(c) in (int, float) for c in cells)):
         raise ValueError(f"row {m}: delta and delta_err {cells!r} must be two numbers or two blanks")
-    stdev = float(row["stdev"])
     stats = SegmentStats(
-        n=end - start + 1, mean=float(row["mean"]), stdev=stdev, mean_err=float(row["mean_err"]),
-        stdev_err=float(row["stdev_err"]), degenerate=stdev**2 <= VARIANCE_FLOOR,
+        n=end - start + 1, mean=float(row["mean"]), stdev=float(row["stdev"]), mean_err=float(row["mean_err"]),
+        stdev_err=float(row["stdev_err"]),
     )
     return Segment(start - 1, end, stats)
 
@@ -529,8 +505,7 @@ def _row_segment(row: dict[str, object]) -> Segment:
 def read_segment_table(path: str | Path) -> tuple[str, list[Segment], list[Boundary]]:
     """The sector (unchecked; by default the file's stem), segments and
     boundaries of a table ``write_segment_json`` wrote.  Rows need not
-    tile a series.  A segment is degenerate when ``stdev**2`` is at most
-    ``VARIANCE_FLOOR``.  A row after the first has a boundary before it
+    tile a series.  A row after the first has a boundary before it
     unless its ``delta`` and ``delta_err`` are empty.  A malformed table
     raises ValueError."""
     path = Path(path)
@@ -545,8 +520,8 @@ def read_segment_table(path: str | Path) -> tuple[str, list[Segment], list[Bound
             raise _TableError(f"segment table rows lack columns {missing}")
         segments = [_row_segment(row) for row in rows]
         boundaries = [
-            Boundary(seg.start, float(row["delta"]), float(row["delta_err"]), prev.length, seg.length)
-            for prev, seg, row in zip(segments, segments[1:], rows[1:])
+            Boundary(seg.start, float(row["delta"]), float(row["delta_err"]))
+            for seg, row in zip(segments[1:], rows[1:])
             if row["delta"] not in ("", None)
         ]
     except _TableError:

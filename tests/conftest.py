@@ -47,7 +47,6 @@ def assignment_for_colors(colors_in_order: list[str]) -> ClusterAssignment:
         policy="uniform-threshold",
         colors=tuple(distinct),
         phases=tuple(PHASE_BY_COLOR[c] for c in distinct),
-        vol_labels=("",) * len(distinct),
     )
 
 

@@ -203,7 +203,7 @@ class TestExtractShocks:
             [(i0, "blue"), (241, "red"), (len(cal.grid) - 1 - i0 - 241, "green")],
             "BM",
         )
-        boundaries = [Boundary(i0, 92.0, 5.0, i0, 241)]
+        boundaries = [Boundary(i0, 92.0, 5.0)]
         (shock,) = extract_shocks(tl, boundaries, "extremely-high")
         assert shock.start_ts.date() == dt.date(2002, 7, 12)
         assert shock.duration == 241

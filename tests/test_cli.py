@@ -271,7 +271,7 @@ class TestSegmentCommand:
         assert segmenter.FLAG_REFINED in [r["flag"] for r in table_rows(refined / "segments" / "ZZ.csv")]
         rows = json.loads((plain / "segments" / "ZZ.json").read_text())["rows"]
         assert segmenter.FLAG_REFINED not in [r["flag"] for r in rows]
-        returns = ingest.log_returns(ingest.series_from_json(path)).x
+        returns = ingest.log_returns(ingest.series_from_json(path))
         auto = segmenter.recursive_segment(returns)
         assert [r["start"] - 1 for r in rows] == [s.start for s in auto.segments]
         assert [r["delta"] for r in rows[1:]] == [b.divergence for b in auto.boundaries]
@@ -420,18 +420,19 @@ class TestClusterCommand:
         assert [(s.n, s.mean, s.stdev, s.mean_err, s.stdev_err) for s in stats[len(rows) :]] == [
             (r["duration"], r["mean"], r["stdev"], r["mean_err"], r["stdev_err"]) for r in extra
         ]
-        assert [s.degenerate for s in stats[len(rows) :]] == [True, True, False, True, False, False]
 
     def test_degeneracy_follows_the_variance_floor(self, tmp_path):
         # stdev 1e-16 is positive, but its variance 1e-32 is below the
-        # floor, so the segmenter flags such a window degenerate too
+        # floor, so clustering treats such a segment as flat too
         window = segment_stats([0.0, 2e-16])
-        assert window.degenerate and window.stdev > 0.0
+        assert window.stdev**2 <= VARIANCE_FLOOR and window.stdev > 0.0
         rows = [self.table_row(1, 2, window.stdev), self.table_row(2, 30, 1e-14), self.table_row(3, 30, 0.0)]
         path = tmp_path / "DG.json"
         segmenter.write_segment_json(rows, path, "DG")
         _, segments, _ = segmenter.read_segment_table(path)
-        assert [s.stats.degenerate for s in segments] == [True, False, True]
+        normal = segment_stats([-1e-3, 1e-3] * 15)
+        distances = [cluster.segment_distance(s.stats, normal) for s in segments]
+        assert distances[0] == math.inf and math.isfinite(distances[1]) and distances[2] == math.inf
 
 
 class TestAnalyzeCommand:

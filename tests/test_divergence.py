@@ -41,7 +41,6 @@ class TestSegmentStats:
         assert s.stdev == pytest.approx(0.006626, abs=1e-12)
         assert s.stdev_err == pytest.approx(0.001210, abs=1e-6)
         assert s.mean_err == pytest.approx(0.001657, abs=2e-6)
-        assert not s.degenerate
 
     def test_error_formula_helpers(self):
         assert sigma_err(16, 0.006626) == pytest.approx(0.006626 / math.sqrt(30), abs=1e-15)
@@ -51,7 +50,6 @@ class TestSegmentStats:
         s = segment_stats([3.25] * 10)
         assert s.mean == 3.25
         assert s.stdev == 0.0
-        assert s.degenerate
 
     def test_two_point_mle(self):
         s = segment_stats([-1.0, 1.0])
@@ -142,9 +140,7 @@ class TestBestSplit:
         x = np.concatenate([rng.normal(0, 1e-3, 60), rng.normal(0, 5e-3, 40)])
         b = best_split(x)
         assert isinstance(b, Boundary)
-        assert b.left_len == b.position
-        assert b.right_len == 100 - b.position
-        assert b.divergence_err == pytest.approx(delta_error(b.left_len, b.right_len), abs=1e-12)
+        assert b.divergence_err == pytest.approx(delta_error(b.position, 100 - b.position), abs=1e-12)
 
     def test_window_too_short(self):
         with pytest.raises(ValueError):

@@ -299,18 +299,18 @@ def series_of(values, start=dt.date(2000, 2, 14)) -> HalfHourSeries:
 class TestLogReturns:
     def test_constant_series(self):
         out = log_returns(series_of([100.0, 100.0]))
-        assert list(out.x) == [0.0]
+        assert list(out) == [0.0]
 
     def test_single_step_matches_direct_log(self):
         out = log_returns(series_of([100.0, 110.0]))
-        assert out.x[0] == pytest.approx(math.log(110.0 / 100.0), abs=1e-15)
-        assert out.x[0] == pytest.approx(0.0953102, abs=1e-7)
+        assert out[0] == pytest.approx(math.log(110.0 / 100.0), abs=1e-15)
+        assert out[0] == pytest.approx(0.0953102, abs=1e-7)
 
     def test_sample_prices(self):
         out = log_returns(series_of([149.92, 149.93, 149.92]))
         expect = math.log(149.93 / 149.92)
-        assert out.x == pytest.approx([expect, -expect], abs=1e-12)
-        assert out.x[0] == pytest.approx(6.670e-5, abs=5e-9)
+        assert out == pytest.approx([expect, -expect], abs=1e-12)
+        assert out[0] == pytest.approx(6.670e-5, abs=5e-9)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -332,17 +332,12 @@ class TestLogReturns:
         with pytest.raises(ValueError, match="^grid timestamps must be strictly increasing$"):
             HalfHourSeries("BM", tuple(grid), np.full(len(grid), 100.0))
 
-    def test_base_grid_is_left_endpoints(self):
-        s = series_of([100.0, 101.0, 102.0])
-        out = log_returns(s)
-        assert out.base_grid == s.grid[:-1]
-
     def test_roundtrip_reconstructs_levels(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 200))
             values = 50.0 * np.exp(np.cumsum(rng.normal(0, 5e-3, n)))
             s = series_of(values)
-            x = log_returns(s).x
+            x = log_returns(s)
             rebuilt = s.values[0] * np.exp(np.cumsum(np.concatenate([[0.0], x])))
             assert np.allclose(rebuilt, s.values, rtol=1e-12, atol=0)
 

@@ -237,7 +237,7 @@ def check_parse(stream_new, stream_old) -> tuple[TickColumns, list]:
     t_us, price = columns_of(records)
     assert np.array_equal(ticks.t_us, t_us)
     assert np.array_equal(ticks.price, price)  # bit for bit: every price is finite
-    assert [(r.line, r.reason, r.raw) for r in rejects] == expected_rejects
+    assert [(r.line, r.reason) for r in rejects] == [(line, reason) for line, reason, _ in expected_rejects]
     assert ticks.ric == (records[0][0] if records else "")
     return ticks, records
 

@@ -128,7 +128,7 @@ class TestRecursiveSegment:
             again = js_divergence(window, b.position - edges[k])
             assert again == pytest.approx(b.divergence, abs=1e-9)
             assert b.divergence_err == pytest.approx(
-                delta_error(b.left_len, b.right_len), abs=1e-12
+                delta_error(b.position - edges[k], edges[k + 2] - b.position), abs=1e-12
             )
 
     def test_min_segment_len_respected(self):
@@ -144,7 +144,6 @@ class TestRecursiveSegment:
     def test_constant_series_stays_whole(self):
         result = recursive_segment(np.zeros(200))
         assert len(result.segments) == 1
-        assert result.segments[0].stats.degenerate
 
     def test_determinism(self):
         a = recursive_segment(three_regime(8))
@@ -322,7 +321,7 @@ class TestSegmentTable:
             Segment(0, 446, segment_stats(left)),
             Segment(446, 462, segment_stats(right)),
         )
-        boundary = Boundary(446, js_divergence(x, 446), delta_error(446, 16), 446, 16)
+        boundary = Boundary(446, js_divergence(x, 446), delta_error(446, 16))
         result = SegmentationResult(
             segments, (boundary,), (FLAG_AUTOMATIC,), SegmentationConfig()
         )
@@ -434,7 +433,7 @@ class TestResultValidation:
         with pytest.raises(ValueError, match="tile"):
             SegmentationResult(
                 (seg_a, seg_b),
-                (Boundary(31, 1.0, 1.0, 31, 29),),
+                (Boundary(31, 1.0, 1.0),),
                 (FLAG_AUTOMATIC,),
                 SegmentationConfig(),
             )

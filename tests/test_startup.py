@@ -84,7 +84,7 @@ class TestLazyPackage:
             "    print(name, home, ok)\n"
         )
         lines = stdout_of(code).splitlines()
-        assert len(lines) == len(volseg.__all__) == 41
+        assert len(lines) == len(volseg.__all__) == 40
         assert [line for line in lines if not line.endswith(" True")] == []
 
     def test_dir_lists_every_export_before_first_use(self):
