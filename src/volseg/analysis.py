@@ -246,8 +246,9 @@ def match_shocks(
 
     Greedy and deterministic: the earliest unassigned shock seeds a
     group, each sector contributes its nearest unassigned shock to the
-    provisional reference, and missing sectors are reported, not
-    imputed.  Requires all sectors to share one sampling grid.
+    provisional reference, and missing sectors are kept in
+    ``MatchedGroup.missing``, not imputed.  Requires all sectors to
+    share one sampling grid.
     """
     if len(shocks_by_sector) < 1:
         raise ValueError("need at least one sector")

@@ -475,7 +475,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     for path in _existing(args.inputs):
         sector, segments, _ = _read_segment_table(path)
         _hold(sources, sector, path)
-        _cluster(args, sector, [s.stats for s in segments])
+        try:
+            _cluster(args, sector, [s.stats for s in segments])
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     _write_resolved_config(args, Path(args.out))
     return EXIT_OK
 
@@ -499,6 +502,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise DataError(f"{asg_path}: malformed assignment ({exc})") from exc
         if not all(0 <= seg.start < seg.end < len(cal) for seg in segments):
             raise DataError(f"{seg_path}: a segment lies outside the {len(cal)}-point calendar grid")
+        for row, (prev, seg) in enumerate(zip(segments, segments[1:]), start=2):
+            if seg.start != prev.end:
+                raise DataError(
+                    f"{seg_path}: row {row}: start {seg.start + 1} does not follow the end {prev.end} "
+                    f"of row {row - 1}; rows must tile the series"
+                )
         # the timelines read only the grid times at run edges, one at a time from the calendar
         timelines[sector] = analysis.build_timeline(segments, assignment, cal, sector)
         boundaries[sector] = sector_boundaries

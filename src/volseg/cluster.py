@@ -53,6 +53,15 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(pow, x.tolist(), repeat(2)), np.float64, x.size)
 
 
+def _square_or_inf(x: float) -> float:
+    """``x**2``, or +inf where the square passes the float range (``**``
+    raises there, where ``*`` would give inf)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _log(x: np.ndarray) -> np.ndarray:
     # ``np.log`` and ``math.log`` round apart in one or two cells per 10,000
     return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
@@ -65,14 +74,17 @@ class _SegmentColumns:
     def __init__(self, stats: Sequence[SegmentStats]) -> None:
         if any(s.n < 2 for s in stats):
             raise ValueError("segments need at least 2 points each")
-        if not all(math.isfinite(s.mean) and math.isfinite(s.stdev) for s in stats):
-            raise ValueError("segment mean and stdev must be finite")
-        var = [s.stdev**2 for s in stats]
+        var = [_square_or_inf(s.stdev) for s in stats]
+        mean_sq = [_square_or_inf(s.mean) for s in stats]
+        for i, (s, v, m2) in enumerate(zip(stats, var, mean_sq)):
+            if not (math.isfinite(v) and math.isfinite(m2)):  # NaN and inf square to themselves
+                raise ValueError(
+                    f"segment {i + 1}: mean {s.mean!r} and stdev {s.stdev!r} must be finite, "
+                    "with finite squares"
+                )
         self.count = np.array([s.n for s in stats], dtype=np.int64)
         self.weighted_mean = np.array([s.n * s.mean for s in stats], dtype=np.float64)
-        self.weighted_m2 = np.array(
-            [s.n * (v + s.mean**2) for s, v in zip(stats, var)], dtype=np.float64
-        )
+        self.weighted_m2 = np.array([s.n * (v + m) for s, v, m in zip(stats, var, mean_sq)], dtype=np.float64)
         self.flat = np.array([v <= VARIANCE_FLOOR for v in var], dtype=bool)
         self.weighted_log_var = np.array(
             [0.0 if v <= VARIANCE_FLOOR else s.n * math.log(v) for s, v in zip(stats, var)],

@@ -252,8 +252,9 @@ def _prune_weak(
 ) -> bool:
     """Drop boundaries whose final-window divergence fell below the cutoff
     (optimization can shrink a window after later splits).  Automatic
-    boundaries must reach the cutoff; refined ones must exceed it.  ``dirty`` carries the unsettled boundaries in and out, as
-    in ``_optimize``.  Returns the accumulated optimization convergence
+    boundaries must reach the cutoff; refined ones must exceed it.
+    ``dirty`` carries the unsettled boundaries in and out, as in
+    ``_optimize``.  Returns the accumulated optimization convergence
     flag."""
     converged = True
     while True:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -375,12 +376,19 @@ class TestClusterCommand:
         merges = (out / "clusters" / "GEO.merges.csv").read_text().splitlines()
         assert len(merges) == n_rows
 
-    def test_non_finite_statistics_are_data_error(self, tmp_path, capsys):
-        rows = [self.table_row(i + 1, 50, sd) for i, sd in enumerate([1e-3, 2e-3, float("nan"), 3e-3])]
+    @pytest.mark.parametrize(
+        "column, value",
+        [("stdev", float("nan")), ("stdev", 1e200), ("mean", 1e200)],
+        ids=["nan-stdev", "stdev-squares-past-range", "mean-squares-past-range"],
+    )
+    def test_non_finite_statistics_are_data_error(self, tmp_path, capsys, column, value):
+        rows = [self.table_row(i + 1, 50, sd) for i, sd in enumerate([1e-3, 2e-3, 4e-3, 3e-3])]
+        rows[2][column] = value
         path = tmp_path / "NAN.json"
         segmenter.write_segment_json(rows, path, "NAN")
         assert run(["cluster", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"volseg: {path}: segment 3: " in err and "must be finite" in err
 
     @pytest.mark.parametrize(
         "payload",
@@ -515,6 +523,22 @@ class TestAnalyzeCommand:
         table["rows"][row][key] = value
         assert self.analyze(tmp_path, table, calendar, self.TWO_ROW_ASSIGNMENT) == 2
         assert str(tmp_path / "ZZ.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shift", [-10, 10], ids=["overlap", "gap"])
+    @pytest.mark.parametrize(
+        "assignment",
+        [TWO_ROW_ASSIGNMENT, "segment,cluster,color,phase\n1,0,blue,growth\n2,0,blue,growth\n"],
+        ids=["two-colors", "one-color"],
+    )
+    def test_rows_that_do_not_tile_are_data_error_naming_the_row(self, tmp_path, capsys, shift, assignment):
+        table, calendar = self.two_row_inputs(tmp_path)
+        shutil.rmtree(tmp_path / "out")
+        second = table["rows"][1]
+        second["start"] += shift
+        second["duration"] -= shift
+        assert self.analyze(tmp_path, table, calendar, assignment) == 2
+        assert f"volseg: {tmp_path / 'ZZ.json'}: row 2: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "assignment",

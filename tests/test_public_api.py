@@ -1,4 +1,5 @@
-"""Every public function and method of ``volseg`` has a caller.
+"""Every public function and method of ``volseg`` has a caller, and
+every field of its public dataclasses a reader.
 
 The package is parsed with ``ast``.  A public module-level function, or
 a public method of a public module-level class, passes when its name is
@@ -6,6 +7,11 @@ used somewhere in ``src/volseg`` outside its own body (as a name or as
 an attribute, so a method is matched by name whatever the receiver), or
 when it is exported in ``volseg.__all__``.  Code that only tests call
 fails here: give it a caller or delete it with its tests.
+
+A field of a public module-level ``@dataclass`` passes when its name is
+read as an attribute somewhere in ``src/volseg`` outside its own class
+body, whatever the receiver.  A field that is only written is state
+every run builds and throws away: give it a reader or delete it.
 """
 
 import ast
@@ -58,6 +64,56 @@ def uncalled() -> list[str]:
     return out
 
 
+def attributes_read(node: ast.AST) -> Counter:
+    """Names read as attributes anywhere under ``node``."""
+    return Counter(
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or the same through a module attribute."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "dataclass") or (
+        isinstance(node, ast.Attribute) and node.attr == "dataclass"
+    )
+
+
+def dataclass_fields(tree: ast.Module):
+    """(qualified name, field name, class node) of each field of each
+    public module-level dataclass."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_")
+            and any(map(is_dataclass_decorator, node.decorator_list))
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id, node
+
+
+# fields no stage reads that stay, with the reason each stays
+UNREAD_FIELDS = {
+    "analysis.MatchedGroup.missing": "the release criterion 8 test builds MatchedGroup(reference, shocks, missing)",
+}
+
+
+def unread(modules: dict[str, ast.Module]) -> list[str]:
+    """Qualified names of the dataclass fields of ``modules`` (module
+    name -> parsed source) that no code outside their class reads."""
+    everywhere: Counter = Counter()
+    for tree in modules.values():
+        everywhere.update(attributes_read(tree))
+    out = []
+    for module, tree in modules.items():
+        for qualname, name, owner in dataclass_fields(tree):
+            if everywhere[name] - attributes_read(owner)[name] <= 0:
+                out.append(f"{module}.{qualname}")
+    return out
+
+
 def test_every_public_function_has_a_caller():
     assert uncalled() == []
 
@@ -77,3 +133,34 @@ def test_guard_sees_functions_and_methods():
     everywhere = used_names(tree)
     unused = sorted(q for q, node in names.items() if everywhere[node.name] - used_names(node)[node.name] <= 0)
     assert unused == ["C.method", "recursive", "used"]
+
+
+def test_every_dataclass_field_has_a_reader():
+    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert unread(modules) == sorted(UNREAD_FIELDS)
+
+
+def test_guard_sees_unread_fields():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n    x: float\n    y: float\n    z: float\n"
+        "    label: str = ''\n    tags: list = field(default_factory=list)\n"
+        "    def norm(self):\n        return self.x + self.label\n"
+        "@dataclasses.dataclass\n"
+        "class Box:\n    corner: Point\n    LIMIT = 3\n"
+        "@dataclass\n"
+        "class _Hidden:\n    secret: int\n"
+        "class Plain:\n    size: int\n"
+        "def area(box, p):\n"
+        "    p.z = 2\n"
+        "    return box.corner.y * p.tags\n"
+    )
+    fields = [(q, name) for q, name, _ in dataclass_fields(tree)]
+    assert fields == [
+        ("Point.x", "x"), ("Point.y", "y"), ("Point.z", "z"), ("Point.label", "label"), ("Point.tags", "tags"),
+        ("Box.corner", "corner"),
+    ]
+    # x and label are read only in their own class, and z is only written
+    assert unread({"m": tree}) == ["m.Point.x", "m.Point.z", "m.Point.label"]
