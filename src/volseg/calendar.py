@@ -138,12 +138,16 @@ class TradingCalendar:
         return local.astimezone(dt.timezone.utc)
 
     @cached_property
+    def _opens(self) -> tuple[dt.datetime, ...]:
+        """``session_open`` of every trading day."""
+        return tuple(map(self.session_open, self.days))
+
+    @cached_property
     def grid(self) -> tuple[dt.datetime, ...]:
         """All sampling timestamps (UTC), day by day."""
         steps = [HALF_HOUR * k for k in range(self.samples_per_day)]
         out = []
-        for day in self.days:
-            t0 = self.session_open(day)
+        for t0 in self._opens:
             out.extend([t0 + step for step in steps])
         return tuple(out)
 
@@ -182,7 +186,7 @@ class TradingCalendar:
         """``grid`` as int64 microseconds since the epoch, one row of
         ``samples_per_day`` per day (read-only): column 0 holds the session
         opens and the last column the closes."""
-        opens = np.array([(t - EPOCH) // MICROSECOND for t in self.grid[:: self.samples_per_day]], dtype=np.int64)
+        opens = np.array([(t - EPOCH) // MICROSECOND for t in self._opens], dtype=np.int64)
         out = opens[:, None] + HALF_HOUR // MICROSECOND * np.arange(self.samples_per_day, dtype=np.int64)
         out.flags.writeable = False
         return out

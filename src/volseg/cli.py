@@ -328,6 +328,10 @@ def _segment(
     try:
         returns = ingest.log_returns(series)
         result = segmenter.recursive_segment(returns, cfg)
+        log.debug(
+            "%s: recursion: %d scan(s), %d point(s) scanned, %d side term(s) computed", series.sector,
+            result.scans, result.scan_points, result.term_points,
+        )
         if not args.no_refine:
             start = time.perf_counter()
             result = segmenter.refine_long_segments(returns, result, cfg)
@@ -350,6 +354,7 @@ def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -
     cl_dir = Path(args.out) / "clusters"
     cl_dir.mkdir(parents=True, exist_ok=True)
     if len(stats) < 2:
+        cluster.checked_squares(stats)  # the check complete_link makes on longer tables
         log.warning("%s: only %d segment(s); degenerate clustering", sector, len(stats))
         tree, report = None, []
         assignment = cluster.ClusterAssignment((0,) * len(stats), (stats[0].stdev,), 1, args.policy)

@@ -67,21 +67,29 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
 
 
+def checked_squares(stats: Sequence[SegmentStats]) -> tuple[list[float], list[float]]:
+    """Each segment's ``stdev**2`` and ``mean**2``.  Raises ValueError for
+    a segment of fewer than 2 points, or whose mean, stdev or either
+    square is not finite."""
+    if any(s.n < 2 for s in stats):
+        raise ValueError("segments need at least 2 points each")
+    var = [_square_or_inf(s.stdev) for s in stats]
+    mean_sq = [_square_or_inf(s.mean) for s in stats]
+    for i, (s, v, m2) in enumerate(zip(stats, var, mean_sq)):
+        if not (math.isfinite(v) and math.isfinite(m2)):  # NaN and inf square to themselves
+            raise ValueError(
+                f"segment {i + 1}: mean {s.mean!r} and stdev {s.stdev!r} must be finite, "
+                "with finite squares"
+            )
+    return var, mean_sq
+
+
 class _SegmentColumns:
     """Per-segment terms of the distance formula, computed with Python
     floats exactly as the scalar formula computes them."""
 
     def __init__(self, stats: Sequence[SegmentStats]) -> None:
-        if any(s.n < 2 for s in stats):
-            raise ValueError("segments need at least 2 points each")
-        var = [_square_or_inf(s.stdev) for s in stats]
-        mean_sq = [_square_or_inf(s.mean) for s in stats]
-        for i, (s, v, m2) in enumerate(zip(stats, var, mean_sq)):
-            if not (math.isfinite(v) and math.isfinite(m2)):  # NaN and inf square to themselves
-                raise ValueError(
-                    f"segment {i + 1}: mean {s.mean!r} and stdev {s.stdev!r} must be finite, "
-                    "with finite squares"
-                )
+        var, mean_sq = checked_squares(stats)
         self.count = np.array([s.n for s in stats], dtype=np.int64)
         self.weighted_mean = np.array([s.n * s.mean for s in stats], dtype=np.float64)
         self.weighted_m2 = np.array([s.n * (v + m) for s, v, m in zip(stats, var, mean_sq)], dtype=np.float64)

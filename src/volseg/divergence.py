@@ -20,8 +20,14 @@ Standard errors use the finite-sample formulas
               - n / sqrt(2 (n - 1))
     d_D_max = sqrt(n) (1 - 1 / sqrt(2))        # large-n cap of d_D
 
-Everything here is pure and operates on plain float64 arrays; the
-PrefixSums cache makes a full divergence scan O(n).
+Everything here operates on plain float64 arrays.  The running sums of
+PrefixSums make a full divergence scan O(n).  The side term
+n_L ln s_L^2 of a split depends only on the window's left end and the
+split, and n_R ln s_R^2 only on the split and the right end, so
+PrefixSums also keeps them per window endpoint: a scan that shares an
+endpoint with an earlier one computes only the splits that endpoint's
+terms lack.  The caches live until cut or released; the segmenter keeps
+them under 4 floats per point of the series.
 """
 
 from __future__ import annotations
@@ -133,6 +139,10 @@ class PrefixSums:
         # side counts for scan: _count[i] == i and _rcount[i] == length - i
         self._count = np.arange(arr.size + 1, dtype=np.float64)
         self._rcount = self._count[::-1].copy()
+        # endpoint -> (first split, side terms, any degenerate); see _side_terms
+        self._left: dict[int, tuple[int, np.ndarray, bool]] = {}
+        self._right: dict[int, tuple[int, np.ndarray, bool]] = {}
+        self.terms_computed = 0
 
     def mean_var(self, a: int, b: int) -> tuple[float, float]:
         """MLE mean and variance of the window [a, b)."""
@@ -167,41 +177,23 @@ class PrefixSums:
             raise ValueError(f"split {t} leaves fewer than 2 points on one side of [{a}, {b})")
         n = b - a
         _, var = self.mean_var(a, b)
-        _, _, left, right = self._side_vars(a, t, t + 1, b)
-        var_l, var_r = float(left[0]), float(right[0])
+        _, var_l = self.mean_var(a, t)
+        _, var_r = self.mean_var(t, b)
         if min(var, var_l, var_r) <= VARIANCE_FLOOR:
             raise DegenerateSplitError(f"zero variance at split {t} of [{a}, {b})")
         return 0.5 * (
             n * math.log(var) - (t - a) * math.log(var_l) - (b - t) * math.log(var_r)
         ) + 0.5
 
-    def _side_vars(
-        self, a: int, lo: int, hi: int, b: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """For each split t in [lo, hi) of the window [a, b): t - a, b - t,
-        and the MLE variances of [a, t) and [t, b), each at least
-        VARIANCE_FLOOR.  The counts are views of the shared count arrays;
-        the variances are new arrays."""
-        nl = self._count[lo - a : hi - a]
-        nr = self._rcount[self.length - b + lo : self.length - b + hi]
-        cum, cum2 = self._cum, self._cum2
-        s = np.subtract(cum[lo:hi], cum[a])
-        var_l = np.subtract(cum2[lo:hi], cum2[a])
-        _side_var(var_l, s, nl)
-        np.subtract(cum[b], cum[lo:hi], out=s)
-        var_r = np.subtract(cum2[b], cum2[lo:hi])
-        _side_var(var_r, s, nr)
-        return nl, nr, var_l, var_r
-
     def scan(self, a: int, b: int, margin: int = 2) -> tuple[int, float] | None:
         """Argmax of the divergence over splits of [a, b), each side >= margin.
 
         Vectorized over all admissible t; ties resolve to the smallest
         t.  Returns None when every admissible split is degenerate (or
-        the window is too short to admit one).  The splits t run over a
-        slice of the prefix arrays and the arithmetic reuses three buffers
-        in place, in the operation order of ``delta_at`` except that the
-        side logs come from ``np.log``.
+        the window is too short to admit one).  The side terms come from
+        the endpoint caches (see ``_side_terms``) and combine in the
+        operation order of ``delta_at``, except that the side logs come
+        from ``np.log``.
         """
         if margin < 2:
             raise ValueError("margin must be at least 2 for variance estimates")
@@ -212,35 +204,104 @@ class PrefixSums:
         if var <= VARIANCE_FLOOR:
             return None
         lo = a + margin  # first admissible t
-        nl, nr, var_l, var_r = self._side_vars(a, lo, b - margin + 1, b)
-
-        ok = None  # every split admissible
-        if not (var_l.min() > VARIANCE_FLOOR and var_r.min() > VARIANCE_FLOOR):
-            ok = (var_l > VARIANCE_FLOOR) & (var_r > VARIANCE_FLOOR)
-            if not ok.any():
-                return None
-        # clamped sides only feed splits that are masked out below
-        delta = np.log(var_l, out=var_l)
-        np.multiply(nl, delta, out=delta)
-        np.subtract(n * math.log(var), delta, out=delta)
-        np.log(var_r, out=var_r)
-        np.multiply(nr, var_r, out=var_r)
-        np.subtract(delta, var_r, out=delta)
+        left, left_degenerate = self._side_terms(a, lo, b - margin + 1)
+        right, right_degenerate = self._side_terms(b, lo, b - margin + 1)
+        delta = np.subtract(n * math.log(var), left)
+        np.subtract(delta, right, out=delta)
         np.multiply(0.5, delta, out=delta)
         np.add(delta, 0.5, out=delta)
-        if ok is not None:
+        if left_degenerate or right_degenerate:
+            ok = ~(np.isnan(left) | np.isnan(right))
+            if not ok.any():
+                return None
             delta[~ok] = -np.inf
         best = int(delta.argmax())  # first occurrence == smallest t
         return lo + best, float(delta[best])
 
+    def _side_terms(self, pos: int, lo: int, hi: int) -> tuple[np.ndarray, bool]:
+        """The terms of the sides ending at endpoint ``pos`` for the splits
+        t in [lo, hi), as a view of the endpoint's cache, and whether the
+        cache holds a degenerate side.
 
-def _side_var(s2: np.ndarray, s: np.ndarray, count: np.ndarray) -> None:
-    """In place: s2 <- max((s2 - s*s/count)/count, VARIANCE_FLOOR); s is clobbered."""
-    np.multiply(s, s, out=s)
-    np.divide(s, count, out=s)
-    np.subtract(s2, s, out=s2)
-    np.divide(s2, count, out=s2)
-    np.maximum(s2, VARIANCE_FLOOR, out=s2)
+        Each endpoint keeps one array per side: (t - pos) ln var[pos, t)
+        for splits after it, (pos - t) ln var[t, pos) for splits before
+        it, NaN where the variance is at or below VARIANCE_FLOOR.  A term
+        depends only on the endpoint and the split, so an array is
+        extended by the splits it lacks and is otherwise reused by every
+        window with that endpoint, until ``keep_terms`` cuts it or
+        ``release`` drops it.
+        """
+        cache = self._left if lo > pos else self._right
+        entry = cache.get(pos)
+        if entry is None:
+            first = lo
+            terms, degenerate = self._terms(pos, lo, hi)
+        else:
+            first, terms, degenerate = entry
+            end = first + terms.size
+            if lo < first or hi > end:
+                pieces = [terms]
+                if lo < first:
+                    before, d = self._terms(pos, lo, first)
+                    pieces.insert(0, before)
+                    degenerate |= d
+                    first = lo
+                if hi > end:
+                    after, d = self._terms(pos, end, hi)
+                    pieces.append(after)
+                    degenerate |= d
+                terms = np.concatenate(pieces)
+        cache[pos] = first, terms, degenerate
+        return terms[lo - first : hi - first], degenerate
+
+    def _terms(self, pos: int, lo: int, hi: int) -> tuple[np.ndarray, bool]:
+        """New side terms of endpoint ``pos`` for the splits [lo, hi), all
+        on one side of it, and whether any is degenerate."""
+        cum, cum2 = self._cum, self._cum2
+        if lo > pos:  # sides [pos, t)
+            count = self._count[lo - pos : hi - pos]
+            s = np.subtract(cum[lo:hi], cum[pos])
+            var = np.subtract(cum2[lo:hi], cum2[pos])
+        else:  # sides [t, pos)
+            count = self._rcount[self.length - pos + lo : self.length - pos + hi]
+            s = np.subtract(cum[pos], cum[lo:hi])
+            var = np.subtract(cum2[pos], cum2[lo:hi])
+        self.terms_computed += hi - lo
+        # in place: var <- max((var - s*s/count)/count, VARIANCE_FLOOR)
+        np.multiply(s, s, out=s)
+        np.divide(s, count, out=s)
+        np.subtract(var, s, out=var)
+        np.divide(var, count, out=var)
+        np.maximum(var, VARIANCE_FLOOR, out=var)
+        degenerate = None if var.min() > VARIANCE_FLOOR else ~(var > VARIANCE_FLOOR)
+        terms = np.log(var, out=var)
+        np.multiply(count, terms, out=terms)
+        if degenerate is not None:
+            terms[degenerate] = np.nan
+        return terms, degenerate is not None
+
+    def keep_terms(self, a: int, b: int) -> None:
+        """Cut the left terms cached at endpoint a and the right terms
+        cached at endpoint b to the splits inside (a, b)."""
+        entry = self._left.get(a)
+        if entry is not None and entry[0] + entry[1].size > b:
+            first, terms, degenerate = entry
+            if first < b:
+                self._left[a] = first, terms[: b - first].copy(), degenerate
+            else:
+                del self._left[a]
+        entry = self._right.get(b)
+        if entry is not None and entry[0] <= a:
+            first, terms, degenerate = entry
+            if first + terms.size > a + 1:
+                self._right[b] = a + 1, terms[a + 1 - first :].copy(), degenerate
+            else:
+                del self._right[b]
+
+    def release(self, pos: int) -> None:
+        """Drop the side terms cached at endpoint ``pos``."""
+        self._left.pop(pos, None)
+        self._right.pop(pos, None)
 
 
 def js_divergence(x, t: int) -> float:

@@ -85,8 +85,12 @@ class SegmentationResult:
     flags: tuple[str, ...]  # automatic | refined, aligned with boundaries
     config: SegmentationConfig
     converged: bool = True
-    # the work refine_long_segments did: long windows re-segmented and
-    # divergence scans made; not part of the result's value
+    # the work recursive_segment did (divergence scans, the points they
+    # spanned, side terms computed) and the work refine_long_segments did
+    # (long windows re-segmented, scans made); not part of the result's value
+    scans: int = field(default=0, compare=False)
+    scan_points: int = field(default=0, compare=False)
+    term_points: int = field(default=0, compare=False)
     refine_windows: int = field(default=0, compare=False)
     refine_scans: int = field(default=0, compare=False)
 
@@ -119,12 +123,21 @@ class SegmentationResult:
 
 class _Scanner:
     """Memoized divergence scans and split divergences over one PrefixSums
-    instance.
+    instance, and the boundary edits that keep its side-term caches small.
 
     A scan is a pure function of (window, margin), and a split's divergence
     of (window, split), so results survive across optimization sweeps,
     recursion rounds and pruning rounds.  A degenerate split is not
     memoized: it raises again on every call.
+
+    Every scanned window spans at most two segments, so the left terms
+    cached at boundary j serve splits up to boundary j + 2, and its right
+    terms splits from boundary j - 2 (``lo`` stands at -1 and ``hi`` at
+    ``len(bounds)``).  Each edit of a boundary list goes through
+    ``insert``, ``move`` or ``remove``: a position that stops being a
+    boundary releases its terms, and the terms at both ends of each window
+    two segments wide that narrowed are cut to it, which bounds the live
+    cache by 4 floats per point.
     """
 
     def __init__(self, ps: PrefixSums, margin: int) -> None:
@@ -150,13 +163,33 @@ class _Scanner:
             delta = self._deltas[key] = self.ps.delta_at(a, t, b)
             return delta
 
+    def insert(self, bounds: list[int], lo: int, hi: int, dirty: set[int], pos: int) -> int:
+        """Insert a boundary at pos and mark it and both neighbors dirty."""
+        idx = bisect_left(bounds, pos)
+        bounds.insert(idx, pos)
+        dirty.update(bounds[max(idx - 1, 0) : idx + 2])
+        for j in range(idx - 2, idx + 1):
+            self._cut(bounds, lo, hi, j)
+        return idx
 
-def _insert(bounds: list[int], dirty: set[int], pos: int) -> int:
-    """Insert a boundary at pos and mark it and both neighbors dirty."""
-    idx = bisect_left(bounds, pos)
-    bounds.insert(idx, pos)
-    dirty.update(bounds[max(idx - 1, 0) : idx + 2])
-    return idx
+    def move(self, bounds: list[int], lo: int, hi: int, k: int, pos: int) -> None:
+        """Move boundary k to pos; a move toward lo narrows the window from
+        boundary k - 2, one toward hi the window to boundary k + 2."""
+        self.ps.release(bounds[k])
+        toward_lo = pos < bounds[k]
+        bounds[k] = pos
+        self._cut(bounds, lo, hi, k - 2 if toward_lo else k)
+
+    def remove(self, bounds: list[int], k: int) -> int:
+        pos = bounds.pop(k)
+        self.ps.release(pos)
+        return pos
+
+    def _cut(self, bounds: list[int], lo: int, hi: int, j: int) -> None:
+        """Cut the terms at the two ends of the window from boundary j to
+        boundary j + 2 to its splits."""
+        if -1 <= j and j + 2 <= len(bounds):
+            self.ps.keep_terms(bounds[j] if j >= 0 else lo, bounds[j + 2] if j + 2 < len(bounds) else hi)
 
 
 def _optimize(
@@ -192,7 +225,7 @@ def _optimize(
             found = sc.scan(a, b)
             if found is None or found[0] == bounds[k]:
                 continue
-            bounds[k] = found[0]
+            sc.move(bounds, lo, hi, k, found[0])
             any_moved = True
             if moved is not None:
                 moved.add(k)
@@ -234,7 +267,7 @@ def _recurse(
             heappop(heap)
         if not heap:
             return bounds, converged, dirty
-        moved = {_insert(bounds, dirty, heappop(heap)[1])}
+        moved = {sc.insert(bounds, lo, hi, dirty, heappop(heap)[1])}
         converged &= _optimize(sc, bounds, lo, hi, max_iters, dirty, moved)
         edges = [lo] + bounds + [hi]
         fresh = {w for k in moved for w in ((edges[k], edges[k + 1]), (edges[k + 1], edges[k + 2]))}
@@ -273,7 +306,7 @@ def _prune_weak(
             return converged
         k = weakest[1]
         log.debug("pruning sub-cutoff boundary at %d (delta=%.3f)", bounds[k], weakest[0])
-        dirty.discard(bounds.pop(k))
+        dirty.discard(sc.remove(bounds, k))
         del flags[k]
         dirty.update(bounds[max(k - 1, 0) : k + 1])  # the neighbors now facing each other
         converged &= _optimize(sc, bounds, lo, hi, max_iters, dirty)
@@ -328,7 +361,9 @@ def recursive_segment(x, cfg: SegmentationConfig | None = None) -> SegmentationR
     )
     if not converged:
         log.warning("boundary optimization hit max_opt_iters without converging")
-    return _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
+    result = _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
+    points = sum(b - a for a, b in sc._cache)
+    return replace(result, scans=len(sc._cache), scan_points=points, term_points=ps.terms_computed)
 
 
 def optimize_boundaries(
@@ -390,14 +425,17 @@ def refine_long_segments(x, result: SegmentationResult, cfg: SegmentationConfig 
         if not found:
             continue
         for pos in found:
-            flags.insert(_insert(bounds, dirty, pos), FLAG_REFINED)
+            flags.insert(sc.insert(bounds, 0, arr.size, dirty, pos), FLAG_REFINED)
         converged &= _optimize(sc, bounds, 0, arr.size, cfg.max_opt_iters, dirty)
         # global optimization may shift positions; refined boundaries only
         # survive if they still clear the cutoff in their final windows
         converged &= _prune_weak(sc, bounds, flags, 0, arr.size, cfg.cutoff, cfg.max_opt_iters, dirty)
 
     refined = _build_result(ps, bounds, flags, cfg, converged, sc.delta_at)
-    return replace(refined, refine_windows=len(attempted), refine_scans=len(sc._cache))
+    return replace(
+        refined, scans=result.scans, scan_points=result.scan_points, term_points=result.term_points,
+        refine_windows=len(attempted), refine_scans=len(sc._cache),
+    )
 
 
 def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> list[int]:
@@ -411,6 +449,8 @@ def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> lis
         found = sc.scan(wa, wb)
         if found is not None and found[0] == pos and found[1] > cfg.cutoff:
             keep.append(pos)
+    for pos in set(sub_bounds).difference(keep):
+        sc.ps.release(pos)
     if keep:
         log.info("refined segment [%d, %d): %d boundary(ies)", a, b, len(keep))
     return keep

@@ -11,7 +11,7 @@ from zoneinfo import ZoneInfo
 
 import pytest
 
-from volseg.calendar import HALF_HOUR, TradingCalendar
+from volseg.calendar import EPOCH, HALF_HOUR, MICROSECOND, TradingCalendar
 
 
 def oracle_grid(cal: TradingCalendar) -> tuple[dt.datetime, ...]:
@@ -67,3 +67,18 @@ def test_holidays_and_half_hour_opens():
         tz="Asia/Kolkata",
     )
     assert_matches_oracle(cal)
+
+
+@pytest.mark.parametrize("tz", ["America/New_York", "Europe/London"])
+@pytest.mark.parametrize("samples_per_day", [1, 14])
+def test_grid_us_takes_the_session_opens_without_building_the_grid(tz, samples_per_day):
+    # New York switches on 2000-04-02 and 2000-10-29, London on 2000-03-26 and 2000-10-29
+    cal = TradingCalendar.from_range(
+        dt.date(2000, 3, 20), dt.date(2000, 11, 3), samples_per_day=samples_per_day, tz=tz
+    )
+    grid_us = cal.grid_us
+    assert "grid" not in vars(cal)
+    want = oracle_grid(cal)
+    assert grid_us.ravel().tolist() == [(t - EPOCH) // MICROSECOND for t in want]
+    assert len({int(u) % 86_400_000_000 for u in grid_us[:, 0]}) == 2  # both offsets of the year
+    assert grid_us[:, 0].tolist() == [(t - EPOCH) // MICROSECOND for t in cal.grid[::samples_per_day]]

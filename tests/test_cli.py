@@ -16,7 +16,7 @@ from conftest import weekday_calendar
 from test_segmenter_oracle import ladder_corpus
 from volseg import cli, cluster, ingest, segmenter
 from volseg.calendar import TradingCalendar
-from volseg.divergence import VARIANCE_FLOOR, segment_stats
+from volseg.divergence import VARIANCE_FLOOR, PrefixSums, segment_stats
 from volseg.synthetic import (
     DEMO_SECTORS,
     demo_sector_pieces,
@@ -377,18 +377,30 @@ class TestClusterCommand:
         assert len(merges) == n_rows
 
     @pytest.mark.parametrize(
-        "column, value",
-        [("stdev", float("nan")), ("stdev", 1e200), ("mean", 1e200)],
-        ids=["nan-stdev", "stdev-squares-past-range", "mean-squares-past-range"],
+        "stdevs, column, value",
+        [
+            ([1e-3, 2e-3, 4e-3, 3e-3], "stdev", float("nan")),
+            ([1e-3, 2e-3, 4e-3, 3e-3], "stdev", 1e200),
+            ([1e-3, 2e-3, 4e-3, 3e-3], "mean", 1e200),
+            ([1e-3], "stdev", float("nan")),
+            ([1e-3], "stdev", 1e200),
+        ],
+        ids=[
+            "nan-stdev", "stdev-squares-past-range", "mean-squares-past-range", "one-row-nan-stdev",
+            "one-row-stdev-squares-past-range",
+        ],
     )
-    def test_non_finite_statistics_are_data_error(self, tmp_path, capsys, column, value):
-        rows = [self.table_row(i + 1, 50, sd) for i, sd in enumerate([1e-3, 2e-3, 4e-3, 3e-3])]
-        rows[2][column] = value
+    def test_non_finite_statistics_are_data_error(self, tmp_path, capsys, stdevs, column, value):
+        rows = [self.table_row(i + 1, 50, sd) for i, sd in enumerate(stdevs)]
+        bad = min(3, len(rows))
+        rows[bad - 1][column] = value
         path = tmp_path / "NAN.json"
         segmenter.write_segment_json(rows, path, "NAN")
-        assert run(["cluster", str(path), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert run(["cluster", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"volseg: {path}: segment 3: " in err and "must be finite" in err
+        assert f"volseg: {path}: segment {bad}: " in err and "must be finite" in err
+        assert not (out / "clusters" / "NAN.assignment.csv").exists()
 
     @pytest.mark.parametrize(
         "payload",
@@ -856,24 +868,47 @@ class TestPipelineComposition:
         assert plotted == set(manifest) == {"BM"}
 
 
-    def test_verbose_logs_refinement_work_per_sector_and_writes_the_same_files(self, corpus, tmp_path):
+    def test_verbose_logs_refinement_work_per_sector_and_writes_the_same_files(self, corpus, tmp_path, monkeypatch):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = ["pipeline", *corpus["ticks"], "--holidays", corpus["holidays"], "--long-seg", "100"]
-        stderr = {}
+        stderr, recursion = {}, {}
         for name, extra in (("quiet", []), ("verbose", ["--verbose"])):
             proc = subprocess.run(
                 [sys.executable, "-m", "volseg.cli", *argv, "--out", str(tmp_path / name), *extra],
                 env=env, capture_output=True, text=True, timeout=60,
             )
             assert proc.returncode == 0, proc.stderr
+            assert ": refinement: " not in proc.stdout and ": recursion: " not in proc.stdout
             stderr[name] = [line for line in proc.stderr.splitlines() if ": refinement: " in line]
-        assert stderr["quiet"] == []
+            recursion[name] = [line for line in proc.stderr.splitlines() if ": recursion: " in line]
+        assert stderr["quiet"] == [] and recursion["quiet"] == []
         pattern = r"DEBUG \S+: (\w+): refinement: (\d+) long window\(s\), (\d+) scan\(s\), \d+\.\d{4} s"
         found = [re.fullmatch(pattern, line) for line in stderr["verbose"]]
         assert all(found), stderr["verbose"]
         assert [m[1] for m in found] == ["BM", "CY", "EN"]
         assert all(int(m[2]) >= 1 and int(m[3]) >= int(m[2]) for m in found)
+        # the recursion's work, against the scans a run in this process asks for
+        pattern = r"DEBUG \S+: (\w+): recursion: (\d+) scan\(s\), (\d+) point\(s\) scanned, (\d+) side term\(s\) computed"
+        found = [re.fullmatch(pattern, line) for line in recursion["verbose"]]
+        assert all(found), recursion["verbose"]
+        assert [m[1] for m in found] == ["BM", "CY", "EN"]
+        for m in found:
+            series = ingest.series_from_json(tmp_path / "quiet" / "series" / f"{m[1]}.json")
+            windows = []
+            scan = PrefixSums.scan
+
+            def record(self, a, b, margin=2):
+                windows.append((a, b, margin))
+                return scan(self, a, b, margin)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(PrefixSums, "scan", record)
+                segmenter.recursive_segment(ingest.log_returns(series))
+            assert (int(m[2]), int(m[3])) == (len(windows), sum(b - a for a, b, _ in windows))
+            # fewer side terms than recomputing both sides of every scan
+            both_sides = sum(2 * (b - a - 2 * margin + 1) for a, b, margin in windows if b - a >= 2 * margin)
+            assert windows[0][1] <= int(m[4]) < both_sides
         # the timings stay out of the output directory
         assert artifact_tree(tmp_path / "verbose") == artifact_tree(tmp_path / "quiet")
 
