@@ -124,7 +124,9 @@ class PrefixSums:
 
     Values are centered on the full-series mean before accumulating, so
     windows with a large common offset (index returns hover around a
-    tiny mean) do not lose precision to cancellation.
+    tiny mean) do not lose precision to cancellation.  ``scan`` keeps the
+    side terms of every window endpoint it meets (see ``_side_terms``);
+    ``terms_computed`` counts the terms it has computed.
     """
 
     def __init__(self, x) -> None:
