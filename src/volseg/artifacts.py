@@ -10,9 +10,9 @@ A CSV cell is written by one rule:
 
 Rows end in ``\\n`` and a cell is quoted only when it holds a comma, a
 quote or a line break.  A JSON artifact is one object with sorted keys,
-indented by one space, with a final newline; dates in it are written as
-``isoformat()``.  Both layouts are byte-stable, so reruns of a command
-give identical files.
+indented by one space, with a final newline, and holds JSON types only.
+Both layouts are byte-stable, so reruns of a command give identical
+files.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _json_date(value: object) -> str:
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def write_json(path: str | Path, payload: dict[str, object]) -> None:
     """Write ``payload`` with sorted keys, a one-space indent and a final newline."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1, default=_json_date) + "\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")

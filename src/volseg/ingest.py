@@ -537,7 +537,8 @@ def series_to_csv(series: HalfHourSeries, path: str | Path) -> None:
             fh.write(_rows((_render_grid(series, rows), b",", _render_values(series.values[rows]), b"\n")))
 
 
-def series_from_csv(path: str | Path, sector: str | None = None) -> HalfHourSeries:
+def series_from_csv(path: str | Path) -> HalfHourSeries:
+    """The series of a ``timestamp,value`` file; its sector is the file's stem."""
     grid: list[dt.datetime] = []
     values: list[float] = []
     with open(path, newline="") as fh:
@@ -545,8 +546,7 @@ def series_from_csv(path: str | Path, sector: str | None = None) -> HalfHourSeri
         for row in reader:
             grid.append(dt.datetime.fromisoformat(row["timestamp"]))
             values.append(float(row["value"]))
-    name = sector if sector is not None else Path(path).stem
-    return HalfHourSeries(name, tuple(grid), np.array(values))
+    return HalfHourSeries(Path(path).stem, tuple(grid), np.array(values))
 
 
 def _write_strings(fh: BinaryIO, n: int, render: Callable[[slice], np.ndarray]) -> None:

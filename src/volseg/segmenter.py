@@ -460,10 +460,7 @@ def _refine_window(sc: _Scanner, a: int, b: int, cfg: SegmentationConfig) -> lis
 # segment table
 
 
-def emit_segment_table(
-    result: SegmentationResult,
-    grid: Sequence[dt.datetime] | None = None,
-) -> list[dict[str, object]]:
+def emit_segment_table(result: SegmentationResult, grid: Sequence[dt.datetime]) -> list[dict[str, object]]:
     """Rows in the published listing layout.
 
     ``grid`` holds the timestamps of the level series (length N+1 for N
@@ -473,16 +470,12 @@ def emit_segment_table(
     """
     rows: list[dict[str, object]] = []
     for m, seg in enumerate(result.segments, start=1):
-        if grid is not None:
-            start_date = grid[seg.start].strftime("%d/%m/%Y")
-        else:
-            start_date = ""
         row: dict[str, object] = {
             "m": m,
             "start": seg.start + 1,
             "end": seg.end,
             "duration": seg.length,
-            "start_date": start_date,
+            "start_date": grid[seg.start].strftime("%d/%m/%Y"),
             "mean": seg.stats.mean,
             "mean_err": seg.stats.mean_err,
             "stdev": seg.stats.stdev,
@@ -507,18 +500,12 @@ def write_segment_csv(rows: list[dict[str, object]], path: str | Path) -> None:
 def write_segment_json(
     rows: list[dict[str, object]],
     path: str | Path,
-    sector: str = "",
-    config: SegmentationConfig | None = None,
-    converged: bool | None = None,
+    sector: str,
+    config: SegmentationConfig,
+    converged: bool,
 ) -> None:
-    """The table as JSON, with the configuration and the result's
-    ``converged`` flag when given."""
-    payload: dict[str, object] = {"sector": sector, "rows": rows}
-    if config is not None:
-        payload["config"] = asdict(config)
-    if converged is not None:
-        payload["converged"] = converged
-    write_json(path, payload)
+    """The table as JSON, with the configuration and the result's ``converged`` flag."""
+    write_json(path, {"sector": sector, "rows": rows, "config": asdict(config), "converged": converged})
 
 
 class _TableError(ValueError):

@@ -79,16 +79,15 @@ def write_tick_file(
     cal: TradingCalendar,
     levels: np.ndarray,
     seed: int,
-    ticks_per_half_hour: int = 3,
-    with_noise_rows: bool = True,
 ) -> None:
     """Render a level path as a raw tick file on the calendar grid.
 
     One tick lands just before every grid time carrying the exact grid
-    level, so resampling recovers ``levels``; extra in-between ticks,
-    a pre-open correction row, and a post-close straggler exercise the
-    ingestion filters.  Every level must be finite and at least
-    0.00005, the least that prints as a positive 4-decimal price.
+    level, so resampling recovers ``levels``; two in-between ticks per
+    half hour, a pre-open correction row, and a post-close straggler
+    each session exercise the ingestion filters.  Every level must be
+    finite and at least 0.00005, the least that prints as a positive
+    4-decimal price.
 
     The file is rendered ``_BLOCK_DAYS`` trading days at a time, each
     block's rows as bytes filled in from digit tables and a date table of
@@ -111,16 +110,8 @@ def write_tick_file(
             f"at least {_MIN_LEVEL!r} to print as a positive 4-decimal price"
         )
     wobble_rng, lag_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    n_between = max(ticks_per_half_hour - 1, 0)
-    # how long each in-between tick precedes its grid time, rounded to the
-    # microsecond as timedelta rounds it
-    lead_us = np.array(
-        [
-            dt.timedelta(seconds=1800 * (1 - (j + 1) / (ticks_per_half_hour + 1))) // MICROSECOND
-            for j in range(n_between)
-        ],
-        dtype=np.int64,
-    )
+    # the two in-between ticks precede their grid time by 3/4 and 1/2 of a half hour
+    lead_us = np.array([1350, 900], dtype=np.int64) * 1_000_000
     levels = levels.reshape(cal.grid_us.shape)
     head = f".DJUS{sector},".encode()
     correction_us = cal.grid_us[:1, 0] - dt.timedelta(hours=2) // MICROSECOND
@@ -132,16 +123,15 @@ def write_tick_file(
 
     with Path(path).open("w") as fh:
         fh.write("#RIC,Date[G],Time[G],GMT Offset,Type,Price\n")
-        if with_noise_rows:
-            # exchange-correction row hours before the open: must be ignored
-            fh.write(_tick_rows(head, first_day, dates, correction_us, levels[0, :1] * 1.5))
+        # exchange-correction row hours before the open: must be ignored
+        fh.write(_tick_rows(head, first_day, dates, correction_us, levels[0, :1] * 1.5))
         for d in range(0, len(cal.days), _BLOCK_DAYS):
             block = slice(d, d + _BLOCK_DAYS)
             grid_us = cal.grid_us[block]
             level = levels[block]
-            wobble = wobble_rng.normal(0, 2e-5, grid_us.shape + (n_between,))
+            wobble = wobble_rng.normal(0, 2e-5, grid_us.shape + lead_us.shape)
             lag_ms = lag_rng.integers(200, 1500, grid_us.shape)
-            t_us = np.empty(grid_us.shape + (n_between + 1,), dtype=np.int64)
+            t_us = np.empty(grid_us.shape + (len(lead_us) + 1,), dtype=np.int64)
             t_us[..., :-1] = grid_us[..., None] - lead_us
             t_us[..., -1] = grid_us - 1000 * lag_ms
             price = np.empty(t_us.shape)
@@ -149,10 +139,9 @@ def write_tick_file(
             price[..., -1] = level
             t_us = t_us.reshape(len(grid_us), -1)
             price = price.reshape(len(grid_us), -1)
-            if with_noise_rows:
-                # post-close straggler, about 0.1% off: must be ignored
-                t_us = np.column_stack((t_us, grid_us[:, -1] + straggler_us))
-                price = np.column_stack((price, level[:, -1] * 1.001))
+            # post-close straggler, about 0.1% off: must be ignored
+            t_us = np.column_stack((t_us, grid_us[:, -1] + straggler_us))
+            price = np.column_stack((price, level[:, -1] * 1.001))
             fh.write(_tick_rows(head, first_day, dates, t_us.ravel(), price.ravel()))
 
 
@@ -211,10 +200,9 @@ def _tick_rows(head: bytes, first_day: int, dates: np.ndarray, t_us: np.ndarray,
     return b"".join(parts).decode()
 
 
-def demo_sector_pieces(
-    sector_index: int, n_days: int, samples_per_day: int = 14
-) -> list[tuple[int, float, float]]:
+def demo_sector_pieces(sector_index: int, n_days: int) -> list[tuple[int, float, float]]:
     """A quiet/shock/quiet/shock/quiet regime layout, staggered by sector."""
+    samples_per_day = DEFAULT_SAMPLES_PER_DAY
     n = n_days * samples_per_day - 1
     base = 9e-4 * (1.0 + 0.05 * sector_index)
     shock1 = int(n * 0.30) + sector_index * samples_per_day // 2
@@ -247,7 +235,6 @@ def make_demo_corpus(
     outdir: str | Path,
     sectors: tuple[str, ...] = DEMO_SECTORS,
     n_days: int = 120,
-    start: dt.date = dt.date(2006, 1, 2),
     seed: int = 7,
 ) -> dict[str, Path]:
     """Write tick files (under ticks/), a holiday file, and a rate-event file."""
@@ -257,10 +244,9 @@ def make_demo_corpus(
     outdir = Path(outdir)
     tick_dir = outdir / "ticks"
     tick_dir.mkdir(parents=True, exist_ok=True)
+    start = dt.date(2006, 1, 2)  # a Monday, so the holiday two weeks on is a weekday
     end = start + dt.timedelta(days=int(n_days * 7 / 5) + 14)
     holidays = (start + dt.timedelta(days=14),)
-    while holidays[0].weekday() >= 5:
-        holidays = (holidays[0] + dt.timedelta(days=1),)
     cal = TradingCalendar.from_range(start, end, holidays)
     days = cal.days[:n_days]
     cal = TradingCalendar(days, cal.samples_per_day, cal.open_local, cal.tz)

@@ -59,7 +59,7 @@ class TestIngestCommand:
         )
         out = tmp_path / "out"
         assert run(["ingest", str(tick_file), "--out", str(out)]) == 0
-        series = ingest.series_from_csv(out / "series" / "BM.csv", "BM")
+        series = ingest.series_from_csv(out / "series" / "BM.csv")
         assert series.values[0] == 149.92
         assert series.grid[0] == dt.datetime(2000, 2, 14, 14, 30, tzinfo=dt.timezone.utc)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -289,7 +289,7 @@ class TestClusterCommand:
         result = segmenter.recursive_segment(x)
         rows = segmenter.emit_segment_table(result, cal.grid)
         path = tmp_path / "ZZ.json"
-        segmenter.write_segment_json(rows, path, "ZZ", result.config)
+        segmenter.write_segment_json(rows, path, "ZZ", result.config, result.converged)
         return path
 
     def test_three_class_segments_choose_three_clusters(self, tmp_path):
@@ -326,7 +326,7 @@ class TestClusterCommand:
                 )
                 m += 1
         path = tmp_path / "SIX.json"
-        segmenter.write_segment_json(rows, path, "SIX")
+        segmenter.write_segment_json(rows, path, "SIX", segmenter.SegmentationConfig(), True)
         out = tmp_path / "out"
         assert run(["cluster", str(path), "--out", str(out), "--k-min", "6", "--k-max", "6"]) == 0
         body = (out / "clusters" / "SIX.assignment.csv").read_text()
@@ -339,7 +339,7 @@ class TestClusterCommand:
         result = segmenter.recursive_segment(x)
         rows = segmenter.emit_segment_table(result, cal.grid)
         path = tmp_path / "one.json"
-        segmenter.write_segment_json(rows, path, "ONE")
+        segmenter.write_segment_json(rows, path, "ONE", result.config, result.converged)
         out = tmp_path / "out"
         with caplog.at_level("WARNING"):
             assert run(["cluster", str(path), "--out", str(out)]) == 0
@@ -368,7 +368,7 @@ class TestClusterCommand:
         n_rows = 1500
         rows = [self.table_row(i + 1, 40 + i % 7, 1e-3 * 1.002**i) for i in range(n_rows)]
         path = tmp_path / "GEO.json"
-        segmenter.write_segment_json(rows, path, "GEO")
+        segmenter.write_segment_json(rows, path, "GEO", segmenter.SegmentationConfig(), True)
         out = tmp_path / "out"
         assert run(["cluster", str(path), "--out", str(out), "--policy", "per-branch"]) == 0
         tree = json.loads((out / "clusters" / "GEO.dendrogram.json").read_text())
@@ -395,7 +395,7 @@ class TestClusterCommand:
         bad = min(3, len(rows))
         rows[bad - 1][column] = value
         path = tmp_path / "NAN.json"
-        segmenter.write_segment_json(rows, path, "NAN")
+        segmenter.write_segment_json(rows, path, "NAN", segmenter.SegmentationConfig(), True)
         out = tmp_path / "out"
         assert run(["cluster", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -432,7 +432,7 @@ class TestClusterCommand:
         rows = segmenter.emit_segment_table(result, cal.grid)
         extra = [self.table_row(len(rows) + i + 1, 30, sd) for i, sd in enumerate(stdevs)]
         path = tmp_path / "FL.json"
-        segmenter.write_segment_json(rows + extra, path, "FL")
+        segmenter.write_segment_json(rows + extra, path, "FL", result.config, result.converged)
 
         _, segments, _ = segmenter.read_segment_table(path)
         stats = [s.stats for s in segments]
@@ -448,7 +448,7 @@ class TestClusterCommand:
         assert window.stdev**2 <= VARIANCE_FLOOR and window.stdev > 0.0
         rows = [self.table_row(1, 2, window.stdev), self.table_row(2, 30, 1e-14), self.table_row(3, 30, 0.0)]
         path = tmp_path / "DG.json"
-        segmenter.write_segment_json(rows, path, "DG")
+        segmenter.write_segment_json(rows, path, "DG", segmenter.SegmentationConfig(), True)
         _, segments, _ = segmenter.read_segment_table(path)
         normal = segment_stats([-1e-3, 1e-3] * 15)
         distances = [cluster.segment_distance(s.stats, normal) for s in segments]

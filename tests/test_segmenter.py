@@ -345,7 +345,7 @@ class TestSegmentTable:
 
     def test_first_row_has_empty_divergence(self, rng):
         result, _ = self.build_result(rng)
-        rows = emit_segment_table(result)
+        rows = emit_segment_table(result, weekday_calendar(dt.date(2000, 7, 17), 80).grid)
         assert rows[0]["delta"] == "" and rows[0]["delta_err"] == "" and rows[0]["flag"] == ""
 
     def test_one_segment_result_single_row(self, rng):
@@ -353,7 +353,7 @@ class TestSegmentTable:
         result = SegmentationResult(
             (Segment(0, 100, segment_stats(x)),), (), (), SegmentationConfig()
         )
-        rows = emit_segment_table(result)
+        rows = emit_segment_table(result, weekday_calendar(dt.date(2000, 7, 17), 80).grid)
         assert len(rows) == 1
         assert rows[0]["delta"] == ""
 
@@ -363,7 +363,7 @@ class TestSegmentTable:
         x = two_regime(55)
         result = recursive_segment(x)
         assert len(result.segments) == 2
-        rows = emit_segment_table(result)
+        rows = emit_segment_table(result, weekday_calendar(dt.date(2000, 7, 17), 80).grid)
         split = best_split(x, min_margin=14)
         assert rows[1]["delta"] == pytest.approx(split.divergence, abs=1e-9)
 
@@ -388,13 +388,13 @@ class TestSegmentTable:
         x = three_regime(2)
         for name in ("a.csv", "b.csv"):
             result = recursive_segment(x)
-            write_segment_csv(emit_segment_table(result), tmp_path / name)
+            write_segment_csv(emit_segment_table(result, weekday_calendar(dt.date(2000, 7, 17), 80).grid), tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_json_written_with_config(self, tmp_path, rng):
         result, _ = self.build_result(rng)
-        rows = emit_segment_table(result)
-        write_segment_json(rows, tmp_path / "seg.json", "BM", result.config)
+        rows = emit_segment_table(result, weekday_calendar(dt.date(2000, 7, 17), 80).grid)
+        write_segment_json(rows, tmp_path / "seg.json", "BM", result.config, result.converged)
         import json
 
         payload = json.loads((tmp_path / "seg.json").read_text())
@@ -413,7 +413,8 @@ class TestSegmentTable:
             result = recursive_segment(rng.normal(0, 1e-3, 100))
             assert len(result.segments) == 1
         path = tmp_path / "RT.json"
-        write_segment_json(emit_segment_table(result), path, "RT", result.config, result.converged)
+        rows = emit_segment_table(result, weekday_calendar(dt.date(2000, 7, 17), 201).grid)
+        write_segment_json(rows, path, "RT", result.config, result.converged)
         sector, segments, boundaries = read_segment_table(path)
         assert sector == "RT"
 

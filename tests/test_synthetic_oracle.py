@@ -138,39 +138,29 @@ ZONES = {
 }
 
 
-@pytest.mark.parametrize("with_noise_rows", [True, False])
-@pytest.mark.parametrize("ticks_per_half_hour", [1, 2, 3, 5])
 @pytest.mark.parametrize("samples_per_day", [1, 14, 48])
 @pytest.mark.parametrize("zone", sorted(ZONES))
-def test_zones_samples_and_ticks(tmp_path, zone, samples_per_day, ticks_per_half_hour, with_noise_rows):
+def test_zones_samples_and_ticks(tmp_path, zone, samples_per_day):
     start, open_local, tz = ZONES[zone]
     cal = calendar(start, 25, samples_per_day, open_local, tz)
     assert set(HOLIDAYS).isdisjoint(cal.days) and (cal.days[-1] - cal.days[0]).days > 25
-    levels = random_levels(len(cal), samples_per_day * 10 + ticks_per_half_hour)
-    assert_same_file(
-        tmp_path, "EN", cal, levels, 17,
-        ticks_per_half_hour=ticks_per_half_hour, with_noise_rows=with_noise_rows,
-    )
+    levels = random_levels(len(cal), samples_per_day * 10 + 3)
+    assert_same_file(tmp_path, "EN", cal, levels, 17)
 
 
-@pytest.mark.parametrize(
-    "open_local, ticks_per_half_hour",
-    [(dt.time(9, 30), 6), (dt.time(9, 30), 7), (dt.time(9, 30, 59, 999_600), 3), (dt.time(8, 0, 0, 500), 2)],
-)
-def test_sub_millisecond_tick_times_are_truncated(tmp_path, open_local, ticks_per_half_hour):
-    # in-between ticks 1800/7 s apart, or an open off the whole
-    # millisecond, put tick times between milliseconds
+@pytest.mark.parametrize("open_local", [dt.time(9, 30, 59, 999_600), dt.time(8, 0, 0, 500)])
+def test_sub_millisecond_tick_times_are_truncated(tmp_path, open_local):
+    # an open off the whole millisecond puts tick times between milliseconds
     cal = calendar(dt.date(2007, 3, 5), 6, open_local=open_local)
-    assert_same_file(tmp_path, "HC", cal, random_levels(len(cal), 2), 8, ticks_per_half_hour=ticks_per_half_hour)
+    assert_same_file(tmp_path, "HC", cal, random_levels(len(cal), 2), 8)
 
 
-@pytest.mark.parametrize("with_noise_rows", [True, False])
 @pytest.mark.parametrize("samples_per_day", [1, 14])
-def test_one_day_calendar(tmp_path, samples_per_day, with_noise_rows):
+def test_one_day_calendar(tmp_path, samples_per_day):
     cal = calendar(dt.date(2005, 1, 3), 1, samples_per_day)
     assert len(cal.days) == 1
     levels = random_levels(len(cal), 4) if samples_per_day > 1 else np.array([123.456789])
-    assert_same_file(tmp_path, "SH", cal, levels, 1, with_noise_rows=with_noise_rows)
+    assert_same_file(tmp_path, "SH", cal, levels, 1)
 
 
 @pytest.mark.parametrize("block_days", [1, 3, 7])
@@ -179,13 +169,6 @@ def test_file_does_not_depend_on_the_block_size(tmp_path, monkeypatch, block_day
     monkeypatch.setattr(synthetic, "_BLOCK_DAYS", block_days)
     cal = calendar(dt.date(2003, 10, 20), n_days, open_local=dt.time(8, 0), tz="Asia/Tokyo")
     assert_same_file(tmp_path, "TC", cal, random_levels(len(cal), n_days), 5)
-
-
-@pytest.mark.parametrize("ticks_per_half_hour", [0, -2])
-def test_fewer_than_one_tick_per_half_hour_writes_one(tmp_path, ticks_per_half_hour):
-    cal = calendar(dt.date(2004, 6, 1), 3)
-    levels = random_levels(len(cal), 8)
-    assert_same_file(tmp_path, "UT", cal, levels, 3, ticks_per_half_hour=ticks_per_half_hour)
 
 
 def test_levels_at_the_edges_of_the_price_format(tmp_path):
@@ -261,13 +244,10 @@ def test_demo_corpus_file_by_file(tmp_path, n_sectors, n_days, seed):
         assert paths[sector].read_bytes() == want.read_bytes(), sector
 
 
-@pytest.mark.parametrize("n_days, ticks_per_half_hour", [(120, 3), (2254, 1)], ids=["demo", "paper"])
-def test_peak_memory_is_no_higher_than_the_per_tick_writer(tmp_path, paper_calendar, n_days, ticks_per_half_hour):
-    # the paper length runs at one tick per half hour, which keeps both
-    # writers to a few seconds under tracemalloc.  Peaks measured with the
-    # writer's 32-day blocks: 1.08 MB (per-tick) and 0.41 MB (blocks) at 120
-    # days; 6.9 and 0.74 MB at 2,254 days; 19.9 and 0.74 MB at 2,254 days
-    # and three ticks
+@pytest.mark.parametrize("n_days", [120, 2254], ids=["demo", "paper"])
+def test_peak_memory_is_no_higher_than_the_per_tick_writer(tmp_path, paper_calendar, n_days):
+    # peaks measured with the writer's 32-day blocks: 1.08 MB (per-tick)
+    # and 0.41 MB (blocks) at 120 days; 19.9 and 0.74 MB at 2,254 days
     cal = paper_calendar if n_days == 2254 else demo_calendar(n_days)
     cal.grid  # noqa: B018 -- built outside the measurement
     levels = random_levels(len(cal), 21)
@@ -277,7 +257,7 @@ def test_peak_memory_is_no_higher_than_the_per_tick_writer(tmp_path, paper_calen
         for name, writer in (("oracle", oracle_write_tick_file), ("rewrite", write_tick_file)):
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
-            writer(tmp_path / f"{name}.csv", "BM", cal, levels, 11, ticks_per_half_hour=ticks_per_half_hour)
+            writer(tmp_path / f"{name}.csv", "BM", cal, levels, 11)
             peaks[name] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
