@@ -110,9 +110,13 @@ class EventResponse:
 
 
 @dataclass(frozen=True)
-class OnsetResult:
+class PhaseDate:
+    """A recovery or an onset.  Censored when the qualifying growth run
+    opens the timeline (recovery) or closes it (onset): the transition
+    lies outside the window, and ``date`` is the window's edge."""
+
     date: dt.date
-    censored: bool  # timeline ends inside the qualifying growth run
+    censored: bool
 
 
 def build_timeline(
@@ -141,12 +145,10 @@ def build_timeline(
     return PhaseTimeline(sector, tuple(Run(s, e, grid[s], grid[e], c, PHASE_BY_COLOR[c]) for s, e, c in spans))
 
 
-def detect_recovery(
-    timeline: PhaseTimeline,
-    min_run: int = TWO_MONTHS_HALF_HOURS,
-    predominance: float = 0.5,
-) -> dt.date | None:
-    """Date of the first sustained growth run after which growth dominates.
+def find_recovery(timeline: PhaseTimeline, min_run: int, predominance: float) -> PhaseDate | None:
+    """Start of the first sustained growth run after which growth
+    dominates; censored if it is the timeline's first run (the sector was
+    already in growth when the timeline starts).
 
     A candidate run must last at least ``min_run`` half-hours and the
     growth share of the remaining timeline (run start to the end) must
@@ -161,13 +163,23 @@ def detect_recovery(
             r.duration for r in timeline.runs[i:] if r.phase == "growth"
         )
         if span > 0 and growth / span >= predominance:
-            return run.start_ts.date()
+            return PhaseDate(run.start_ts.date(), i == 0)
     return None
+
+
+def detect_recovery(
+    timeline: PhaseTimeline,
+    min_run: int = TWO_MONTHS_HALF_HOURS,
+    predominance: float = 0.5,
+) -> dt.date | None:
+    """The date of ``find_recovery``, censored or not."""
+    found = find_recovery(timeline, min_run, predominance)
+    return None if found is None else found.date
 
 
 def detect_onset(
     timeline: PhaseTimeline, min_run: int = TWO_MONTHS_HALF_HOURS
-) -> OnsetResult | None:
+) -> PhaseDate | None:
     """End of the final sustained growth run; censored if the timeline
     ends inside it (the decline has not been observed)."""
     for i in range(len(timeline.runs) - 1, -1, -1):
@@ -179,7 +191,7 @@ def detect_onset(
                     "%s: timeline ends inside a growth run; onset censored",
                     timeline.sector,
                 )
-            return OnsetResult(run.end_ts.date(), censored)
+            return PhaseDate(run.end_ts.date(), censored)
     return None
 
 
@@ -490,11 +502,9 @@ def classify_event_responses(
 # file formats
 
 
-def write_recovery_csv(results: Mapping[str, dt.date | None], path: str | Path) -> None:
-    write_csv(path, ("sector", "date", "censored"), ((s, d, False) for s, d in sorted(results.items())))
-
-
-def write_onset_csv(results: Mapping[str, OnsetResult | None], path: str | Path) -> None:
+def write_phase_dates_csv(results: Mapping[str, PhaseDate | None], path: str | Path) -> None:
+    """Each sector's recovery (or onset) date and whether it is censored;
+    a sector with none has an empty date."""
     rows = ((s, None, False) if r is None else (s, r.date, r.censored) for s, r in sorted(results.items()))
     write_csv(path, ("sector", "date", "censored"), rows)
 
@@ -541,7 +551,3 @@ def write_plotdata_csv(timelines: Mapping[str, PhaseTimeline], path: str | Path)
         for run in timelines[s].runs
     )
     write_csv(path, ("sector", "start", "end", "color", "phase"), rows)
-
-
-def write_event_markers_csv(events: Sequence[RateEvent], path: str | Path) -> None:
-    write_csv(path, ("date", "change", "new_rate"), ((e.date, e.change, e.new_rate) for e in events))

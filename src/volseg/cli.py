@@ -384,10 +384,10 @@ def _analyze(
     an_dir = Path(args.out) / "analysis"
     an_dir.mkdir(parents=True, exist_ok=True)
     min_run = args.min_run_days * cal.samples_per_day
-    recovery = {s: analysis.detect_recovery(t, min_run, args.predominance) for s, t in timelines.items()}
+    recovery = {s: analysis.find_recovery(t, min_run, args.predominance) for s, t in timelines.items()}
     onset = {s: analysis.detect_onset(t, min_run) for s, t in timelines.items()}
-    analysis.write_recovery_csv(recovery, an_dir / "recovery.csv")
-    analysis.write_onset_csv(onset, an_dir / "onset.csv")
+    analysis.write_phase_dates_csv(recovery, an_dir / "recovery.csv")
+    analysis.write_phase_dates_csv(onset, an_dir / "onset.csv")
 
     all_shocks: list[analysis.Shock] = []
     tables: list[analysis.RankTable] = []
@@ -411,7 +411,6 @@ def _analyze(
             timelines, events, cal, args.event_window_days, args.anticipation_days
         )
         analysis.write_event_csv(responses, an_dir / "event_responses.csv")
-        analysis.write_event_markers_csv(events, an_dir / "event_markers.csv")
     else:
         print("no rate-event file given; event-response analysis skipped")
 
@@ -420,7 +419,7 @@ def _analyze(
         r = recovery[sector]
         o = onset[sector]
         print(
-            f"{sector}: recovery={r.isoformat() if r else '-'} "
+            f"{sector}: recovery={r.date.isoformat() if r else '-'} "
             f"onset={o.date.isoformat() if o else '-'}"
         )
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import _lazy
 from .artifacts import write_csv, write_json
-from .divergence import VARIANCE_FLOOR, SegmentStats
+from .divergence import VARIANCE_FLOOR, SegmentStats, split_divergence
 
 np = _lazy("numpy")
 log = logging.getLogger(__name__)
@@ -37,6 +37,9 @@ COLOR_LADDER = ("black", "blue", "green", "yellow", "orange", "red")
 # the calm baseline crisis; a second class is "very high", the default
 # shock class, and a third "extremely high"
 _SHORT_LADDER = ("blue", "orange", "red")
+# four clusters: the top-4 suffix would start at green (correction), so
+# the calmest class is anchored at growth as above
+_FOUR_LADDER = ("blue", "yellow", "orange", "red")
 PHASE_BY_COLOR = {
     "black": "growth",
     "blue": "growth",
@@ -123,10 +126,7 @@ class _SegmentColumns:
         ok = ~degenerate
         a, b = a[ok], b[ok]
         dist = np.full(n.shape, np.inf)
-        dist[ok] = (
-            0.5 * (n[ok] * _log(pooled_var[ok]) - self.weighted_log_var[a] - self.weighted_log_var[b])
-            + 0.5
-        )
+        dist[ok] = split_divergence(n[ok] * _log(pooled_var[ok]), self.weighted_log_var[a], self.weighted_log_var[b])
         return dist, degenerate
 
 
@@ -505,11 +505,12 @@ def _per_branch_labels(tree: Dendrogram, k: int) -> list[int] | None:
 def assign_phases(assignment: ClusterAssignment) -> ClusterAssignment:
     """Order clusters by mean volatility and label them along the ladder.
 
-    4..6 clusters take the top-k suffix of the ladder (4: green..red;
-    5: blue..red; 6: black..red), and more than 6 pad the bottom with
-    black.  k <= 3 takes the first k of ``_SHORT_LADDER``, so the calmest
-    class is the growth baseline (1 cluster: blue; 2: blue, orange; 3:
-    blue, orange, red).  Counts outside 4..6 carry a warning.
+    5 and 6 clusters take the top-k suffix of the ladder (5: blue..red;
+    6: black..red), and more than 6 pad the bottom with black.  Fewer
+    keep the calmest class at the growth baseline: k <= 3 takes the
+    first k of ``_SHORT_LADDER`` (1 cluster: blue; 2: blue, orange; 3:
+    blue, orange, red) and 4 take blue, yellow, orange, red.  Counts
+    outside 4..6 carry a warning.
     Volatility ties break by earliest segment.
     """
     k = assignment.k
@@ -526,6 +527,8 @@ def assign_phases(assignment: ClusterAssignment) -> ClusterAssignment:
         ladder = _SHORT_LADDER[:k]
         if k == 1:
             warnings.append("single cluster: labeled as the growth baseline")
+    elif k == 4:
+        ladder = _FOUR_LADDER
     elif k <= 6:
         ladder = COLOR_LADDER[-k:]
     else:

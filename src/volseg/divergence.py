@@ -68,6 +68,17 @@ class Boundary:
     divergence_err: float
 
 
+def split_divergence(whole, left, right):
+    """D = (whole - left - right) / 2 + 1/2 from the terms n ln s^2 of the
+    window and of its two sides, floats or arrays alike.  Callers compute
+    the terms with their own logs, so each keeps its bits."""
+    d = whole - left
+    d -= right  # in place on arrays: a scan makes one temporary
+    d *= 0.5
+    d += 0.5
+    return d
+
+
 def mu_err(n: int, stdev: float) -> float:
     return stdev / math.sqrt(n)
 
@@ -183,9 +194,7 @@ class PrefixSums:
         _, var_r = self.mean_var(t, b)
         if min(var, var_l, var_r) <= VARIANCE_FLOOR:
             raise DegenerateSplitError(f"zero variance at split {t} of [{a}, {b})")
-        return 0.5 * (
-            n * math.log(var) - (t - a) * math.log(var_l) - (b - t) * math.log(var_r)
-        ) + 0.5
+        return split_divergence(n * math.log(var), (t - a) * math.log(var_l), (b - t) * math.log(var_r))
 
     def scan(self, a: int, b: int, margin: int = 2) -> tuple[int, float] | None:
         """Argmax of the divergence over splits of [a, b), each side >= margin.
@@ -208,10 +217,7 @@ class PrefixSums:
         lo = a + margin  # first admissible t
         left, left_degenerate = self._side_terms(a, lo, b - margin + 1)
         right, right_degenerate = self._side_terms(b, lo, b - margin + 1)
-        delta = np.subtract(n * math.log(var), left)
-        np.subtract(delta, right, out=delta)
-        np.multiply(0.5, delta, out=delta)
-        np.add(delta, 0.5, out=delta)
+        delta = split_divergence(n * math.log(var), left, right)
         if left_degenerate or right_degenerate:
             ok = ~(np.isnan(left) | np.isnan(right))
             if not ok.any():

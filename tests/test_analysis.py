@@ -15,6 +15,7 @@ from volseg.analysis import (
     MatchedGroup,
     PhaseTimeline,
     RateEvent,
+    PhaseDate,
     Run,
     Shock,
     average_ranks,
@@ -23,6 +24,7 @@ from volseg.analysis import (
     detect_onset,
     detect_recovery,
     extract_shocks,
+    find_recovery,
     load_rate_events,
     match_shocks,
     rank_table,
@@ -32,7 +34,8 @@ from volseg.analysis import (
 from volseg.calendar import TradingCalendar
 from volseg.cluster import assign_phases, complete_link, extract_clusters
 from volseg.divergence import Boundary
-from volseg.segmenter import recursive_segment
+from volseg.segmenter import recursive_segment, refine_long_segments
+from volseg.synthetic import regime_returns
 
 UTC = dt.timezone.utc
 HH = 14  # half-hours per trading day
@@ -138,6 +141,22 @@ class TestDetectRecovery:
         tl = timeline_of(cal, [(50 * HH, "blue"), (349 * HH, "orange")])
         assert detect_recovery(tl) is None
         assert detect_recovery(tl, predominance=0.1) == cal.days[0]
+
+    @pytest.mark.parametrize(
+        "pieces, min_run, found",
+        [
+            ([(63 * HH, "blue"), (40 * HH, "yellow"), (26 * HH, "blue")], 42 * HH, (0, True)),
+            ([(40 * HH, "yellow"), (63 * HH, "blue"), (26 * HH, "green")], 42 * HH, (40, False)),
+            # growth from the fifth half-hour of the first day: same date, not censored
+            ([(4, "orange"), (128 * HH, "blue")], HH, (0, False)),
+        ],
+        ids=["opens-in-growth", "later-run", "second-run-on-the-first-day"],
+    )
+    def test_censored_when_the_timeline_opens_in_the_qualifying_run(self, pieces, min_run, found):
+        cal = weekday_calendar(dt.date(2002, 6, 3), 130)
+        tl = timeline_of(cal, pieces)
+        day, censored = found
+        assert find_recovery(tl, min_run, 0.5) == PhaseDate(cal.days[day], censored)
 
 
 class TestDetectOnset:
@@ -531,3 +550,33 @@ class TestCrossModuleConsistency:
         assert len(shocks) == 1
         assert shocks[0].delta == result.boundaries[0].divergence
         assert shocks[0].delta_err == result.boundaries[0].divergence_err
+
+
+class TestFourClassLadder:
+    # Four sigma levels that complete link separates: they step by 4, 2.5
+    # and 2.5, and the higher levels run longer, so the three merges
+    # between levels are about evenly spaced and k = 4 is the most robust
+    # count (chosen on 40 of 40 seeds tried).  Each level runs three
+    # times, never twice in a row.
+    LEVELS = ((200, 4e-4), (400, 1.6e-3), (800, 4e-3), (1600, 1e-2))  # (returns, sigma)
+    ORDER = (3, 0, 2, 1, 0, 3, 1, 2, 3, 1, 0, 2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_calmest_of_four_classes_is_a_dated_growth_phase(self, seed):
+        pieces = [(self.LEVELS[level][0], 0.0, self.LEVELS[level][1]) for level in self.ORDER]
+        x = regime_returns(pieces, seed)
+        result = refine_long_segments(x, recursive_segment(x))
+        stats = [s.stats for s in result.segments]
+        assignment, _ = extract_clusters(complete_link(stats), stats, range(2, 9))
+        assert assignment.k == 4
+        cal = weekday_calendar(dt.date(2004, 1, 5), len(x) // HH + 1)
+        tl = build_timeline(result.segments, assign_phases(assignment), cal.grid)
+        ladder = ("blue", "yellow", "orange", "red")
+        assert [run.color for run in tl.runs] == [ladder[level] for level in self.ORDER]
+        calm = [run for run in tl.runs if run.color == "blue"]
+        assert {run.phase for run in calm} == {"growth"}
+        # a calm run lasts 200 returns, so a one-day run counts as sustained
+        onset = detect_onset(tl, HH)
+        last_calm_end = sum(length for length, _, _ in pieces[: self.ORDER.index(0, 5) + 1])
+        assert abs(calm[-1].end - last_calm_end) <= 10
+        assert onset == PhaseDate(calm[-1].end_ts.date(), False)

@@ -512,6 +512,23 @@ class TestAnalyzeCommand:
         return table, calendar
 
     @pytest.mark.parametrize(
+        "first_end, assignment, censored",
+        [
+            (70, TWO_ROW_ASSIGNMENT, "true"),
+            (5, "segment,cluster,color,phase\n1,0,red,crash\n2,1,blue,growth\n", "false"),
+        ],
+        ids=["opens-in-growth", "growth-from-the-first-day"],
+    )
+    def test_recovery_in_the_first_run_is_censored(self, tmp_path, first_end, assignment, censored):
+        table, calendar = self.valid_inputs(tmp_path)
+        (row,) = table["rows"]
+        second = dict(row, m=2, start=first_end + 1, duration=row["end"] - first_end, delta=3.5, delta_err=0.4)
+        table["rows"] = [dict(row, end=first_end, duration=first_end), second]
+        assert self.analyze(tmp_path, table, calendar, assignment, ("--min-run-days", "1")) == 0
+        rows = (tmp_path / "out" / "analysis" / "recovery.csv").read_text().splitlines()
+        assert rows == ["sector,date,censored", f"ZZ,2005-01-03,{censored}"]
+
+    @pytest.mark.parametrize(
         "row, key, value",
         [
             (0, "start", None),

@@ -436,7 +436,7 @@ class TestAssignPhases:
         out = assign_phases(self.make_assignment(vols))
         ranked = sorted(range(4), key=lambda c: vols[c])
         for rank, cid in enumerate(ranked):
-            assert out.colors[cid] == ("green", "yellow", "orange", "red")[rank]
+            assert out.colors[cid] == ("blue", "yellow", "orange", "red")[rank]
 
     def test_single_cluster_is_growth_baseline(self):
         out = assign_phases(self.make_assignment((0.001,)))
