@@ -66,7 +66,8 @@ def test_guard_sees_the_workload_calls():
 
 @pytest.mark.parametrize("line, name, call", CALLS, ids=[f"{name}@{line}" for line, name, _ in CALLS])
 def test_workload_call_binds(line, name, call):
-    assert binding_problem(name, call) is None, f"bench/workloads.py:{line}: {name}: {binding_problem(name, call)}"
+    problem = binding_problem(name, call)
+    assert problem is None, f"bench/workloads.py:{line}: {name}: {problem}"
 
 
 def test_workload_attributes_exist():
