@@ -5,7 +5,9 @@ The writer renders its rows from numpy arrays, a block of trading days at
 a time; the copy below emits one formatted line per tick.  Both draw from
 the same two PCG64 streams in the same order, the copy one scalar at a
 time, so their files must be equal byte for byte on every calendar, level
-path, seed, tick count and noise setting.
+path and seed.  The copy keeps the tick counts and noise settings the
+writer no longer offers; files it writes with those must still resample to
+their level path.
 """
 
 import datetime as dt
@@ -17,6 +19,7 @@ import pytest
 
 from volseg import synthetic
 from volseg.calendar import HALF_HOUR, TradingCalendar
+from volseg.ingest import parse_ticks, resample
 from volseg.synthetic import (
     DEMO_SECTORS,
     demo_sector_pieces,
@@ -114,6 +117,18 @@ def assert_same_file(tmp_path: Path, sector, cal, levels, seed, **kwargs) -> Non
     assert got.read_bytes() == want.read_bytes()
 
 
+def assert_resamples_to_levels(tmp_path: Path, sector, cal, levels, seed, **kwargs) -> None:
+    """The copy's file, at any tick count and noise setting, parses without
+    a reject and resamples to ``levels`` as printed to 4 decimals."""
+    path = tmp_path / "variant.csv"
+    oracle_write_tick_file(path, sector, cal, levels, seed, **kwargs)
+    with path.open() as fh:
+        ticks, rejects = parse_ticks(fh)
+    assert rejects == []
+    want = np.array([float(f"{level:.4f}") for level in levels])
+    np.testing.assert_array_equal(resample(ticks, cal).values, want)
+
+
 @pytest.fixture(scope="module")
 def paper_calendar() -> TradingCalendar:
     cal = calendar(NEW_YORK_START, 2254)
@@ -138,29 +153,45 @@ ZONES = {
 }
 
 
+@pytest.mark.parametrize("with_noise_rows", [True, False])
+@pytest.mark.parametrize("ticks_per_half_hour", [1, 2, 3, 5])
 @pytest.mark.parametrize("samples_per_day", [1, 14, 48])
 @pytest.mark.parametrize("zone", sorted(ZONES))
-def test_zones_samples_and_ticks(tmp_path, zone, samples_per_day):
+def test_zones_samples_and_ticks(tmp_path, zone, samples_per_day, ticks_per_half_hour, with_noise_rows):
     start, open_local, tz = ZONES[zone]
     cal = calendar(start, 25, samples_per_day, open_local, tz)
     assert set(HOLIDAYS).isdisjoint(cal.days) and (cal.days[-1] - cal.days[0]).days > 25
-    levels = random_levels(len(cal), samples_per_day * 10 + 3)
-    assert_same_file(tmp_path, "EN", cal, levels, 17)
+    levels = random_levels(len(cal), samples_per_day * 10 + ticks_per_half_hour)
+    if (ticks_per_half_hour, with_noise_rows) == (3, True):  # what the writer writes
+        assert_same_file(tmp_path, "EN", cal, levels, 17)
+    assert_resamples_to_levels(
+        tmp_path, "EN", cal, levels, 17,
+        ticks_per_half_hour=ticks_per_half_hour, with_noise_rows=with_noise_rows,
+    )
 
 
-@pytest.mark.parametrize("open_local", [dt.time(9, 30, 59, 999_600), dt.time(8, 0, 0, 500)])
-def test_sub_millisecond_tick_times_are_truncated(tmp_path, open_local):
-    # an open off the whole millisecond puts tick times between milliseconds
+@pytest.mark.parametrize(
+    "open_local, ticks_per_half_hour",
+    [(dt.time(9, 30), 6), (dt.time(9, 30), 7), (dt.time(9, 30, 59, 999_600), 3), (dt.time(8, 0, 0, 500), 2)],
+)
+def test_sub_millisecond_tick_times_are_truncated(tmp_path, open_local, ticks_per_half_hour):
+    # in-between ticks 1800/7 s apart, or an open off the whole
+    # millisecond, put tick times between milliseconds
     cal = calendar(dt.date(2007, 3, 5), 6, open_local=open_local)
-    assert_same_file(tmp_path, "HC", cal, random_levels(len(cal), 2), 8)
+    levels = random_levels(len(cal), 2)
+    assert_same_file(tmp_path, "HC", cal, levels, 8)
+    assert_resamples_to_levels(tmp_path, "HC", cal, levels, 8, ticks_per_half_hour=ticks_per_half_hour)
 
 
+@pytest.mark.parametrize("with_noise_rows", [True, False])
 @pytest.mark.parametrize("samples_per_day", [1, 14])
-def test_one_day_calendar(tmp_path, samples_per_day):
+def test_one_day_calendar(tmp_path, samples_per_day, with_noise_rows):
     cal = calendar(dt.date(2005, 1, 3), 1, samples_per_day)
     assert len(cal.days) == 1
     levels = random_levels(len(cal), 4) if samples_per_day > 1 else np.array([123.456789])
-    assert_same_file(tmp_path, "SH", cal, levels, 1)
+    if with_noise_rows:  # what the writer writes
+        assert_same_file(tmp_path, "SH", cal, levels, 1)
+    assert_resamples_to_levels(tmp_path, "SH", cal, levels, 1, with_noise_rows=with_noise_rows)
 
 
 @pytest.mark.parametrize("block_days", [1, 3, 7])
