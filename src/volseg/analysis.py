@@ -21,7 +21,6 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -199,40 +198,33 @@ def extract_shocks(
     timeline: PhaseTimeline,
     boundaries: Sequence[Boundary],
     klass: str,
-    include_higher: bool = False,
 ) -> list[Shock]:
-    """Maximal runs of a volatility class, dated and strength-tagged.
+    """Runs of a volatility class, dated and strength-tagged.
 
-    ``include_higher`` widens membership to any class at or above the
-    requested one on the color ladder.  The strength is the divergence
-    of the boundary at the shock's left edge; a shock at the very start
-    of the series has none.
+    Adjacent runs differ in color, so each run of the class's color is
+    one maximal shock.  The strength is the divergence of the boundary
+    at the shock's left edge; a shock at the very start of the series
+    has none.
     """
     if klass not in SHOCK_CLASS_COLOR:
         raise ValueError(f"unknown shock class {klass!r}")
-    want = COLOR_LADDER.index(SHOCK_CLASS_COLOR[klass])
+    color = SHOCK_CLASS_COLOR[klass]
     by_position = {b.position: b for b in boundaries}
 
-    def matches(run: Run) -> bool:
-        level = COLOR_LADDER.index(run.color)
-        return level >= want if include_higher else level == want
-
     shocks: list[Shock] = []
-    for matched, group in groupby(timeline.runs, matches):
-        if not matched:
+    for run in timeline.runs:
+        if run.color != color:
             continue
-        runs = list(group)
-        first = runs[0]
-        boundary = by_position.get(first.start)
-        if boundary is None and first.start != timeline.start:
-            log.warning("%s: no boundary found at shock start %d", timeline.sector, first.start)
+        boundary = by_position.get(run.start)
+        if boundary is None and run.start != timeline.start:
+            log.warning("%s: no boundary found at shock start %d", timeline.sector, run.start)
         shocks.append(
             Shock(
                 sector=timeline.sector,
                 klass=klass,
-                start=first.start,
-                start_ts=first.start_ts,
-                duration=runs[-1].end - first.start,
+                start=run.start,
+                start_ts=run.start_ts,
+                duration=run.duration,
                 delta=boundary.divergence if boundary else None,
                 delta_err=boundary.divergence_err if boundary else None,
             )

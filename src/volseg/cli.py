@@ -80,8 +80,6 @@ def _config_value_problem(action: argparse.Action, value: object) -> str | None:
     for item in items:
         if isinstance(item, bool) or not isinstance(item, kinds):
             return f"is not {noun}"
-        if action.choices is not None and item not in action.choices:
-            return f"is not one of {sorted(action.choices)}"
     return None
 
 
@@ -357,19 +355,17 @@ def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -
         cluster.checked_squares(stats)  # the check complete_link makes on longer tables
         log.warning("%s: only %d segment(s); degenerate clustering", sector, len(stats))
         tree, report = None, []
-        assignment = cluster.ClusterAssignment((0,) * len(stats), (stats[0].stdev,), 1, args.policy)
+        assignment = cluster.ClusterAssignment((0,) * len(stats), (stats[0].stdev,), 1)
     else:
         tree = cluster.complete_link(stats)
         k_hi = min(args.k_max, tree.n_leaves)
-        assignment, report = cluster.extract_clusters(
-            tree, stats, range(min(args.k_min, k_hi), k_hi + 1), policy=args.policy
-        )
+        assignment, report = cluster.extract_clusters(tree, stats, range(min(args.k_min, k_hi), k_hi + 1))
     assignment = cluster.assign_phases(assignment)
     if tree is not None:
         cluster.dendrogram_to_json(tree, cl_dir / f"{sector}.dendrogram.json", sector)
         cluster.write_merges_csv(tree, cl_dir / f"{sector}.merges.csv")
     cluster.write_assignment_csv(assignment, cl_dir / f"{sector}.assignment.csv")
-    cluster.write_robustness_json(report, cl_dir / f"{sector}.robustness.json", assignment.k)
+    cluster.write_robustness_json(report, cl_dir / f"{sector}.robustness.json", assignment)
     print(f"{sector}: {assignment.k} clusters")
     return assignment
 
@@ -393,10 +389,7 @@ def _analyze(
     tables: list[analysis.RankTable] = []
     for klass in args.shock_classes.split(","):
         klass = klass.strip()
-        per_sector = {
-            s: analysis.extract_shocks(t, boundaries[s], klass, args.include_higher)
-            for s, t in timelines.items()
-        }
+        per_sector = {s: analysis.extract_shocks(t, boundaries[s], klass) for s, t in timelines.items()}
         for shocks in per_sector.values():
             all_shocks.extend(shocks)
         if any(per_sector.values()):
@@ -567,7 +560,6 @@ def _add_segment_args(p: argparse.ArgumentParser) -> None:
 def _add_cluster_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--policy", choices=["uniform-threshold", "per-branch"], default="uniform-threshold")
 
 
 def _add_analyze_args(p: argparse.ArgumentParser) -> None:
@@ -575,7 +567,6 @@ def _add_analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-run-days", type=int, default=42, help="sustained-run length, trading days")
     p.add_argument("--predominance", type=float, default=0.5)
     p.add_argument("--shock-classes", default="very-high")
-    p.add_argument("--include-higher", action="store_true")
     p.add_argument("--match-window-days", type=int, default=20)
     p.add_argument("--event-window-days", type=int, default=2)
     p.add_argument("--anticipation-days", type=int, default=5)

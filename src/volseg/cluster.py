@@ -326,7 +326,7 @@ class ClusterAssignment:
     labels: tuple[int, ...]
     mean_vol: tuple[float, ...]  # per cluster id, length-weighted
     k: int
-    policy: str
+    policy: str = "uniform-threshold"
     colors: tuple[str, ...] = ()
     phases: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
@@ -348,17 +348,16 @@ def extract_clusters(
     tree: Dendrogram,
     stats: Sequence[SegmentStats],
     k_range: Iterable[int],
-    policy: str = "uniform-threshold",
 ) -> tuple[ClusterAssignment, list[KInterval]]:
     """Pick the most robust cluster count in ``k_range`` and label segments.
 
-    For each k the uniform-threshold interval is measured; the default
-    pick is the k in [4, 6] with the widest interval relative to tree
-    height (falling back to the overall widest when none of 4..6 is
-    available).  The per-branch policy instead cuts the two top-level
-    branches with independent thresholds and scores a k by the best
-    split k = k_left + k_right.  Each cluster's mean volatility is the
-    mean of its segments' stdevs weighted by their lengths.
+    For each k the uniform-threshold interval is measured; the pick is
+    the k in [4, 6] with the widest interval relative to tree height
+    (falling back to the overall widest when none of 4..6 is available).
+    When duplicate merge heights leave the picked k no interval of its
+    own, the cut yields fewer clusters and the assignment carries a
+    warning.  Each cluster's mean volatility is the mean of its
+    segments' stdevs weighted by their lengths.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -367,21 +366,13 @@ def extract_clusters(
         raise ValueError(f"k_range must lie within [1, {tree.n_leaves}]")
     if len(stats) != tree.n_leaves:
         raise ValueError("one SegmentStats per leaf required")
-    if policy not in ("uniform-threshold", "per-branch"):
-        raise ValueError(f"unknown policy {policy!r}")
 
     height = tree.height or 1.0
     report: list[KInterval] = []
     for k in ks:
-        if policy == "per-branch" and k >= 2 and tree.n_leaves >= 2:
-            split = _best_branch_split(tree, k)
-            score = split[0] if split is not None else 0.0
-            lo, hi = tree.threshold_interval(k)
-            report.append(KInterval(k, lo, hi, score))
-        else:
-            lo, hi = tree.threshold_interval(k)
-            width = (hi - lo) if math.isfinite(hi) else 0.0
-            report.append(KInterval(k, lo, hi, width / height))
+        lo, hi = tree.threshold_interval(k)
+        width = (hi - lo) if math.isfinite(hi) else 0.0
+        report.append(KInterval(k, lo, hi, width / height))
 
     # prefer the coarse-grained 4..6 band, but yield when another count
     # is decisively (more than twice) more robust
@@ -393,113 +384,28 @@ def extract_clusters(
         if global_best.score <= 2.0 * band_best.score:
             best = band_best
     chosen = best.k
-
-    raw_labels: list[int] | None = None
-    if policy == "per-branch" and chosen >= 2 and tree.n_leaves >= 2:
-        raw_labels = _per_branch_labels(tree, chosen)
-        if raw_labels is None:
-            log.warning("no per-branch split yields %d clusters; using uniform threshold", chosen)
-    if raw_labels is None:
-        threshold = 0.5 * (best.lo + (best.hi if math.isfinite(best.hi) else best.lo))
-        raw_labels = tree.cut(threshold)
+    threshold = 0.5 * (best.lo + (best.hi if math.isfinite(best.hi) else best.lo))
 
     # renumber by first appearance along the series
     remap: dict[int, int] = {}
     labels = []
-    for lab in raw_labels:
+    for lab in tree.cut(threshold):
         if lab not in remap:
             remap[lab] = len(remap)
         labels.append(remap[lab])
     k_actual = len(remap)
+    warnings: tuple[str, ...] = ()
     if k_actual != chosen:
-        log.warning("requested %d clusters, threshold produced %d", chosen, k_actual)
+        warnings = (f"requested {chosen} clusters, threshold produced {k_actual}",)
+        log.warning(warnings[0])
     mean_vol = _cluster_mean_vol(stats, labels, k_actual)
     assignment = ClusterAssignment(
         labels=tuple(labels),
         mean_vol=mean_vol,
         k=k_actual,
-        policy=policy,
+        warnings=warnings,
     )
     return assignment, report
-
-
-def _branch_heights(tree: Dendrogram, cluster_id: int) -> list[float]:
-    """Sorted heights of all merges inside the subtree at ``cluster_id``."""
-    out: list[float] = []
-    stack = [cluster_id]
-    while stack:
-        c = stack.pop()
-        if c >= tree.n_leaves:
-            m = tree.merges[c - tree.n_leaves]
-            out.append(m.height)
-            stack.append(m.a)
-            stack.append(m.b)
-    return sorted(out)
-
-
-def _branch_interval(
-    heights: list[float], n_branch_leaves: int, k: int, cap: float
-) -> tuple[float, float] | None:
-    """Threshold interval giving exactly k clusters inside one branch."""
-    if not 1 <= k <= n_branch_leaves:
-        return None
-    applied = n_branch_leaves - k
-    lo = heights[applied - 1] if applied > 0 else 0.0
-    hi = heights[applied] if applied < len(heights) else cap
-    if hi <= lo:
-        return None
-    return lo, hi
-
-
-def _best_branch_split(
-    tree: Dendrogram, k: int
-) -> tuple[float, int, float, float] | None:
-    """Best (score, k_left, threshold_left, threshold_right) for total k.
-
-    The score of a split is the narrower of the two branch stability
-    intervals, relative to tree height; ties prefer fewer clusters on
-    the left branch.
-    """
-    root = tree.merges[-1]
-    left, right = tree.members(root.a), tree.members(root.b)
-    ha = _branch_heights(tree, root.a)
-    hb = _branch_heights(tree, root.b)
-    cap = tree.height
-    best: tuple[float, int, float, float] | None = None
-    for ka in range(1, len(left) + 1):
-        kb = k - ka
-        ia = _branch_interval(ha, len(left), ka, cap)
-        ib = _branch_interval(hb, len(right), kb, cap)
-        if ia is None or ib is None:
-            continue
-        score = min(ia[1] - ia[0], ib[1] - ib[0]) / (cap or 1.0)
-        if best is None or score > best[0]:
-            best = (score, ka, 0.5 * (ia[0] + ia[1]), 0.5 * (ib[0] + ib[1]))
-    return best
-
-
-def _per_branch_labels(tree: Dendrogram, k: int) -> list[int] | None:
-    """Independent thresholds on the two top branches totalling k clusters.
-
-    Branches are disjoint subtrees, so a global cut at a branch's
-    threshold restricted to that branch's leaves equals the branch-local
-    cut (both thresholds sit below the root height).
-    """
-    split = _best_branch_split(tree, k)
-    if split is None:
-        return None
-    _, _, thr_left, thr_right = split
-    root = tree.merges[-1]
-    left = set(tree.members(root.a))
-    cut_left = tree.cut(thr_left)
-    cut_right = tree.cut(thr_right)
-    labels = []
-    for leaf in range(tree.n_leaves):
-        if leaf in left:
-            labels.append(2 * cut_left[leaf])  # even ids: left branch
-        else:
-            labels.append(2 * cut_right[leaf] + 1)
-    return labels
 
 
 def assign_phases(assignment: ClusterAssignment) -> ClusterAssignment:
@@ -608,12 +514,13 @@ def read_assignment(path: str | Path, n_segments: int) -> ClusterAssignment:
     if k > n_segments:
         raise ValueError(f"cluster id {k - 1} for {n_segments} segments")
     colors, phases = zip(*(named.get(c, ("", "")) for c in range(k)))
-    return ClusterAssignment(tuple(labels), (0.0,) * k, k, "file", colors, phases)
+    return ClusterAssignment(tuple(labels), (0.0,) * k, k, colors=colors, phases=phases)
 
 
-def write_robustness_json(report: list[KInterval], path: str | Path, chosen: int) -> None:
+def write_robustness_json(report: list[KInterval], path: str | Path, assignment: ClusterAssignment) -> None:
     payload = {
-        "chosen_k": chosen,
+        "chosen_k": assignment.k,
+        "warnings": sorted(assignment.warnings),
         "intervals": [
             {
                 "k": r.k,

@@ -44,7 +44,6 @@ def assignment_for_colors(colors_in_order: list[str]) -> ClusterAssignment:
         labels=tuple(labels),
         mean_vol=vols,
         k=len(distinct),
-        policy="uniform-threshold",
         colors=tuple(distinct),
         phases=tuple(PHASE_BY_COLOR[c] for c in distinct),
     )

@@ -243,16 +243,6 @@ class TestExtractShocks:
         assert len(shocks) == 2
         assert shocks[0].duration == 10 * HH
 
-    def test_include_higher_merges_red_into_orange_run(self):
-        cal = weekday_calendar(dt.date(2002, 5, 1), 40)
-        tl = timeline_of(
-            cal, [(10 * HH, "orange"), (5 * HH, "red"), (24 * HH + 13, "blue")]
-        )
-        only = extract_shocks(tl, [], "very-high")
-        merged = extract_shocks(tl, [], "very-high", include_higher=True)
-        assert len(only) == 1 and only[0].duration == 10 * HH
-        assert len(merged) == 1 and merged[0].duration == 15 * HH
-
     def test_unknown_class_rejected(self):
         cal = weekday_calendar(dt.date(2002, 5, 1), 10)
         tl = timeline_of(cal, [(9 * HH, "blue")])

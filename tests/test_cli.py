@@ -332,6 +332,7 @@ class TestClusterCommand:
         body = (out / "clusters" / "SIX.assignment.csv").read_text()
         for color in ("black", "blue", "green", "yellow", "orange", "red"):
             assert color in body
+        assert json.loads((out / "clusters" / "SIX.robustness.json").read_text())["warnings"] == []
 
     def test_single_segment_degenerate_warning(self, tmp_path, caplog):
         cal = weekday_calendar(dt.date(2004, 1, 5), 40)
@@ -364,13 +365,44 @@ class TestClusterCommand:
             "flag": "",
         }
 
+    @pytest.mark.parametrize(
+        "rows, k_flags, chosen_k, warnings",
+        [
+            (
+                [(0.0, 1e-3)], [], 1,
+                ["cluster count 1 outside the usual 4..6 range", "single cluster: labeled as the growth baseline"],
+            ),
+            ([(0.0, 1e-3), (0.0, 4e-3)], [], 2, ["cluster count 2 outside the usual 4..6 range"]),
+            (
+                [(0.0, 1e-3), (5e-3, 1e-3)], [], 2,
+                ["cluster count 2 outside the usual 4..6 range", "mean-volatility tie broken by earliest segment start"],
+            ),
+            # two identical pairs merge at one height, so no threshold gives k = 3
+            (
+                [(0.0, 1e-3), (0.0, 1e-3), (0.0, 4e-3), (0.0, 4e-3)], ["--k-min", "3", "--k-max", "3"], 2,
+                ["cluster count 2 outside the usual 4..6 range", "requested 3 clusters, threshold produced 2"],
+            ),
+        ],
+        ids=["one-row", "two-classes", "volatility-tie", "k-skipped"],
+    )
+    def test_robustness_lists_the_clustering_warnings(self, tmp_path, rows, k_flags, chosen_k, warnings):
+        table = [dict(self.table_row(m, 50, stdev), mean=mean) for m, (mean, stdev) in enumerate(rows, start=1)]
+        path = tmp_path / "W.json"
+        segmenter.write_segment_json(table, path, "W", segmenter.SegmentationConfig(), True)
+        out = tmp_path / "out"
+        assert run(["cluster", str(path), "--out", str(out), *k_flags]) == 0
+        robustness = json.loads((out / "clusters" / "W.robustness.json").read_text())
+        assert (robustness["chosen_k"], robustness["warnings"]) == (chosen_k, warnings)
+        if k_flags:
+            assert [(r["k"], r["score"], r["lo"] == r["hi"]) for r in robustness["intervals"]] == [(3, 0.0, True)]
+
     def test_many_leaves_with_geometric_stdevs(self, tmp_path):
         n_rows = 1500
         rows = [self.table_row(i + 1, 40 + i % 7, 1e-3 * 1.002**i) for i in range(n_rows)]
         path = tmp_path / "GEO.json"
         segmenter.write_segment_json(rows, path, "GEO", segmenter.SegmentationConfig(), True)
         out = tmp_path / "out"
-        assert run(["cluster", str(path), "--out", str(out), "--policy", "per-branch"]) == 0
+        assert run(["cluster", str(path), "--out", str(out)]) == 0
         tree = json.loads((out / "clusters" / "GEO.dendrogram.json").read_text())
         assert tree["n_leaves"] == n_rows and len(tree["merges"]) == n_rows - 1
         merges = (out / "clusters" / "GEO.merges.csv").read_text().splitlines()
@@ -959,12 +991,6 @@ class TestOutsideFileValues:
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
         assert f"volseg: {cfg}: config key {key!r}: " in capsys.readouterr().err
 
-    def test_config_value_outside_the_choices_names_the_file_and_key(self, corpus, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"policy": "bogus"}))
-        assert run(["pipeline", *corpus["ticks"], "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
-        assert f"volseg: {cfg}: config key 'policy': 'bogus' is not one of " in capsys.readouterr().err
-
     def test_config_values_of_the_right_types_pass(self, tmp_path):
         path = TestSegmentCommand().make_series_file(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -983,6 +1009,34 @@ class TestOutsideFileValues:
         events.write_text("date,change,new_rate\n2005-01-05,-0.5,4.5\n" + ",".join(row.values()) + "\n")
         assert analyze.analyze(tmp_path, table, calendar, extra=("--events", str(events))) == 2
         assert f"volseg: {events}: line 3: non-finite rate" in capsys.readouterr().err
+
+
+class TestRemovedOptions:
+    """The dendrogram has one cut rule and a shock one class, so the
+    options that chose another are gone: as flags and as config keys."""
+
+    COMMANDS = {
+        "cluster": ["cluster", "T.json"],
+        "analyze": ["analyze", "--segments", "T.json", "--assignments-dir", "a", "--calendar", "c.json"],
+        "pipeline": ["pipeline", "T.csv"],
+    }
+    REMOVED = [("cluster", "--policy", "per-branch"), ("pipeline", "--policy", "per-branch"),
+               ("analyze", "--include-higher", None), ("pipeline", "--include-higher", None)]
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED)
+    def test_flag_is_unrecognized(self, tmp_path, capsys, command, flag, value):
+        argv = [*self.COMMANDS[command], "--out", str(tmp_path / "o"), flag, *([value] if value else [])]
+        assert run(argv) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED)
+    def test_config_key_is_unknown(self, tmp_path, capsys, command, flag, value):
+        key = flag.removeprefix("--")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value or True}))
+        assert run([*self.COMMANDS[command], "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        assert f"volseg: {cfg}: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from volseg.cluster import (
     ClusterAssignment,
     Dendrogram,
     Merge,
-    _best_branch_split,
     _SegmentColumns,
     assign_phases,
     complete_link,
@@ -275,15 +274,6 @@ class TestDeepDendrogram:
         assert tree.members(self.N + 700) == tuple(range(702))
         assert tree.members(5) == (5,)
 
-    def test_per_branch_split_of_chain(self):
-        tree = chain_tree(self.N)
-        # the root splits leaves 0..1498 from leaf 1499, so k = 3 needs
-        # two clusters on the left: cut between heights 1497 and 1498
-        assert _best_branch_split(tree, 3) == (1.0 / 1499, 2, 1497.5, 749.5)
-        stats = [SegmentStats(10, 0.0, 1e-3, 0.0, 0.0)] * self.N
-        assignment, _ = extract_clusters(tree, stats, [3], policy="per-branch")
-        assert assignment.labels == (0,) * 1498 + (1, 2)
-
     def test_json_of_chain(self, tmp_path):
         tree = chain_tree(self.N)
         path = tmp_path / "chain.dendrogram.json"
@@ -389,17 +379,6 @@ class TestExtractClusters:
         with pytest.raises(ValueError, match="empty"):
             extract_clusters(tree, stats, [])
 
-    def test_per_branch_policy_reaches_requested_k(self, rng):
-        stats = three_class_stats(rng)
-        tree = complete_link(stats)
-        assignment, _ = extract_clusters(tree, stats, [3], policy="per-branch")
-        assert assignment.k == 3
-        # classes must still come out grouped by volatility level
-        labels = assignment.labels
-        for cls in range(3):
-            group = labels[cls * 4 : (cls + 1) * 4]
-            assert len(set(group)) == 1
-
     def test_length_weighted_mean_volatility(self, rng):
         a = stats_of(rng, 100, 0.0, 1e-3)
         b = stats_of(rng, 300, 0.0, 2e-3)
@@ -418,7 +397,6 @@ class TestAssignPhases:
             labels=tuple(range(k)),
             mean_vol=tuple(vols),
             k=k,
-            policy="uniform-threshold",
         )
 
     def test_six_cluster_ladder(self):
@@ -449,7 +427,6 @@ class TestAssignPhases:
             labels=(0, 1, 0, 1),
             mean_vol=(0.002, 0.002),
             k=2,
-            policy="uniform-threshold",
         )
         out = assign_phases(asg)
         assert out.colors[0] == "blue" and out.colors[1] == "orange"

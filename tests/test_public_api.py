@@ -12,6 +12,10 @@ A field of a public module-level ``@dataclass`` passes when its name is
 read as an attribute somewhere in ``src/volseg`` outside its own class
 body, whatever the receiver.  A field that is only written is state
 every run builds and throws away: give it a reader or delete it.
+
+An option that ``volseg.cli`` declares with ``add_argument`` passes when
+``volseg.cli`` reads it as ``args.<dest>``.  An option that no command
+reads only echoes into ``resolved_config.json``: read it or delete it.
 """
 
 import ast
@@ -97,6 +101,7 @@ def dataclass_fields(tree: ast.Module):
 # fields no stage reads that stay, with the reason each stays
 UNREAD_FIELDS = {
     "analysis.MatchedGroup.missing": "the release criterion 8 test builds MatchedGroup(reference, shocks, missing)",
+    "cluster.ClusterAssignment.policy": "criterion 7 builds ClusterAssignment(..., policy=...)",
 }
 
 
@@ -164,3 +169,54 @@ def test_guard_sees_unread_fields():
     ]
     # x and label are read only in their own class, and z is only written
     assert unread({"m": tree}) == ["m.Point.x", "m.Point.z", "m.Point.label"]
+
+
+# options no command reads that stay, with the reason each stays
+UNREAD_OPTIONS = {
+    "seed": "the release criterion 10 test passes --seed; resolved_config.json records it",
+}
+
+
+def option_dests(tree: ast.AST):
+    """The dest of each option an ``add_argument`` call under ``tree``
+    declares: its ``dest=``, else its first long name, else its first name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+            dest = [k.value.value for k in node.keywords if k.arg == "dest"]
+            names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            names = dest or [n for n in names if n.startswith("--")] or names
+            yield names[0].lstrip("-").replace("-", "_")
+
+
+def unread_options(tree: ast.AST) -> list[str]:
+    """Sorted dests of the options under ``tree`` never read as ``args.<dest>``."""
+    read = {
+        sub.attr
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Load)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "args"
+    }
+    return sorted(set(option_dests(tree)) - read)
+
+
+def test_every_option_is_read():
+    assert unread_options(ast.parse((SRC / "cli.py").read_text())) == sorted(UNREAD_OPTIONS)
+
+
+def test_guard_sees_unread_options():
+    tree = ast.parse(
+        "def build(p):\n"
+        "    p.add_argument('inputs', nargs='+')\n"
+        "    p.add_argument('--k-min', type=int)\n"
+        "    p.add_argument('-q', '--quiet', action='store_true')\n"
+        "    p.add_argument('--level', dest='depth')\n"
+        "    p.add_argument('--unused')\n"
+        "def run(args, other):\n"
+        "    args.unused = other.depth\n"
+        "    return args.inputs, args.k_min, args.quiet\n"
+    )
+    assert list(option_dests(tree)) == ["inputs", "k_min", "quiet", "depth", "unused"]
+    # depth is read from another object, and unused is only written
+    assert unread_options(tree) == ["depth", "unused"]
