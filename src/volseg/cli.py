@@ -330,14 +330,13 @@ def _segment(
             "%s: recursion: %d scan(s), %d point(s) scanned, %d side term(s) computed", series.sector,
             result.scans, result.scan_points, result.term_points,
         )
-        if not args.no_refine:
-            start = time.perf_counter()
-            result = segmenter.refine_long_segments(returns, result, cfg)
-            # wall time is not deterministic: it goes to the log, never to --out
-            log.debug(
-                "%s: refinement: %d long window(s), %d scan(s), %.4f s", series.sector,
-                result.refine_windows, result.refine_scans, time.perf_counter() - start,
-            )
+        start = time.perf_counter()
+        result = segmenter.refine_long_segments(returns, result, cfg)
+        # wall time is not deterministic: it goes to the log, never to --out
+        log.debug(
+            "%s: refinement: %d long window(s), %d scan(s), %.4f s", series.sector,
+            result.refine_windows, result.refine_scans, time.perf_counter() - start,
+        )
     except ValueError as exc:
         raise DataError(f"{source}: {exc}") from exc
     rows = segmenter.emit_segment_table(result, series.grid)
@@ -351,19 +350,12 @@ def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -
     """Cluster one sector's segments, write its cluster files and return the assignment."""
     cl_dir = Path(args.out) / "clusters"
     cl_dir.mkdir(parents=True, exist_ok=True)
-    if len(stats) < 2:
-        cluster.checked_squares(stats)  # the check complete_link makes on longer tables
-        log.warning("%s: only %d segment(s); degenerate clustering", sector, len(stats))
-        tree, report = None, []
-        assignment = cluster.ClusterAssignment((0,) * len(stats), (stats[0].stdev,), 1)
-    else:
-        tree = cluster.complete_link(stats)
-        k_hi = min(args.k_max, tree.n_leaves)
-        assignment, report = cluster.extract_clusters(tree, stats, range(min(args.k_min, k_hi), k_hi + 1))
+    tree = cluster.complete_link(stats)
+    k_hi = min(args.k_max, tree.n_leaves)
+    assignment, report = cluster.extract_clusters(tree, stats, range(min(args.k_min, k_hi), k_hi + 1))
     assignment = cluster.assign_phases(assignment)
-    if tree is not None:
-        cluster.dendrogram_to_json(tree, cl_dir / f"{sector}.dendrogram.json", sector)
-        cluster.write_merges_csv(tree, cl_dir / f"{sector}.merges.csv")
+    cluster.dendrogram_to_json(tree, cl_dir / f"{sector}.dendrogram.json", sector)
+    cluster.write_merges_csv(tree, cl_dir / f"{sector}.merges.csv")
     cluster.write_assignment_csv(assignment, cl_dir / f"{sector}.assignment.csv")
     cluster.write_robustness_json(report, cl_dir / f"{sector}.robustness.json", assignment)
     print(f"{sector}: {assignment.k} clusters")
@@ -392,9 +384,8 @@ def _analyze(
         per_sector = {s: analysis.extract_shocks(t, boundaries[s], klass) for s, t in timelines.items()}
         for shocks in per_sector.values():
             all_shocks.extend(shocks)
-        if any(per_sector.values()):
-            groups = analysis.match_shocks(per_sector, args.match_window_days * cal.samples_per_day)
-            tables.extend(analysis.rank_table(g) for g in groups)
+        groups = analysis.match_shocks(per_sector, args.match_window_days * cal.samples_per_day)
+        tables.extend(analysis.rank_table(g) for g in groups)
     analysis.write_shock_csv(all_shocks, an_dir / "shocks.csv")
     analysis.write_rank_csv(tables, an_dir / "rank_tables.csv")
 
@@ -552,9 +543,11 @@ def _add_ingest_args(p: argparse.ArgumentParser) -> None:
 def _add_segment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cutoff", type=float, default=10.0)
     p.add_argument("--min-seg", type=int, default=14)
-    p.add_argument("--long-seg", type=int, default=1000)
+    p.add_argument(
+        "--long-seg", type=int, default=1000,
+        help="refine segments longer than this; at or above the return count, refinement is skipped",
+    )
     p.add_argument("--max-opt-iters", type=int, default=100)
-    p.add_argument("--no-refine", action="store_true", help="skip long-segment refinement")
 
 
 def _add_cluster_args(p: argparse.ArgumentParser) -> None:

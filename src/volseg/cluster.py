@@ -70,29 +70,23 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
 
 
-def checked_squares(stats: Sequence[SegmentStats]) -> tuple[list[float], list[float]]:
-    """Each segment's ``stdev**2`` and ``mean**2``.  Raises ValueError for
-    a segment of fewer than 2 points, or whose mean, stdev or either
-    square is not finite."""
-    if any(s.n < 2 for s in stats):
-        raise ValueError("segments need at least 2 points each")
-    var = [_square_or_inf(s.stdev) for s in stats]
-    mean_sq = [_square_or_inf(s.mean) for s in stats]
-    for i, (s, v, m2) in enumerate(zip(stats, var, mean_sq)):
-        if not (math.isfinite(v) and math.isfinite(m2)):  # NaN and inf square to themselves
-            raise ValueError(
-                f"segment {i + 1}: mean {s.mean!r} and stdev {s.stdev!r} must be finite, "
-                "with finite squares"
-            )
-    return var, mean_sq
-
-
 class _SegmentColumns:
     """Per-segment terms of the distance formula, computed with Python
-    floats exactly as the scalar formula computes them."""
+    floats exactly as the scalar formula computes them.  Raises
+    ValueError for a segment of fewer than 2 points, or whose mean,
+    stdev or either square is not finite."""
 
     def __init__(self, stats: Sequence[SegmentStats]) -> None:
-        var, mean_sq = checked_squares(stats)
+        if any(s.n < 2 for s in stats):
+            raise ValueError("segments need at least 2 points each")
+        var = [_square_or_inf(s.stdev) for s in stats]
+        mean_sq = [_square_or_inf(s.mean) for s in stats]
+        for i, (s, v, m2) in enumerate(zip(stats, var, mean_sq)):
+            if not (math.isfinite(v) and math.isfinite(m2)):  # NaN and inf square to themselves
+                raise ValueError(
+                    f"segment {i + 1}: mean {s.mean!r} and stdev {s.stdev!r} must be finite, "
+                    "with finite squares"
+                )
         self.count = np.array([s.n for s in stats], dtype=np.int64)
         self.weighted_mean = np.array([s.n * s.mean for s in stats], dtype=np.float64)
         self.weighted_m2 = np.array([s.n * (v + m) for s, v, m in zip(stats, var, mean_sq)], dtype=np.float64)
@@ -171,21 +165,10 @@ class Dendrogram:
     def height(self) -> float:
         return self.merges[-1].height if self.merges else 0.0
 
-    def members(self, cluster_id: int) -> tuple[int, ...]:
-        leaves = []
-        stack = [cluster_id]
-        while stack:
-            c = stack.pop()
-            if c < self.n_leaves:
-                leaves.append(c)
-            else:
-                m = self.merges[c - self.n_leaves]
-                stack += (m.a, m.b)
-        return tuple(sorted(leaves))
-
     def cut(self, threshold: float) -> list[int]:
         """Cluster label per leaf after merging everything at or below
-        ``threshold``; labels are renumbered 0.. by smallest member."""
+        ``threshold``; labels are numbered 0.. by first appearance in
+        leaf order."""
         parent = list(range(self.n_leaves + len(self.merges)))
 
         def find(i: int) -> int:
@@ -245,11 +228,12 @@ def complete_link(stats: Sequence[SegmentStats]) -> Dendrogram:
     Each live cluster keeps its least distance to a live cluster of
     larger id; a merge rewrites one row with the elementwise max of the
     two merged rows and rescans only the rows whose cached partner was
-    merged, so a run costs O(n^2) numpy work in the common case.
+    merged, so a run costs O(n^2) numpy work in the common case.  One
+    segment gives a tree of one leaf and no merges.
     """
     n = len(stats)
-    if n < 2:
-        raise ValueError("need at least 2 segments to cluster")
+    if n < 1:
+        raise ValueError("need at least 1 segment to cluster")
     columns = _SegmentColumns(stats)
     # slot s holds cluster ids[s]; a merge reuses the slot of its first member
     dist = np.full((n, n), np.inf)
@@ -386,14 +370,9 @@ def extract_clusters(
     chosen = best.k
     threshold = 0.5 * (best.lo + (best.hi if math.isfinite(best.hi) else best.lo))
 
-    # renumber by first appearance along the series
-    remap: dict[int, int] = {}
-    labels = []
-    for lab in tree.cut(threshold):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        labels.append(remap[lab])
-    k_actual = len(remap)
+    # leaves are in series order, so the cut numbers clusters by first appearance
+    labels = tree.cut(threshold)
+    k_actual = max(labels) + 1
     warnings: tuple[str, ...] = ()
     if k_actual != chosen:
         warnings = (f"requested {chosen} clusters, threshold produced {k_actual}",)
@@ -471,13 +450,9 @@ ASSIGNMENT_COLUMNS = ("segment", "cluster", "color", "phase")
 
 
 def write_assignment_csv(assignment: ClusterAssignment, path: str | Path) -> None:
-    colors = assignment.colors or ("",) * assignment.k
-    phases = assignment.phases or ("",) * assignment.k
-    write_csv(
-        path,
-        ASSIGNMENT_COLUMNS,
-        ((sid, lab, colors[lab], phases[lab]) for sid, lab in enumerate(assignment.labels, start=1)),
-    )
+    colors, phases = assignment.colors, assignment.phases
+    rows = ((sid, lab, colors[lab], phases[lab]) for sid, lab in enumerate(assignment.labels, start=1))
+    write_csv(path, ASSIGNMENT_COLUMNS, rows)
 
 
 def _cluster_id(text: str | None) -> int:

@@ -256,7 +256,7 @@ class TestSegmentCommand:
         assert run(["segment", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"volseg: {path}: malformed series" in capsys.readouterr().err
 
-    def test_no_refine_keeps_the_recursive_boundaries(self, tmp_path):
+    def test_long_seg_past_the_series_keeps_the_recursive_boundaries(self, tmp_path):
         # strong flanks around a long quiet stretch that hides a brief
         # burst, which only the lowered cutoff of refinement resolves
         cal = weekday_calendar(dt.date(2005, 1, 3), 200)
@@ -267,10 +267,13 @@ class TestSegmentCommand:
         ingest.series_to_json(series, path)
         refined, plain = tmp_path / "refined", tmp_path / "plain"
         assert run(["segment", str(path), "--out", str(refined)]) == 0
-        assert run(["segment", str(path), "--out", str(plain), "--no-refine"]) == 0
+        # no segment is longer than the n returns, so none is refined
+        assert run(["segment", str(path), "--out", str(plain), "--long-seg", str(n)]) == 0
 
         assert segmenter.FLAG_REFINED in [r["flag"] for r in table_rows(refined / "segments" / "ZZ.csv")]
-        rows = json.loads((plain / "segments" / "ZZ.json").read_text())["rows"]
+        table = json.loads((plain / "segments" / "ZZ.json").read_text())
+        assert table["config"]["long_segment_len"] == n
+        rows = table["rows"]
         assert segmenter.FLAG_REFINED not in [r["flag"] for r in rows]
         returns = ingest.log_returns(ingest.series_from_json(path))
         auto = segmenter.recursive_segment(returns)
@@ -347,6 +350,31 @@ class TestClusterCommand:
         payload = (out / "clusters" / "ONE.assignment.csv").read_text()
         assert "blue" in payload
 
+    def test_one_row_table_clusters_like_a_two_row_table(self, tmp_path, caplog):
+        # one segment is a tree of one leaf: the same four files, with no
+        # merges and the k = 1 interval, and no log line of its own
+        for sector, stdevs in (("ONE", [1e-3]), ("TWO", [1e-3, 4e-3])):
+            rows = [self.table_row(m, 50, sd) for m, sd in enumerate(stdevs, start=1)]
+            path = tmp_path / f"{sector}.json"
+            segmenter.write_segment_json(rows, path, sector, segmenter.SegmentationConfig(), True)
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            assert run(["cluster", str(tmp_path / "ONE.json"), str(tmp_path / "TWO.json"), "--out", str(out)]) == 0
+        assert caplog.records == []
+        clusters = out / "clusters"
+        suffixes = ["assignment.csv", "dendrogram.json", "merges.csv", "robustness.json"]
+        assert sorted(p.name for p in clusters.iterdir()) == [f"{s}.{x}" for s in ("ONE", "TWO") for x in suffixes]
+        tree = json.loads((clusters / "ONE.dendrogram.json").read_text())
+        assert tree == {"merges": [], "n_leaves": 1, "sector": "ONE"}
+        assert (clusters / "ONE.merges.csv").read_text() == "merge,a,b,height\n"
+        assert json.loads((clusters / "ONE.robustness.json").read_text()) == {
+            "chosen_k": 1,
+            "intervals": [{"hi": None, "k": 1, "lo": 0.0, "score": 0.0}],
+            "warnings": [
+                "cluster count 1 outside the usual 4..6 range", "single cluster: labeled as the growth baseline"
+            ],
+        }
+        assert (clusters / "ONE.assignment.csv").read_text() == "segment,cluster,color,phase\n1,0,blue,growth\n"
 
     @staticmethod
     def table_row(m: int, n: int, stdev: float) -> dict[str, object]:
@@ -979,8 +1007,8 @@ class TestOutsideFileValues:
             ("cutoff", "10"),
             ("min-seg", 14.5),
             ("min_seg", True),
-            ("no-refine", "false"),
-            ("no_refine", 1),
+            ("verbose", "false"),
+            ("verbose", 1),
             ("inputs", "ZZ.csv"),
         ],
     )
@@ -994,10 +1022,10 @@ class TestOutsideFileValues:
     def test_config_values_of_the_right_types_pass(self, tmp_path):
         path = TestSegmentCommand().make_series_file(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"cutoff": 10, "min-seg": 14, "no_refine": False, "config": None}))
+        cfg.write_text(json.dumps({"cutoff": 10, "min-seg": 14, "verbose": False, "config": None}))
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 0
         resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
-        assert (resolved["cutoff"], resolved["min_seg"], resolved["no_refine"]) == (10, 14, False)
+        assert (resolved["cutoff"], resolved["min_seg"], resolved["verbose"]) == (10, 14, False)
 
     @pytest.mark.parametrize("column", ["change", "new_rate"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
@@ -1012,16 +1040,19 @@ class TestOutsideFileValues:
 
 
 class TestRemovedOptions:
-    """The dendrogram has one cut rule and a shock one class, so the
-    options that chose another are gone: as flags and as config keys."""
+    """The dendrogram has one cut rule, a shock one class and refinement
+    one switch (``--long-seg``), so the options that chose another are
+    gone: as flags and as config keys."""
 
     COMMANDS = {
+        "segment": ["segment", "T.json"],
         "cluster": ["cluster", "T.json"],
         "analyze": ["analyze", "--segments", "T.json", "--assignments-dir", "a", "--calendar", "c.json"],
         "pipeline": ["pipeline", "T.csv"],
     }
     REMOVED = [("cluster", "--policy", "per-branch"), ("pipeline", "--policy", "per-branch"),
-               ("analyze", "--include-higher", None), ("pipeline", "--include-higher", None)]
+               ("analyze", "--include-higher", None), ("pipeline", "--include-higher", None),
+               ("segment", "--no-refine", None), ("pipeline", "--no-refine", None)]
 
     @pytest.mark.parametrize("command, flag, value", REMOVED)
     def test_flag_is_unrecognized(self, tmp_path, capsys, command, flag, value):

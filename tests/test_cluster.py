@@ -180,19 +180,19 @@ class TestCompleteLink:
         assert [m.height for m in t1.merges] == pytest.approx([m.height for m in t2.merges], abs=0)
         # identical composition: compare member sets mapped through the permutation
         def compositions(tree, mapping):
-            out = set()
-            for k in range(len(tree.merges)):
-                members = tree.members(tree.n_leaves + k)
-                out.add(tuple(sorted(mapping[i] for i in members)))
-            return out
+            leaves = {i: (i,) for i in range(tree.n_leaves)}
+            for k, m in enumerate(tree.merges):
+                leaves[tree.n_leaves + k] = leaves[m.a] + leaves[m.b]
+            return {tuple(sorted(mapping[i] for i in leaves[c])) for c in range(tree.n_leaves, len(leaves))}
 
         ident = {i: i for i in range(7)}
         back = {i: perm[i] for i in range(7)}
         assert compositions(t1, ident) == compositions(t2, back)
 
-    def test_needs_two_segments(self, rng):
-        with pytest.raises(ValueError):
-            complete_link([stats_of(rng, 10, 0, 1e-3)])
+    def test_one_segment_gives_a_leaf_only_tree_and_none_raises(self, rng):
+        assert complete_link([stats_of(rng, 10, 0, 1e-3)]) == Dendrogram(1, ())
+        with pytest.raises(ValueError, match="at least 1 segment"):
+            complete_link([])
 
 
 def oracle_sets(seed: int, kind: str) -> list[list[SegmentStats]]:
@@ -268,12 +268,6 @@ def chain_tree(n: int) -> Dendrogram:
 class TestDeepDendrogram:
     N = 1500
 
-    def test_members_of_chain(self):
-        tree = chain_tree(self.N)
-        assert tree.members(2 * self.N - 2) == tuple(range(self.N))
-        assert tree.members(self.N + 700) == tuple(range(702))
-        assert tree.members(5) == (5,)
-
     def test_json_of_chain(self, tmp_path):
         tree = chain_tree(self.N)
         path = tmp_path / "chain.dendrogram.json"
@@ -324,6 +318,37 @@ class TestDendrogram:
         tree = published_style_tree()
         # merges up to 102.2 join leaves 0..4; leaves 5 and 6 stay apart
         assert tree.cut(150.0) == [0, 0, 0, 0, 0, 1, 2]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cut_numbers_clusters_by_first_appearance(self, seed):
+        # random merge orders and heights, with ties, cut at random
+        # thresholds and at merge heights
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            live, merges, height = list(range(n)), [], 0.0
+            for step in range(n - 1):
+                a, b = (live.pop(int(rng.integers(len(live)))) for _ in range(2))
+                height += float(rng.choice([0.0, rng.exponential()]))
+                merges.append(Merge(a, b, height))
+                live.append(n + step)
+            tree = Dendrogram(n, tuple(merges))
+            threshold = rng.uniform(-0.5, height + 0.5)
+            if merges and rng.random() < 0.5:
+                threshold = merges[int(rng.integers(len(merges)))].height
+            labels = tree.cut(threshold)
+            # first appearances along the leaves read 0, 1, 2, ...
+            firsts = list(dict.fromkeys(labels))
+            assert firsts == list(range(len(firsts)))
+            # and the clusters are the leaf sets of the merges at or below the threshold
+            leaves = {i: {i} for i in range(n)}
+            for k, m in enumerate(merges):
+                if m.height <= threshold:
+                    leaves[n + k] = leaves.pop(m.a) | leaves.pop(m.b)
+            clusters = {}
+            for leaf, label in enumerate(labels):
+                clusters.setdefault(label, set()).add(leaf)
+            assert sorted(map(sorted, clusters.values())) == sorted(map(sorted, leaves.values()))
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,12 @@ every field of its public dataclasses a reader.
 
 The package is parsed with ``ast``.  A public module-level function, or
 a public method of a public module-level class, passes when its name is
-used somewhere in ``src/volseg`` outside its own body (as a name or as
-an attribute, so a method is matched by name whatever the receiver), or
-when it is exported in ``volseg.__all__``.  Code that only tests call
-fails here: give it a caller or delete it with its tests.
+used somewhere in ``src/volseg`` outside its own body, or when it is
+exported in ``volseg.__all__``.  A method is used only as an attribute,
+whatever the receiver.  A function is used as an attribute, or as a
+name that no parameter or assignment of an enclosing function binds: a
+local variable of the same name is not a caller.  Code that only tests
+call fails here: give it a caller or delete it with its tests.
 
 A field of a public module-level ``@dataclass`` passes when its name is
 read as an attribute somewhere in ``src/volseg`` outside its own class
@@ -27,43 +29,79 @@ import volseg
 SRC = Path(volseg.__file__).resolve().parent
 
 
-def used_names(node: ast.AST) -> Counter:
-    """Names read as identifiers or attributes anywhere under ``node``."""
-    found: Counter = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            found[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            found[sub.attr] += 1
-    return found
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+SCOPES = (*FUNCTIONS, ast.Lambda, ast.ClassDef)
+
+
+def bound_names(func: ast.AST) -> set[str]:
+    """Names a parameter or an assignment binds in ``func``'s own scope:
+    its parameters, and every name stored or defined in its body outside
+    the scopes nested in it."""
+    args = func.args
+    bound = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
+    stack = list(func.body) if isinstance(func.body, list) else [func.body]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            bound.add(sub.id)
+        elif isinstance(sub, SCOPES):
+            bound.add(getattr(sub, "name", ""))
+            continue
+        stack.extend(ast.iter_child_nodes(sub))
+    return bound
+
+
+def used_names(node: ast.AST) -> tuple[Counter, Counter]:
+    """Names read under ``node`` as identifiers that no enclosing function
+    binds, and names read as attributes."""
+    names: Counter = Counter()
+    attributes: Counter = Counter()
+    stack = [(node, frozenset())]
+    while stack:
+        sub, bound = stack.pop()
+        if isinstance(sub, (*FUNCTIONS, ast.Lambda)):
+            bound = bound | bound_names(sub)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in bound:
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            attributes[sub.attr] += 1
+        stack.extend((child, bound) for child in ast.iter_child_nodes(sub))
+    return names, attributes
+
+
+def uses(qualname: str, node: ast.AST, names: Counter, attributes: Counter) -> int:
+    """The uses of the definition ``qualname`` among ``names`` and
+    ``attributes``: a method's are attributes only."""
+    return attributes[node.name] + (0 if "." in qualname else names[node.name])
 
 
 def public_definitions(tree: ast.Module):
     """(qualified name, def node) of public functions and of the public
     methods of public classes, all at module level."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, functions) and not node.name.startswith("_"):
+        if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
             yield node.name, node
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
-                if isinstance(item, functions) and not item.name.startswith("_"):
+                if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item
 
 
 def uncalled() -> list[str]:
     modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
-    everywhere: Counter = Counter()
+    names: Counter = Counter()
+    attributes: Counter = Counter()
     for tree in modules.values():
-        everywhere.update(used_names(tree))
+        tree_names, tree_attributes = used_names(tree)
+        names.update(tree_names)
+        attributes.update(tree_attributes)
     exported = set(volseg.__all__)
     out = []
     for module, tree in modules.items():
         for qualname, node in public_definitions(tree):
             if qualname in exported:
                 continue
-            elsewhere = everywhere[node.name] - used_names(node)[node.name]
-            if elsewhere <= 0:
+            if uses(qualname, node, names, attributes) - uses(qualname, node, *used_names(node)) <= 0:
                 out.append(f"{module}.{qualname}")
     return out
 
@@ -132,12 +170,21 @@ def test_guard_sees_functions_and_methods():
         "    def other(self):\n        return 2\n"
         "    def _private(self):\n        return 3\n"
         "class _Hidden:\n    def hook(self):\n        return 4\n"
+        "def shadowed():\n    return 5\n"
+        "def shadows(shadowed, items):\n"
+        "    members = [used for used in items]\n"
+        "    for recursive in items:\n        members.append(recursive(shadowed))\n"
+        "    return members, lambda shadowed: shadowed\n"
+        "class D:\n    def members(self):\n        return 6\n"
     )
     names = {q: node for q, node in public_definitions(tree)}
-    assert sorted(names) == ["C.method", "C.other", "helper", "recursive", "used"]
+    assert sorted(names) == ["C.method", "C.other", "D.members", "helper", "recursive", "shadowed", "shadows", "used"]
     everywhere = used_names(tree)
-    unused = sorted(q for q, node in names.items() if everywhere[node.name] - used_names(node)[node.name] <= 0)
-    assert unused == ["C.method", "recursive", "used"]
+    unused = sorted(q for q, n in names.items() if uses(q, n, *everywhere) - uses(q, n, *used_names(n)) <= 0)
+    # a parameter, a local, a loop or comprehension variable and a
+    # lambda's parameter of the same name are no uses; a method's name
+    # is used only as an attribute
+    assert unused == ["C.method", "D.members", "recursive", "shadowed", "shadows", "used"]
 
 
 def test_every_dataclass_field_has_a_reader():
