@@ -350,7 +350,13 @@ def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -
     """Cluster one sector's segments, write its cluster files and return the assignment."""
     cl_dir = Path(args.out) / "clusters"
     cl_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     tree = cluster.complete_link(stats)
+    # wall time is not deterministic: it goes to the log, never to --out
+    log.debug(
+        "%s: complete_link: %d leaf(s), %d merge(s), %.4f s", sector,
+        tree.n_leaves, len(tree.merges), time.perf_counter() - start,
+    )
     k_hi = min(args.k_max, tree.n_leaves)
     assignment, report = cluster.extract_clusters(tree, stats, range(min(args.k_min, k_hi), k_hi + 1))
     assignment = cluster.assign_phases(assignment)
@@ -616,10 +622,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"volseg: {exc}", file=sys.stderr)
         return EXIT_DATA
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # set apart from basicConfig, which changes nothing where logging is already set up
+    logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         _check_ranges(args)
         return args.func(args)

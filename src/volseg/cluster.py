@@ -206,54 +206,34 @@ class Dendrogram:
 _PAIR_BLOCK = 1 << 12
 
 
-def _row_minima(
-    dist: np.ndarray, rows: np.ndarray, ids: np.ndarray, alive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the least distance to a live cluster of larger id and
-    the slot of that cluster (smallest id among ties; -1 when the row
-    has no such cluster, with distance +inf)."""
-    upper = alive & (ids > ids[rows, None])
-    vals = np.where(upper, dist[rows], np.inf)
-    best = vals.min(axis=1)
-    ties = upper & (vals == best[:, None])
-    slot = np.where(ties, ids, len(ids) * 2).argmin(axis=1)
-    slot[~upper.any(axis=1)] = -1
-    return best, slot
-
-
 def complete_link(stats: Sequence[SegmentStats]) -> Dendrogram:
     """Agglomerate segments; inter-cluster distance = max pairwise distance.
 
-    Distance ties resolve toward the smallest (a, b) cluster-id pair.
-    Each live cluster keeps its least distance to a live cluster of
-    larger id; a merge rewrites one row with the elementwise max of the
-    two merged rows and rescans only the rows whose cached partner was
-    merged, so a run costs O(n^2) numpy work in the common case.  One
+    Merge order: least distance, then the smallest (a, b) cluster-id
+    pair, with +inf (degenerate) pairs last in id order.  A run costs
+    O(n^2) numpy work in the common case and O(n^3) at worst.  One
     segment gives a tree of one leaf and no merges.
     """
     n = len(stats)
     if n < 1:
         raise ValueError("need at least 1 segment to cluster")
     columns = _SegmentColumns(stats)
-    # slot s holds cluster ids[s]; a merge reuses the slot of its first member
+    # slot s holds cluster ids[s]; a merge reuses the slot of its first
+    # member, and the slot merged away takes id 2n, past every cluster id,
+    # with +inf in its row and column
     dist = np.full((n, n), np.inf)
     ids = np.arange(n)
-    alive = np.ones(n, dtype=bool)
-    row_min = np.empty(n)
-    row_arg = np.empty(n, dtype=np.int64)
+    gone = 2 * n
     n_degenerate = 0
-    # fill the upper triangle a block of rows at a time, so temporaries
-    # stay near _PAIR_BLOCK pairs
+    # fill a block of rows at a time, so temporaries stay near _PAIR_BLOCK pairs
     block = max(1, _PAIR_BLOCK // n)
     for lo in range(0, n, block):
-        rows = np.arange(lo, min(lo + block, n))
-        first, second = np.nonzero(rows[:, None] < ids)
+        first, second = np.nonzero(np.arange(lo, min(lo + block, n))[:, None] < ids)
         first += lo
         values, degenerate = columns.distances(first, second)
         n_degenerate += int(degenerate.sum())
         dist[first, second] = values
         dist[second, first] = values
-        row_min[rows], row_arg[rows] = _row_minima(dist, rows, ids, alive)
     if n_degenerate:
         log.warning(
             "%d of %d segment pairs are degenerate; their distance is +inf",
@@ -261,31 +241,29 @@ def complete_link(stats: Sequence[SegmentStats]) -> Dendrogram:
             n * (n - 1) // 2,
         )
 
+    # each live row's least distance to any other live cluster
+    row_min = dist.min(axis=1)
     merges: list[Merge] = []
     for step in range(n - 1):
-        # least (distance, a, b); rows without a partner hold +inf and
-        # rank last among +inf ties
+        # the smallest-id row at the least distance d, then the smallest
+        # larger id at d in that row (every cluster of a pair at d has an
+        # id of at least ids[sa]; at d = +inf the id test skips row sa's
+        # own cell); slots merged away hold id 2n, so they come last
         d = row_min.min()
-        cand = np.flatnonzero(row_min == d)
-        sa = int(cand[np.where(row_arg[cand] >= 0, ids[cand], 2 * n).argmin()])
-        sb = int(row_arg[sa])
+        sa = int(np.where(row_min == d, ids, gone).argmin())
+        sb = int(np.where((dist[sa] == d) & (ids > ids[sa]), ids, gone).argmin())
         merges.append(Merge(int(ids[sa]), int(ids[sb]), float(d)))
 
+        # a finite least distance held in neither merged column is still
+        # the row's least, and a +inf row stays +inf
+        stale = np.flatnonzero((row_min < np.inf) & ((dist[:, sa] == row_min) | (dist[:, sb] == row_min)))
         merged = np.maximum(dist[sa], dist[sb])
         dist[sa] = merged
         dist[:, sa] = merged
-        ids[sa] = n + step
-        alive[sb] = False
-        row_min[sb], row_arg[sb] = np.inf, -1
-        # the new cluster has the largest id, so it joins every other
-        # live row's candidates and an equal value keeps the older
-        # partner; row sa itself (partner sb) is rescanned and finds none
-        stale = alive & ((row_arg == sa) | (row_arg == sb))
-        closer = alive & ~stale & ((merged < row_min) | (row_arg < 0))
-        row_min[closer] = merged[closer]
-        row_arg[closer] = sa
-        rows = np.flatnonzero(stale)
-        row_min[rows], row_arg[rows] = _row_minima(dist, rows, ids, alive)
+        dist[sb] = np.inf
+        dist[:, sb] = np.inf
+        ids[sa], ids[sb] = n + step, gone
+        row_min[stale] = dist[stale].min(axis=1)
     return Dendrogram(n, tuple(merges))
 
 

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import json
+import logging
 import math
 import os
 import re
@@ -337,19 +338,6 @@ class TestClusterCommand:
             assert color in body
         assert json.loads((out / "clusters" / "SIX.robustness.json").read_text())["warnings"] == []
 
-    def test_single_segment_degenerate_warning(self, tmp_path, caplog):
-        cal = weekday_calendar(dt.date(2004, 1, 5), 40)
-        x = regime_returns([(500, 0.0, 1e-3)], 3)
-        result = segmenter.recursive_segment(x)
-        rows = segmenter.emit_segment_table(result, cal.grid)
-        path = tmp_path / "one.json"
-        segmenter.write_segment_json(rows, path, "ONE", result.config, result.converged)
-        out = tmp_path / "out"
-        with caplog.at_level("WARNING"):
-            assert run(["cluster", str(path), "--out", str(out)]) == 0
-        payload = (out / "clusters" / "ONE.assignment.csv").read_text()
-        assert "blue" in payload
-
     def test_one_row_table_clusters_like_a_two_row_table(self, tmp_path, caplog):
         # one segment is a tree of one leaf: the same four files, with no
         # merges and the k = 1 interval, and no log line of its own
@@ -375,6 +363,25 @@ class TestClusterCommand:
             ],
         }
         assert (clusters / "ONE.assignment.csv").read_text() == "segment,cluster,color,phase\n1,0,blue,growth\n"
+
+    def test_verbose_logs_the_clustering_work_per_sector(self, tmp_path, caplog):
+        for sector, stdevs in (("ONE", [1e-3]), ("TRI", [1e-3, 4e-3, 1.1e-3])):
+            rows = [self.table_row(m, 50, sd) for m, sd in enumerate(stdevs, start=1)]
+            segmenter.write_segment_json(rows, tmp_path / f"{sector}.json", sector, segmenter.SegmentationConfig(), True)
+        lines = {}
+        for name, extra in (("quiet", []), ("verbose", ["--verbose"])):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG):
+                argv = ["cluster", str(tmp_path / "ONE.json"), str(tmp_path / "TRI.json"), "--out", str(tmp_path / name)]
+                assert run([*argv, *extra]) == 0
+            lines[name] = [r.getMessage() for r in caplog.records if ": complete_link: " in r.getMessage()]
+        assert lines["quiet"] == []
+        pattern = r"(\w+): complete_link: (\d+) leaf\(s\), (\d+) merge\(s\), \d+\.\d{4} s"
+        found = [re.fullmatch(pattern, line) for line in lines["verbose"]]
+        assert all(found), lines["verbose"]
+        assert [m.groups() for m in found] == [("ONE", "1", "0"), ("TRI", "3", "2")]
+        # the timings stay out of the output directory
+        assert artifact_tree(tmp_path / "verbose") == artifact_tree(tmp_path / "quiet")
 
     @staticmethod
     def table_row(m: int, n: int, stdev: float) -> dict[str, object]:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scaled_window
 from volseg.cluster import (
@@ -256,6 +258,30 @@ class TestCompleteLinkTiesAndDegenerates:
             segment_distance(flat, other)
             segment_distance(other, flat)
         assert sum("degenerate" in r.getMessage() for r in caplog.records) == 2
+
+
+# few enough distinct leaves that repeats, and so exact ties between a
+# merged cluster and a leaf of lower slot but higher id, are common; flat
+# leaves (stdev 0 and 1e-16, at or below the variance floor) give +inf
+# rows, all-+inf tables included
+LEAF_POOL = tuple(
+    SegmentStats(n, mean, stdev, 0.0, 0.0)
+    for n, mean, stdev in (
+        (30, 0.0, 1e-3),
+        (30, 0.0, 2e-3),
+        (60, 1e-4, 1e-3),
+        (12, -2e-4, 4e-3),
+        (30, 0.0, 0.0),
+        (8, 1e-4, 1e-16),
+    )
+)
+
+
+class TestCompleteLinkDifferential:
+    @given(st.lists(st.sampled_from(LEAF_POOL), min_size=1, max_size=12))
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    def test_equals_brute_force_agglomeration(self, stats):
+        assert list(complete_link(stats).merges) == brute_force_agglomeration(stats)
 
 
 def chain_tree(n: int) -> Dendrogram:
