@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import datetime as dt
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -103,6 +104,8 @@ class TradingCalendar:
     def __post_init__(self) -> None:
         if not self.days:
             raise ValueError("calendar needs at least one trading day")
+        if isinstance(self.samples_per_day, bool) or not isinstance(self.samples_per_day, numbers.Integral):
+            raise ValueError(f"samples_per_day must be an integer, not {self.samples_per_day!r}")
         if self.samples_per_day < 1:
             raise ValueError("samples_per_day must be positive")
         if any(b <= a for a, b in zip(self.days, self.days[1:])):

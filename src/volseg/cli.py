@@ -175,8 +175,11 @@ def _check_sector(sector: object, source: object) -> None:
         raise DataError(f"{source}: sector {sector!r} cannot name an output file")
 
 
-def _hold(sources: dict[str, Path], sector: str, path: Path) -> None:
-    """Record that ``path`` holds ``sector``; a sector already held is a data error naming both files."""
+def _hold(sources: dict[str, Path], sector: object, path: Path) -> None:
+    """Record that ``path`` holds ``sector``; a sector that cannot name an
+    output file is a data error naming ``path``, one already held a data
+    error naming both files."""
+    _check_sector(sector, path)
     if sector in sources:
         raise DataError(f"{sources[sector]} and {path} both hold sector {sector}")
     sources[sector] = path
@@ -247,9 +250,7 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
                 raise DataError(f"{path}: {exc}") from exc
         if not len(ticks):
             raise DataError(f"{path}: no parseable tick records")
-        sector = ingest.sector_from_ric(ticks.ric)
-        _check_sector(sector, path)
-        _hold(sources, sector, path)
+        _hold(sources, ingest.sector_from_ric(ticks.ric), path)
         parsed.append((path, ticks, rejects))
 
     holidays = load_holidays(args.holidays) if args.holidays else ()
@@ -426,45 +427,32 @@ def _existing(paths: Sequence[str]) -> list[Path]:
     return paths
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    _ingest(args)
-    _write_resolved_config(args, Path(args.out))
-    return EXIT_OK
-
-
 def _load_series(path: Path) -> ingest.HalfHourSeries:
     try:
         if path.suffix == ".json":
-            series = ingest.series_from_json(path)
-        else:
-            series = ingest.series_from_csv(path)
+            return ingest.series_from_json(path)
+        return ingest.series_from_csv(path)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed series ({type(exc).__name__}: {exc})") from exc
-    _check_sector(series.sector, path)
-    return series
 
 
-def cmd_segment(args: argparse.Namespace) -> int:
+def cmd_segment(args: argparse.Namespace) -> None:
     sources: dict[str, Path] = {}
     for path in _existing(args.inputs):
         series = _load_series(path)
         _hold(sources, series.sector, path)
         _segment(args, series, path)
-    _write_resolved_config(args, Path(args.out))
-    return EXIT_OK
 
 
 def _read_segment_table(path: Path) -> tuple[str, list[segmenter.Segment], list[Boundary]]:
     """Sector, segments and boundaries of a segment table JSON file."""
     try:
-        sector, segments, boundaries = segmenter.read_segment_table(path)
+        return segmenter.read_segment_table(path)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    _check_sector(sector, path)
-    return sector, segments, boundaries
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
+def cmd_cluster(args: argparse.Namespace) -> None:
     sources: dict[str, Path] = {}
     for path in _existing(args.inputs):
         sector, segments, _ = _read_segment_table(path)
@@ -473,11 +461,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             _cluster(args, sector, [s.stats for s in segments])
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
-    _write_resolved_config(args, Path(args.out))
-    return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     cal = _read_calendar(Path(args.calendar))
     timelines: dict[str, analysis.PhaseTimeline] = {}
     boundaries: dict[str, Sequence[Boundary]] = {}
@@ -506,13 +492,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         timelines[sector] = analysis.build_timeline(segments, assignment, cal, sector)
         boundaries[sector] = sector_boundaries
     _analyze(args, cal, timelines, boundaries)
-    _write_resolved_config(args, Path(args.out))
-    return EXIT_OK
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_pipeline(args: argparse.Namespace) -> None:
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     # later stages take exactly the series this run ingested, never an earlier run's files
     cal, all_series = _ingest(args)
     results = {s.sector: _segment(args, s, f"sector {s.sector}") for s in all_series}
@@ -523,8 +506,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         timelines[sector] = analysis.build_timeline(result.segments, assignment, cal.grid, sector)
         boundaries[sector] = result.boundaries
     _analyze(args, cal, timelines, boundaries)
-    _write_resolved_config(args, outdir)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +561,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("inputs", nargs="+", help="tick files in raw exchange format")
     _add_common(p)
     _add_ingest_args(p)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=_ingest)
 
     p = registry["segment"] = sub.add_parser("segment", help="series -> segment tables")
     p.add_argument("inputs", nargs="+", help="series files (.csv or .json)")
@@ -627,10 +608,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         _check_ranges(args)
-        return args.func(args)
+        args.func(args)
+        _write_resolved_config(args, Path(args.out))  # last, so a failed run writes none
     except (DataError, ValueError, OSError) as exc:
         print(f"volseg: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 def console_main() -> None:

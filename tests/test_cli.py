@@ -681,6 +681,17 @@ class TestAnalyzeCommand:
         assert self.analyze(tmp_path, table, calendar) == 2
         assert str(tmp_path / "calendar.json") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [14.0, True])
+    def test_non_integer_samples_per_day_is_data_error_naming_the_file(self, tmp_path, capsys, value):
+        table, calendar = self.valid_inputs(tmp_path)
+        calendar["samples_per_day"] = value
+        assert self.analyze(tmp_path, table, calendar) == 2
+        assert capsys.readouterr().err == (
+            f"volseg: {tmp_path / 'calendar.json'}: malformed calendar "
+            f"(ValueError: samples_per_day must be an integer, not {value!r})\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -1140,8 +1151,57 @@ def stage_inputs(command: str, one_sector: list[str], out: Path) -> list[str]:
             "--segments", *tables, "--assignments-dir", str(out / "clusters"),
             "--calendar", str(out / "calendar.json"),
         ],
+        "ingest": one_sector,
         "pipeline": one_sector,
     }[command]
+
+
+class TestResolvedConfig:
+    """A command that exits 0 writes ``resolved_config.json`` last, holding
+    its options; one that exits 2 writes none, also after other artifacts."""
+
+    COMMANDS = ["ingest", "segment", "cluster", "analyze", "pipeline"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_success_writes_the_commands_options_last(self, one_sector, one_sector_run, tmp_path, command):
+        out = tmp_path / "out"
+        assert run([command, *stage_inputs(command, one_sector, one_sector_run), "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        _, registry = cli.build_parser()
+        options = {action.dest for action in registry[command]._actions} - {"help"}
+        assert resolved.keys() == options | {"command"}
+        assert (resolved["command"], resolved["out"]) == (command, str(out))
+        written = [p.stat().st_mtime_ns for p in out.rglob("*") if p.is_file()]
+        assert (out / "resolved_config.json").stat().st_mtime_ns == max(written)
+
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [
+            ("ingest", "calendar.json"),
+            ("segment", "segments/BM.json"),
+            ("cluster", "clusters/BM.assignment.csv"),
+            ("analyze", "analysis/recovery.csv"),
+            ("pipeline", "analysis/recovery.csv"),
+        ],
+    )
+    def test_failure_after_other_artifacts_writes_none(
+        self, one_sector, one_sector_run, tmp_path, capsys, command, artifact
+    ):
+        out = tmp_path / "out"
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        argv = [command, *stage_inputs(command, one_sector, one_sector_run), "--out", str(out)]
+        if command == "ingest":
+            bad = out / "manifest.json"
+            bad.mkdir(parents=True)  # ingest's last artifact cannot be written
+        elif command in ("segment", "cluster"):
+            argv.insert(2, str(bad))  # a malformed input after the good one
+        else:
+            argv += ["--events", str(bad)]  # read after the first analysis tables are written
+        assert run(argv) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert (out / artifact).is_file()
+        assert not (out / "resolved_config.json").exists()
 
 
 class TestStageOptionRanges:

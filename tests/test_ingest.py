@@ -83,6 +83,22 @@ class TestCalendar:
         assert cal.grid_us.ravel().tolist() == [epoch_us(t) for t in cal.grid]
         assert not cal.grid_us.flags.writeable
 
+    @pytest.mark.parametrize(
+        "samples_per_day",
+        [14.0, True, np.float64(14.0), np.bool_(True), "14"],
+        ids=["float", "bool", "numpy-float", "numpy-bool", "str"],
+    )
+    def test_samples_per_day_other_than_an_integer_is_rejected(self, samples_per_day):
+        with pytest.raises(ValueError, match="^samples_per_day must be an integer, not "):
+            TradingCalendar((dt.date(2004, 1, 5),), samples_per_day)
+
+    @pytest.mark.parametrize("samples_per_day", [np.int64(4), np.int32(4), np.uint8(4)], ids=["int64", "int32", "uint8"])
+    def test_numpy_integer_samples_per_day_is_accepted(self, samples_per_day):
+        days = (dt.date(2004, 1, 5), dt.date(2004, 1, 6))
+        cal = TradingCalendar(days, samples_per_day)
+        assert len(cal) == 8
+        assert cal.grid == TradingCalendar(days, 4).grid
+
     def test_holidays_excluded(self):
         holiday = dt.date(2000, 7, 4)
         cal = TradingCalendar.from_range(dt.date(2000, 7, 3), dt.date(2000, 7, 7), (holiday,))
