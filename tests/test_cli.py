@@ -1160,9 +1160,7 @@ class TestResolvedConfig:
     """A command that exits 0 writes ``resolved_config.json`` last, holding
     its options; one that exits 2 writes none, also after other artifacts."""
 
-    COMMANDS = ["ingest", "segment", "cluster", "analyze", "pipeline"]
-
-    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("command", ["ingest", "segment", "cluster", "analyze", "pipeline"])
     def test_success_writes_the_commands_options_last(self, one_sector, one_sector_run, tmp_path, command):
         out = tmp_path / "out"
         assert run([command, *stage_inputs(command, one_sector, one_sector_run), "--out", str(out)]) == 0

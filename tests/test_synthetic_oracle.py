@@ -279,9 +279,9 @@ def test_demo_corpus_file_by_file(tmp_path, n_sectors, n_days, seed):
 def test_peak_memory_is_no_higher_than_the_per_tick_writer(tmp_path, paper_calendar, n_days):
     # peaks measured with the writer's 32-day blocks: 1.08 MB (per-tick)
     # and 0.41 MB (blocks) at 120 days; 19.9 and 0.74 MB at 2,254 days.
-    # Traced, the per-tick writer runs about ten times slower, so at 2,254
-    # days it runs untraced and the bound is the size of the file, 4.8 MB,
-    # which its own peak exceeds four times.
+    # Traced, the per-tick writer runs about nine times slower, so at 2,254
+    # days it runs untraced and the bound is the size of the file written,
+    # 4.8 MB, which the per-tick writer's own peak exceeds four times.
     cal = paper_calendar if n_days == 2254 else demo_calendar(n_days)
     cal.grid  # noqa: B018 -- built outside the measurement
     levels = random_levels(len(cal), 21)
@@ -299,7 +299,7 @@ def test_peak_memory_is_no_higher_than_the_per_tick_writer(tmp_path, paper_calen
     finally:
         tracemalloc.stop()
     assert (tmp_path / "rewrite.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    bound = peaks.get("oracle", (tmp_path / "oracle.csv").stat().st_size)
+    bound = peaks.get("oracle", (tmp_path / "rewrite.csv").stat().st_size)
     assert peaks["rewrite"] <= bound, (peaks, bound)
 
 
