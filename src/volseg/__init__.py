@@ -15,10 +15,11 @@ so ``import volseg`` loads no submodule and no numpy.  The submodules bind
 numpy (and ``calendar`` zoneinfo) through ``_lazy``, so importing them
 executes neither: ``volseg analyze`` never loads numpy, and ``segment``
 and ``cluster`` never load a time zone.  ``volseg.cli`` binds the four
-stage modules the same way, so each command executes only the stages it
-runs: ``segment`` executes ``ingest`` and ``segmenter``, ``cluster``
-executes ``segmenter`` and ``cluster``, ``analyze`` executes
-``segmenter``, ``cluster`` and ``analysis``, and ``--help`` none.
+stage modules, and ``calendar`` and ``divergence``, the same way, so each
+command executes only the modules it runs: ``ingest`` executes
+``calendar`` and ``ingest``, ``segment`` ``divergence``, ``ingest`` and
+``segmenter``, ``cluster`` ``divergence``, ``segmenter`` and ``cluster``,
+``analyze`` all but ``ingest``, and ``--help`` none.
 """
 
 import importlib

@@ -60,6 +60,8 @@ class Run:
 
 @dataclass(frozen=True)
 class PhaseTimeline:
+    """One sector's color runs, which tile its series in order."""
+
     sector: str
     runs: tuple[Run, ...]
 
@@ -81,6 +83,9 @@ class PhaseTimeline:
 
 @dataclass(frozen=True)
 class Shock:
+    """A run of one volatility class in one sector, with the divergence
+    of the boundary that opens it."""
+
     sector: str
     klass: str
     start: int
@@ -92,6 +97,8 @@ class Shock:
 
 @dataclass(frozen=True)
 class RateEvent:
+    """A change of the policy rate on ``date``."""
+
     date: dt.date
     change: float  # signed percent
     new_rate: float  # percent
@@ -99,6 +106,9 @@ class RateEvent:
 
 @dataclass(frozen=True)
 class EventResponse:
+    """How one sector's volatility responded to one rate event, and the
+    nearest transition in its window (None when there is none)."""
+
     sector: str
     event: RateEvent
     classification: str  # effective | counter-effective | ineffective
@@ -351,6 +361,9 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float | None:
 
 @dataclass(frozen=True)
 class RankTable:
+    """The ranks of a matched group's shocks, and the correlations of
+    duration and strength with start (None below three shocks)."""
+
     rows: tuple[dict[str, object], ...]  # sector, start_rank, duration_rank, strength_rank
     rho_duration_vs_start: float | None
     rho_strength_vs_start: float | None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import gc
 import json
 import logging
 import math
@@ -25,10 +26,11 @@ from typing import Sequence
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import _lazy, artifacts
-from .calendar import HALF_HOUR, MICROSECOND, TradingCalendar, load_holidays
-from .divergence import Boundary, SegmentStats
 
-# the stages execute on first use, so each command executes only its own
+# the stages, and the calendar and divergence they share, execute on first
+# use, so each command executes only its own
+calendar = _lazy("volseg.calendar")
+divergence = _lazy("volseg.divergence")
 ingest = _lazy("volseg.ingest")
 segmenter = _lazy("volseg.segmenter")
 cluster = _lazy("volseg.cluster")
@@ -121,7 +123,7 @@ def _apply_config_file(
 # calendar plumbing
 
 
-def _write_calendar(cal: TradingCalendar, path: Path) -> None:
+def _write_calendar(cal: calendar.TradingCalendar, path: Path) -> None:
     payload = {
         "days": [d.isoformat() for d in cal.days],
         "samples_per_day": cal.samples_per_day,
@@ -131,10 +133,10 @@ def _write_calendar(cal: TradingCalendar, path: Path) -> None:
     artifacts.write_json(path, payload)
 
 
-def _read_calendar(path: Path) -> TradingCalendar:
+def _read_calendar(path: Path) -> calendar.TradingCalendar:
     try:
         payload = json.loads(path.read_text())
-        return TradingCalendar(
+        return calendar.TradingCalendar(
             days=tuple(dt.date.fromisoformat(d) for d in payload["days"]),
             samples_per_day=payload["samples_per_day"],
             open_local=dt.time.fromisoformat(payload["open_local"]),
@@ -229,7 +231,7 @@ def _check_ranges(args: argparse.Namespace) -> None:
         raise DataError(f"--end {args.end} is out of range: it must be on or after --start ({args.start})")
 
 
-def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.HalfHourSeries]]:
+def _ingest(args: argparse.Namespace) -> tuple[calendar.TradingCalendar, list[ingest.HalfHourSeries]]:
     """Resample every tick file and write the series; returns the calendar and the series, sorted by sector."""
     outdir = Path(args.out)
     series_dir = outdir / "series"
@@ -253,7 +255,7 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
         _hold(sources, ingest.sector_from_ric(ticks.ric), path)
         parsed.append((path, ticks, rejects))
 
-    holidays = load_holidays(args.holidays) if args.holidays else ()
+    holidays = calendar.load_holidays(args.holidays) if args.holidays else ()
     # a bound not given is the date of the first or last tick
     if args.start:
         start = dt.date.fromisoformat(args.start)
@@ -263,9 +265,9 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
         end = dt.date.fromisoformat(args.end)
     else:
         end = _utc_date(max(int(t.t_us.max()) for _, t, _ in parsed))
-    cal = TradingCalendar.from_range(start, end, holidays, args.samples_per_day)
+    cal = calendar.TradingCalendar.from_range(start, end, holidays, args.samples_per_day)
     # a session's last sample must come before the next session's open
-    step = HALF_HOUR // MICROSECOND
+    step = calendar.HALF_HOUR // calendar.MICROSECOND
     gaps = np.diff(cal.grid_us[:, 0])
     to_open = cal.grid_us[1:, 0] - cal.grid_us[:-1, -1]  # from each close to the next open
     if len(to_open) and to_open.min() <= 0:
@@ -277,7 +279,7 @@ def _ingest(args: argparse.Namespace) -> tuple[TradingCalendar, list[ingest.Half
         )
     # the grace must not reach back past the previous session's close; at
     # 48 samples a day the default grace reaches back exactly to it
-    minute = dt.timedelta(minutes=1) // MICROSECOND
+    minute = dt.timedelta(minutes=1) // calendar.MICROSECOND
     if len(to_open) and args.pre_open_grace_min * minute > int(to_open.min()):
         d = int(to_open.argmin())
         raise DataError(
@@ -347,7 +349,7 @@ def _segment(
     return result
 
 
-def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -> cluster.ClusterAssignment:
+def _cluster(args: argparse.Namespace, sector: str, stats: list[divergence.SegmentStats]) -> cluster.ClusterAssignment:
     """Cluster one sector's segments, write its cluster files and return the assignment."""
     cl_dir = Path(args.out) / "clusters"
     cl_dir.mkdir(parents=True, exist_ok=True)
@@ -371,9 +373,9 @@ def _cluster(args: argparse.Namespace, sector: str, stats: list[SegmentStats]) -
 
 def _analyze(
     args: argparse.Namespace,
-    cal: TradingCalendar,
+    cal: calendar.TradingCalendar,
     timelines: dict[str, analysis.PhaseTimeline],
-    boundaries: dict[str, Sequence[Boundary]],
+    boundaries: dict[str, Sequence[divergence.Boundary]],
 ) -> None:
     """Cross-sector analytics over the timelines; writes the analysis bundle."""
     an_dir = Path(args.out) / "analysis"
@@ -444,7 +446,7 @@ def cmd_segment(args: argparse.Namespace) -> None:
         _segment(args, series, path)
 
 
-def _read_segment_table(path: Path) -> tuple[str, list[segmenter.Segment], list[Boundary]]:
+def _read_segment_table(path: Path) -> tuple[str, list[segmenter.Segment], list[divergence.Boundary]]:
     """Sector, segments and boundaries of a segment table JSON file."""
     try:
         return segmenter.read_segment_table(path)
@@ -466,7 +468,7 @@ def cmd_cluster(args: argparse.Namespace) -> None:
 def cmd_analyze(args: argparse.Namespace) -> None:
     cal = _read_calendar(Path(args.calendar))
     timelines: dict[str, analysis.PhaseTimeline] = {}
-    boundaries: dict[str, Sequence[Boundary]] = {}
+    boundaries: dict[str, Sequence[divergence.Boundary]] = {}
     sources: dict[str, Path] = {}
     for seg_path in sorted(Path(p) for p in args.segments):
         if not seg_path.exists():
@@ -495,12 +497,11 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> None:
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     # later stages take exactly the series this run ingested, never an earlier run's files
     cal, all_series = _ingest(args)
     results = {s.sector: _segment(args, s, f"sector {s.sector}") for s in all_series}
     timelines: dict[str, analysis.PhaseTimeline] = {}
-    boundaries: dict[str, Sequence[Boundary]] = {}
+    boundaries: dict[str, Sequence[divergence.Boundary]] = {}
     for sector, result in results.items():
         assignment = _cluster(args, sector, [seg.stats for seg in result.segments])
         timelines[sector] = analysis.build_timeline(result.segments, assignment, cal.grid, sector)
@@ -620,7 +621,14 @@ def console_main() -> None:
     """Run :func:`main` and end the process with its exit code, skipping
     interpreter teardown: the logs and the standard streams are flushed,
     and every artifact is closed by then.  An exception that escapes
-    ``main`` takes the normal path and prints its traceback."""
+    ``main`` takes the normal path and prints its traceback.
+
+    The cyclic garbage collector is off for the run: its passes would
+    walk the objects the imports made and free next to nothing.  The
+    cycles a run leaves, the argument parser and each JSON artifact's
+    encoder, hold no data and end with the process.  ``main`` called in
+    process leaves the collector as the caller set it."""
+    gc.disable()
     rc = main()
     logging.shutdown()
     sys.stdout.flush()

@@ -139,6 +139,8 @@ def segment_distance(a: SegmentStats, b: SegmentStats) -> float:
 
 @dataclass(frozen=True)
 class Merge:
+    """Clusters ``a`` and ``b`` join at ``height``."""
+
     a: int
     b: int
     height: float

@@ -32,8 +32,8 @@ from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
 from . import _lazy
 from .artifacts import write_csv
-from .calendar import EPOCH, MICROSECOND, TradingCalendar
 
+calendar = _lazy("volseg.calendar")  # series I/O never executes it
 np = _lazy("numpy")
 log = logging.getLogger(__name__)
 
@@ -61,6 +61,8 @@ class TickColumns:
 
 @dataclass(frozen=True)
 class RejectedRow:
+    """A tick-file line that was skipped, and why."""
+
     line: int
     reason: str
 
@@ -112,7 +114,7 @@ def _parse_row(lineno: int, line: str) -> tuple[str, int, float] | RejectedRow |
         return RejectedRow(lineno, f"unparseable price {price_s!r}")
     if not math.isfinite(price) or price <= 0.0:
         return RejectedRow(lineno, f"non-positive price {price_s!r}")
-    return ric, (ts.replace(tzinfo=dt.timezone.utc) - EPOCH) // MICROSECOND, price
+    return ric, (ts.replace(tzinfo=dt.timezone.utc) - calendar.EPOCH) // calendar.MICROSECOND, price
 
 
 def _is_digit(b: np.ndarray) -> np.ndarray:
@@ -356,7 +358,7 @@ class HalfHourSeries:
 
 def resample(
     ticks: TickColumns,
-    cal: TradingCalendar,
+    cal: calendar.TradingCalendar,
     pre_open_grace: dt.timedelta = DEFAULT_PRE_OPEN_GRACE,
 ) -> HalfHourSeries:
     """Sample the last-tick-before price at every calendar grid time.
@@ -380,7 +382,7 @@ def resample(
     # up to the close.  It never moves back, so its position after each
     # skip is a running maximum of the skip targets.
     cursor = np.empty(2 * len(opens), dtype=np.int64)
-    cursor[0::2] = np.searchsorted(t, opens - pre_open_grace // MICROSECOND, side="left")
+    cursor[0::2] = np.searchsorted(t, opens - pre_open_grace // calendar.MICROSECOND, side="left")
     cursor[1::2] = np.searchsorted(t, closes, side="right")
     np.maximum.accumulate(cursor, out=cursor)
     day_start, day_end = cursor[0::2], cursor[1::2]

@@ -53,6 +53,10 @@ TABLE_COLUMNS = (
 
 @dataclass(frozen=True)
 class SegmentationConfig:
+    """The segmenter's settings: significance cutoff, shortest segment,
+    the length above which a segment is refined and the boundary
+    optimizer's iteration cap."""
+
     cutoff: float = 10.0
     min_segment_len: int = 14  # one trading day
     long_segment_len: int = 1000
@@ -80,6 +84,9 @@ class Segment:
 
 @dataclass(frozen=True)
 class SegmentationResult:
+    """Segments that tile the series, the boundaries between them with
+    their provenance, and the config that made them."""
+
     segments: tuple[Segment, ...]
     boundaries: tuple[Boundary, ...]  # absolute positions, one between neighbors
     flags: tuple[str, ...]  # automatic | refined, aligned with boundaries

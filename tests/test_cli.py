@@ -925,6 +925,15 @@ class TestPipelineComposition:
         err = capsys.readouterr().err
         assert "volseg: sector SH: series of 13 points is shorter than two minimum segments" in err
 
+    def test_ingest_failure_leaves_no_output_directory(self, corpus, tmp_path, capsys):
+        # as ingest given the same files: nothing under --out before every file is read
+        copy = tmp_path / "BM-copy.csv"
+        copy.write_bytes(Path(corpus["ticks"][0]).read_bytes())
+        out = tmp_path / "o"
+        assert run(["pipeline", corpus["ticks"][0], str(copy), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"volseg: {corpus['ticks'][0]} and {copy} both hold sector BM\n"
+        assert not out.exists()
+
     def test_pipeline_rerun_byte_identical(self, corpus, tmp_path):
         # identical invocation twice (same --out): every artifact byte-equal
         import shutil

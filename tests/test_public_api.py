@@ -1,5 +1,6 @@
-"""Every public function and method of ``volseg`` has a caller, and
-every field of its public dataclasses a reader.
+"""Every public function and method of ``volseg`` has a caller, every
+field of its public dataclasses a reader, and every such class a
+docstring.
 
 The package is parsed with ``ast``.  A public module-level function, or
 a public method of a public module-level class, passes when its name is
@@ -13,7 +14,9 @@ call fails here: give it a caller or delete it with its tests.
 A field of a public module-level ``@dataclass`` passes when its name is
 read as an attribute somewhere in ``src/volseg`` outside its own class
 body, whatever the receiver.  A field that is only written is state
-every run builds and throws away: give it a reader or delete it.
+every run builds and throws away: give it a reader or delete it.  A
+public module-level dataclass without a docstring makes ``@dataclass``
+build one from ``inspect.signature`` each time its module executes.
 
 An option that ``volseg.cli`` declares with ``add_argument`` passes when
 ``volseg.cli`` reads it as ``args.<dest>``.  An option that no command
@@ -216,6 +219,46 @@ def test_guard_sees_unread_fields():
     ]
     # x and label are read only in their own class, and z is only written
     assert unread({"m": tree}) == ["m.Point.x", "m.Point.z", "m.Point.label"]
+
+
+def undocumented_dataclasses(modules: dict[str, ast.Module]) -> list[str]:
+    """Qualified names of the public module-level dataclasses of
+    ``modules`` (module name -> parsed source) without a docstring."""
+    return [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and not node.name.startswith("_")
+        and any(map(is_dataclass_decorator, node.decorator_list))
+        and not ast.get_docstring(node)
+    ]
+
+
+def test_every_public_dataclass_has_a_docstring():
+    # without one, @dataclass builds one from inspect.signature at import
+    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert undocumented_dataclasses(modules) == []
+
+
+def test_guard_sees_undocumented_dataclasses():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Bare:\n    x: int\n"
+        "@dataclasses.dataclass\n"
+        "class Noted:\n    \"\"\"A point.\"\"\"\n    x: int\n"
+        "@dataclass\n"
+        "class Commented:\n    # a comment is no docstring\n    x: int\n"
+        "@dataclass\n"
+        "class _Hidden:\n    x: int\n"
+        "class Plain:\n    x: int\n"
+        "def f():\n"
+        "    @dataclass\n"
+        "    class Local:\n        x: int\n"
+    )
+    assert undocumented_dataclasses({"m": tree}) == ["m.Bare", "m.Commented"]
 
 
 # options no command reads that stay, with the reason each stays

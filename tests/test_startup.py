@@ -8,23 +8,32 @@
   load numpy, and ``segment`` and ``cluster`` never load a time zone.  A
   missing numpy still fails at ``import volseg.cli``.
 - ``volseg.cli`` binds the stage modules ``ingest``, ``segmenter``,
-  ``cluster`` and ``analysis`` the same way, so each command executes
-  only the stages it runs, writing the same bytes as ``pipeline``;
-  ``--help`` and early exits execute none.  A lazily bound stage is an
-  attribute of ``volseg`` at once, as ``import`` would make it, and the
-  benchmark's tracer, which executes every CLI module when it wraps
-  them, still puts its spans on the stages.
+  ``cluster`` and ``analysis`` the same way, and with ``volseg.ingest``
+  the ``calendar`` and ``divergence`` modules they share, so each command
+  executes only the modules it runs, writing the same bytes as
+  ``pipeline``: ``ingest`` executes ``calendar`` and no ``divergence``,
+  ``segment`` and ``cluster`` ``divergence`` and no ``calendar``,
+  ``analyze`` and ``pipeline`` both, and ``--help`` and early exits
+  neither, nor any stage.  A lazily bound module is an attribute of
+  ``volseg`` at once, as ``import`` would make it, and the benchmark's
+  tracer, which executes every CLI module when it wraps them, still puts
+  its spans on the stages.
 - ``volseg.cli`` sets ``OPENBLAS_NUM_THREADS=1`` unless the user set it,
   so numpy starts no idle BLAS worker threads when it loads.  The
   premise, that volseg makes no BLAS call, is checked on the source with
   ``ast``.
 - ``python -m volseg.cli`` ends through ``cli.console_main``, which skips
   interpreter teardown; its output equals that of ``cli.main`` in process.
+- ``console_main`` runs the command with the cyclic garbage collector
+  off; ``cli.main`` in process leaves the caller's setting as it is.  A
+  run's cyclic garbage is the argument parser and the encoder closures of
+  its JSON artifacts: it holds no array and does not grow with the days.
 
 What a fresh interpreter loads is checked in child processes.
 """
 
 import ast
+import gc
 import json
 import os
 import shutil
@@ -36,7 +45,7 @@ import pytest
 
 import volseg
 from volseg import cli
-from volseg.synthetic import make_demo_corpus
+from volseg.synthetic import DEMO_SECTORS, make_demo_corpus
 
 SRC = Path(volseg.__file__).resolve().parent
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -130,7 +139,7 @@ class TestLazyNumpy:
             "import sys, volseg.cli as c\n"
             "import numpy\n"
             "print(c.np is numpy is sys.modules['numpy'], c.np.zeros(2).tolist())\n"
-            "print(c.TradingCalendar((c.dt.date(2008, 3, 10),))[0])\n"
+            "print(c.calendar.TradingCalendar((c.dt.date(2008, 3, 10),))[0])\n"
             f"print({EXECUTED})\n"
         )
         first, second, modules = stdout_of(code).splitlines()
@@ -232,7 +241,7 @@ def test_early_exits_load_no_numpy(argv, code):
 
 
 # ---------------------------------------------------------------------------
-# each command executes only the stages it runs
+# each command executes only the modules it runs
 
 # the volseg modules a child has executed, short names; a lazy entry's type
 # is read without touching its attributes, which would execute it
@@ -240,8 +249,9 @@ EXECUTED_VOLSEG = (
     "sorted(name[7:] for name, module in sys.modules.items()"
     " if name.startswith('volseg.') and type(module) is not importlib.util._LazyModule)"
 )
-EAGER = ["artifacts", "calendar", "cli", "divergence"]
+EAGER = ["artifacts", "cli"]
 STAGES = ["analysis", "cluster", "ingest", "segmenter"]
+SHARED = ["calendar", "divergence"]  # executed by the commands that use them
 
 
 def test_lazy_stage_is_bound_on_its_package():
@@ -287,10 +297,10 @@ def outputs_of(command: str, root: Path) -> dict[Path, bytes]:
 @pytest.mark.parametrize(
     "command, stages",
     [
-        ("ingest", ["ingest"]),
-        ("segment", ["ingest", "segmenter"]),
-        ("cluster", ["cluster", "segmenter"]),
-        ("analyze", ["analysis", "cluster", "segmenter"]),
+        ("ingest", ["calendar", "ingest"]),
+        ("segment", ["divergence", "ingest", "segmenter"]),
+        ("cluster", ["cluster", "divergence", "segmenter"]),
+        ("analyze", ["analysis", "calendar", "cluster", "divergence", "segmenter"]),
     ],
 )
 def test_step_executes_only_its_stages(pipeline_out, tmp_path, command, stages):
@@ -308,7 +318,7 @@ def test_pipeline_executes_every_stage(pipeline_out, tmp_path):
         "--holidays", str(paths["holidays"]), "--events", str(paths["events"]), listing=EXECUTED_VOLSEG,
     )
     assert rc == 0
-    assert modules == sorted(EAGER + STAGES)
+    assert modules == sorted(EAGER + SHARED + STAGES)
     for command in STEP_OUTPUTS:
         assert outputs_of(command, tmp_path) == outputs_of(command, out)
 
@@ -511,3 +521,90 @@ def test_console_script_ends_through_console_main():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts == {"volseg": "volseg.cli:console_main"}
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector: off in a child, as the caller left it in process
+
+# records, in the file GC_PROBE_REPORT, whether the collector was on at each
+# open of a path under GC_PROBE_OUT, one line per open
+GC_PROBE = """\
+import gc, os, sys
+_out = os.environ["GC_PROBE_OUT"]
+_report = open(os.environ["GC_PROBE_REPORT"], "w", buffering=1)
+def _hook(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)) and os.fspath(args[0]).startswith(_out):
+        _report.write(f"{gc.isenabled()} {os.fspath(args[0])}\\n")
+sys.addaudithook(_hook)
+"""
+
+
+def test_child_runs_its_command_with_the_gc_off(pipeline_out, tmp_path):
+    paths, _ = pipeline_out
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(GC_PROBE)
+    out, report = tmp_path / "out", tmp_path / "opens.txt"
+    proc = run_cli(
+        "pipeline", str(paths["BM"]), str(paths["CY"]), "--out", str(out), "--events", str(paths["events"]),
+        PYTHONPATH=os.pathsep.join([str(site), str(SRC.parent)]), GC_PROBE_OUT=str(out), GC_PROBE_REPORT=str(report),
+    )
+    assert proc.returncode == 0, proc.stderr
+    opens = [line.split(" ", 1) for line in report.read_text().splitlines()]
+    assert len(opens) > len(STEP_OUTPUTS)
+    assert opens[-1][1] == str(out / "resolved_config.json")
+    assert {enabled for enabled, _ in opens} == {"False"}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_in_process_leaves_the_gc_as_the_caller_set_it(pipeline_out, tmp_path, enabled):
+    paths, out = pipeline_out
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(step_argv("cluster", paths, out, tmp_path)) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# A pipeline run, collector off, leaves 564 objects in reference cycles
+# (the argument parser) and 99 more per sector (the pure-Python JSON
+# encoder's closures, three JSON artifacts per sector), whatever the number
+# of days: 762 for 2 sectors x 60 days, 1,158 for 6 x 240 and 1,554 for the
+# ten-sector, 2,254-day corpus.  The bounds leave about 10% above that.
+GARBAGE_BASE = 620
+GARBAGE_PER_SECTOR = 110
+
+
+def test_cyclic_garbage_is_small_and_does_not_grow_with_the_days(tmp_path, capsys):
+    runs = {}
+    for name, sectors, days in (("warm-up", 2, 30), ("small", 2, 60), ("large", 6, 240)):
+        paths = make_demo_corpus(tmp_path / name, sectors=DEMO_SECTORS[:sectors], n_days=days, seed=5)
+        ticks = [str(paths[s]) for s in DEMO_SECTORS[:sectors]]
+        runs[name] = sectors, ["pipeline", *ticks, "--out", str(tmp_path / f"{name}-out"),
+                               "--holidays", str(paths["holidays"]), "--events", str(paths["events"])]
+    was, debug = gc.isenabled(), gc.get_debug()
+    freed, arrays = {}, {}
+    gc.disable()
+    try:
+        for name, (_, argv) in runs.items():
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the next collection finds in gc.garbage
+            assert cli.main(argv) == 0
+            freed[name] = gc.collect()
+            arrays[name] = sum(type(obj).__module__ == "numpy" for obj in gc.garbage)
+            gc.garbage.clear()
+            gc.set_debug(debug)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if was:
+            gc.enable()
+    capsys.readouterr()
+    del freed["warm-up"], arrays["warm-up"]  # the first run may free what imports left
+    for name, count in freed.items():
+        assert count < GARBAGE_BASE + GARBAGE_PER_SECTOR * runs[name][0], name
+    added = runs["large"][0] - runs["small"][0]
+    assert freed["large"] <= freed["small"] + GARBAGE_PER_SECTOR * added
+    assert arrays == {"small": 0, "large": 0}
