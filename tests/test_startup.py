@@ -8,10 +8,10 @@
   load numpy, and ``segment`` and ``cluster`` never load a time zone.  A
   missing numpy still fails at ``import volseg.cli``.
 - ``volseg.cli`` binds the stage modules ``ingest``, ``segmenter``,
-  ``cluster`` and ``analysis`` the same way, and with ``volseg.ingest``
-  the ``calendar`` and ``divergence`` modules they share, so each command
-  executes only the modules it runs, writing the same bytes as
-  ``pipeline``: ``ingest`` executes ``calendar`` and no ``divergence``,
+  ``cluster`` and ``analysis`` the same way, and it and ``volseg.ingest``
+  bind the ``calendar`` and ``divergence`` modules that the stages share,
+  so each command executes only the modules it runs, writing the same
+  bytes as ``pipeline``: ``ingest`` executes ``calendar`` and no ``divergence``,
   ``segment`` and ``cluster`` ``divergence`` and no ``calendar``,
   ``analyze`` and ``pipeline`` both, and ``--help`` and early exits
   neither, nor any stage.  A lazily bound module is an attribute of
@@ -27,7 +27,8 @@
 - ``console_main`` runs the command with the cyclic garbage collector
   off; ``cli.main`` in process leaves the caller's setting as it is.  A
   run's cyclic garbage is the argument parser and the encoder closures of
-  its JSON artifacts: it holds no array and does not grow with the days.
+  its JSON artifacts: it holds about 0.1 MB and does not grow with the
+  days.
 
 What a fresh interpreter loads is checked in child processes.
 """
@@ -39,6 +40,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -569,42 +571,44 @@ def test_main_in_process_leaves_the_gc_as_the_caller_set_it(pipeline_out, tmp_pa
 
 
 # A pipeline run, collector off, leaves 564 objects in reference cycles
-# (the argument parser) and 99 more per sector (the pure-Python JSON
+# (mostly the argument parser) and 99 more per sector (the pure-Python JSON
 # encoder's closures, three JSON artifacts per sector), whatever the number
 # of days: 762 for 2 sectors x 60 days, 1,158 for 6 x 240 and 1,554 for the
-# ten-sector, 2,254-day corpus.  The bounds leave about 10% above that.
+# ten-sector, 2,254-day corpus.  They hold about 95 kB plus 9 kB per
+# sector (tracemalloc): 113 kB at 2 x 60 and at 2 x 240, 150 kB at 6 x 240.
+# A cycle that held a series or the ticks would grow with the days.
 GARBAGE_BASE = 620
 GARBAGE_PER_SECTOR = 110
+GARBAGE_BYTES_BASE = 128 * 1024
+GARBAGE_BYTES_PER_SECTOR = 16 * 1024
 
 
-def test_cyclic_garbage_is_small_and_does_not_grow_with_the_days(tmp_path, capsys):
+def test_cyclic_garbage_is_small_and_does_not_grow_with_the_days(tmp_path):
     runs = {}
     for name, sectors, days in (("warm-up", 2, 30), ("small", 2, 60), ("large", 6, 240)):
         paths = make_demo_corpus(tmp_path / name, sectors=DEMO_SECTORS[:sectors], n_days=days, seed=5)
         ticks = [str(paths[s]) for s in DEMO_SECTORS[:sectors]]
         runs[name] = sectors, ["pipeline", *ticks, "--out", str(tmp_path / f"{name}-out"),
                                "--holidays", str(paths["holidays"]), "--events", str(paths["events"])]
-    was, debug = gc.isenabled(), gc.get_debug()
-    freed, arrays = {}, {}
+    was = gc.isenabled()
+    freed, held = {}, {}
     gc.disable()
+    tracemalloc.start()
     try:
         for name, (_, argv) in runs.items():
             gc.collect()
-            gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the next collection finds in gc.garbage
             assert cli.main(argv) == 0
+            before = tracemalloc.get_traced_memory()[0]
             freed[name] = gc.collect()
-            arrays[name] = sum(type(obj).__module__ == "numpy" for obj in gc.garbage)
-            gc.garbage.clear()
-            gc.set_debug(debug)
+            held[name] = before - tracemalloc.get_traced_memory()[0]
     finally:
-        gc.set_debug(debug)
-        gc.garbage.clear()
+        tracemalloc.stop()
         if was:
             gc.enable()
-    capsys.readouterr()
-    del freed["warm-up"], arrays["warm-up"]  # the first run may free what imports left
-    for name, count in freed.items():
-        assert count < GARBAGE_BASE + GARBAGE_PER_SECTOR * runs[name][0], name
     added = runs["large"][0] - runs["small"][0]
+    for name in ("small", "large"):  # the warm-up run may free what imports left
+        sectors = runs[name][0]
+        assert freed[name] < GARBAGE_BASE + GARBAGE_PER_SECTOR * sectors, name
+        assert held[name] < GARBAGE_BYTES_BASE + GARBAGE_BYTES_PER_SECTOR * sectors, name
     assert freed["large"] <= freed["small"] + GARBAGE_PER_SECTOR * added
-    assert arrays == {"small": 0, "large": 0}
+    assert held["large"] <= held["small"] + GARBAGE_BYTES_PER_SECTOR * added
