@@ -414,30 +414,33 @@ def load_rate_events(path: str | Path) -> list[RateEvent]:
     """Read events (date,change,new_rate) and check rate continuity.
 
     Raises ``ValueError`` naming ``path`` on a missing column, on a row
-    whose cells do not parse or hold a non-finite rate (with its line) and
-    on a broken rate chain.
+    whose cells do not parse or hold a non-finite rate (with its line), on
+    a broken rate chain and on a file that is not UTF-8.
     """
     events: list[RateEvent] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ("date", "change", "new_rate") if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: rate events lack columns {missing}")
-        for rec in reader:
-            try:
-                event = RateEvent(
-                    date=dt.date.fromisoformat(rec["date"]),
-                    change=float(rec["change"]),
-                    new_rate=float(rec["new_rate"]),
-                )
-            except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cells
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-            if not (math.isfinite(event.change) and math.isfinite(event.new_rate)):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: non-finite rate "
-                    f"(change {rec['change']!r}, new_rate {rec['new_rate']!r})"
-                )
-            events.append(event)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("date", "change", "new_rate") if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path}: rate events lack columns {missing}")
+            for rec in reader:
+                try:
+                    event = RateEvent(
+                        date=dt.date.fromisoformat(rec["date"]),
+                        change=float(rec["change"]),
+                        new_rate=float(rec["new_rate"]),
+                    )
+                except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cells
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+                if not (math.isfinite(event.change) and math.isfinite(event.new_rate)):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: non-finite rate "
+                        f"(change {rec['change']!r}, new_rate {rec['new_rate']!r})"
+                    )
+                events.append(event)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     events.sort(key=lambda e: e.date)
     for prev, cur in zip(events, events[1:]):
         if abs(prev.new_rate + cur.change - cur.new_rate) > 1e-9:

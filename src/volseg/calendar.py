@@ -73,9 +73,13 @@ def _weekdays(start: dt.date, end: dt.date) -> list[dt.date]:
 def load_holidays(path: str | Path) -> tuple[dt.date, ...]:
     """Read a holiday file: one ISO date per line, blank lines and ``#``
     comments ignored.  A bad date raises ``ValueError`` naming the file and
-    its 1-based line."""
+    its 1-based line, a file that is not UTF-8 one naming the file."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     holidays = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -49,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class DataError(Exception):
-    pass
-
-
 def _write_resolved_config(args: argparse.Namespace, outdir: Path) -> None:
     artifacts.write_json(
         outdir / "resolved_config.json", {k: v for k, v in vars(args).items() if k != "func"}
@@ -99,20 +95,20 @@ def _apply_config_file(
     if getattr(args, "config", None):
         try:
             overrides = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"{args.config}: cannot read config file: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise ValueError(f"{args.config}: cannot read config file: {exc}") from exc
         if not isinstance(overrides, dict):
-            raise DataError(f"{args.config}: config file holds a JSON {type(overrides).__name__}, not an object")
+            raise ValueError(f"{args.config}: config file holds a JSON {type(overrides).__name__}, not an object")
         sub = subparsers[args.command]
         actions = {action.dest: action for action in sub._actions}
         normalized = {}
         for key, value in overrides.items():
             dest = key.replace("-", "_")
             if dest not in actions:
-                raise DataError(f"{args.config}: unknown config key {key!r}")
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
             problem = _config_value_problem(actions[dest], value)
             if problem:
-                raise DataError(f"{args.config}: config key {key!r}: {value!r} {problem}")
+                raise ValueError(f"{args.config}: config key {key!r}: {value!r} {problem}")
             normalized[dest] = value
         sub.set_defaults(**normalized)
         args = parser.parse_args(argv)
@@ -143,7 +139,7 @@ def _read_calendar(path: Path) -> calendar.TradingCalendar:
             tz=payload["tz"],
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed calendar ({type(exc).__name__}: {exc})") from exc
+        raise ValueError(f"{path}: malformed calendar ({type(exc).__name__}: {exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +165,23 @@ def _undecodable(path: Path, encoding: str, exc: UnicodeDecodeError) -> str:
     return str(exc)  # the file changed since it was read
 
 
-def _check_sector(sector: object, source: object) -> None:
-    """A sector names its output files, so it must be a nonempty string
-    other than ``.`` and ``..``, without ``/``, ``\\`` or NUL; else a data
-    error naming ``source``."""
-    if not isinstance(sector, str) or sector in ("", ".", "..") or any(c in sector for c in "/\\\0"):
-        raise DataError(f"{source}: sector {sector!r} cannot name an output file")
+def _existing(paths: Sequence[str]) -> list[Path]:
+    paths = [Path(p) for p in paths]
+    for p in paths:
+        if not p.exists():
+            raise ValueError(f"input file not found: {p}")
+    return paths
 
 
 def _hold(sources: dict[str, Path], sector: object, path: Path) -> None:
-    """Record that ``path`` holds ``sector``; a sector that cannot name an
-    output file is a data error naming ``path``, one already held a data
-    error naming both files."""
-    _check_sector(sector, path)
+    """Record that ``path`` holds ``sector``.  A sector names its output
+    files, so one that is not a nonempty string other than ``.`` and
+    ``..``, without ``/``, ``\\`` or NUL, is a data error naming ``path``;
+    one already held is a data error naming both files."""
+    if not isinstance(sector, str) or sector in ("", ".", "..") or any(c in sector for c in "/\\\0"):
+        raise ValueError(f"{path}: sector {sector!r} cannot name an output file")
     if sector in sources:
-        raise DataError(f"{sources[sector]} and {path} both hold sector {sector}")
+        raise ValueError(f"{sources[sector]} and {path} both hold sector {sector}")
     sources[sector] = path
 
 
@@ -201,34 +199,34 @@ def _check_ranges(args: argparse.Namespace) -> None:
     given = vars(args)
     for dest, least in _AT_LEAST.items():
         if dest in given and given[dest] < least:
-            raise DataError(f"--{dest.replace('_', '-')} {given[dest]} is out of range: it must be at least {least}")
+            raise ValueError(f"--{dest.replace('_', '-')} {given[dest]} is out of range: it must be at least {least}")
     if "k_max" in given and args.k_max < args.k_min:
-        raise DataError(f"--k-max {args.k_max} is out of range: it must be at least --k-min ({args.k_min})")
+        raise ValueError(f"--k-max {args.k_max} is out of range: it must be at least --k-min ({args.k_min})")
     if "predominance" in given and not 0 < args.predominance <= 1:
-        raise DataError(
+        raise ValueError(
             f"--predominance {args.predominance} is out of range: it must be greater than 0 and at most 1"
         )
     if "long_seg" in given and args.long_seg < args.min_seg:
-        raise DataError(f"--long-seg {args.long_seg} is out of range: it must be at least --min-seg ({args.min_seg})")
+        raise ValueError(f"--long-seg {args.long_seg} is out of range: it must be at least --min-seg ({args.min_seg})")
     if "cutoff" in given and not 0 < args.cutoff < math.inf:
-        raise DataError(f"--cutoff {args.cutoff} is out of range: it must be positive and finite")
+        raise ValueError(f"--cutoff {args.cutoff} is out of range: it must be positive and finite")
     if "shock_classes" in given:
         classes = [klass.strip() for klass in args.shock_classes.split(",")]
         for i, klass in enumerate(classes):
             if klass not in analysis.SHOCK_CLASS_COLOR:
                 known = ", ".join(analysis.SHOCK_CLASS_COLOR)
-                raise DataError(f"--shock-classes {args.shock_classes}: class {klass!r} is not one of {known}")
+                raise ValueError(f"--shock-classes {args.shock_classes}: class {klass!r} is not one of {known}")
             if klass in classes[:i]:
-                raise DataError(f"--shock-classes {args.shock_classes}: class {klass!r} is given twice")
+                raise ValueError(f"--shock-classes {args.shock_classes}: class {klass!r} is given twice")
     dates = {}
     for dest in ("start", "end"):
         if given.get(dest):  # an empty bound is not given, as in _ingest
             try:
                 dates[dest] = dt.date.fromisoformat(given[dest])
             except ValueError as exc:
-                raise DataError(f"--{dest} {given[dest]} is not an ISO date ({exc})") from exc
+                raise ValueError(f"--{dest} {given[dest]} is not an ISO date ({exc})") from exc
     if len(dates) == 2 and dates["start"] > dates["end"]:
-        raise DataError(f"--end {args.end} is out of range: it must be on or after --start ({args.start})")
+        raise ValueError(f"--end {args.end} is out of range: it must be on or after --start ({args.start})")
 
 
 def _ingest(args: argparse.Namespace) -> tuple[calendar.TradingCalendar, list[ingest.HalfHourSeries]]:
@@ -239,19 +237,16 @@ def _ingest(args: argparse.Namespace) -> tuple[calendar.TradingCalendar, list[in
 
     parsed = []
     sources: dict[str, Path] = {}
-    for path in args.inputs:
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"input file not found: {path}")
+    for path in _existing(args.inputs):
         with open(path) as fh:
             try:
                 ticks, rejects = ingest.parse_ticks(fh)
             except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: {_undecodable(path, fh.encoding, exc)}") from exc
+                raise ValueError(f"{path}: {_undecodable(path, fh.encoding, exc)}") from exc
             except ValueError as exc:
-                raise DataError(f"{path}: {exc}") from exc
+                raise ValueError(f"{path}: {exc}") from exc
         if not len(ticks):
-            raise DataError(f"{path}: no parseable tick records")
+            raise ValueError(f"{path}: no parseable tick records")
         _hold(sources, ingest.sector_from_ric(ticks.ric), path)
         parsed.append((path, ticks, rejects))
 
@@ -272,7 +267,7 @@ def _ingest(args: argparse.Namespace) -> tuple[calendar.TradingCalendar, list[in
     to_open = cal.grid_us[1:, 0] - cal.grid_us[:-1, -1]  # from each close to the next open
     if len(to_open) and to_open.min() <= 0:
         d = int(to_open.argmin())
-        raise DataError(
+        raise ValueError(
             f"--samples-per-day {args.samples_per_day} is out of range: the session of {cal.days[d]} "
             f"would reach the open of {cal.days[d + 1]}; at most {-(-int(gaps[d]) // step)} samples "
             "per day fit this calendar"
@@ -282,7 +277,7 @@ def _ingest(args: argparse.Namespace) -> tuple[calendar.TradingCalendar, list[in
     minute = dt.timedelta(minutes=1) // calendar.MICROSECOND
     if len(to_open) and args.pre_open_grace_min * minute > int(to_open.min()):
         d = int(to_open.argmin())
-        raise DataError(
+        raise ValueError(
             f"--pre-open-grace-min {args.pre_open_grace_min} is out of range: the open of {cal.days[d + 1]} "
             f"would reach back past the close of {cal.days[d]}; at most {int(to_open[d]) // minute} "
             "minutes fit this calendar"
@@ -341,7 +336,7 @@ def _segment(
             result.refine_windows, result.refine_scans, time.perf_counter() - start,
         )
     except ValueError as exc:
-        raise DataError(f"{source}: {exc}") from exc
+        raise ValueError(f"{source}: {exc}") from exc
     rows = segmenter.emit_segment_table(result, series.grid)
     segmenter.write_segment_csv(rows, seg_dir / f"{series.sector}.csv")
     segmenter.write_segment_json(rows, seg_dir / f"{series.sector}.json", series.sector, cfg, result.converged)
@@ -421,48 +416,23 @@ def _analyze(
 # subcommands: load their inputs once and call the stages
 
 
-def _existing(paths: Sequence[str]) -> list[Path]:
-    paths = [Path(p) for p in paths]
-    for p in paths:
-        if not p.exists():
-            raise DataError(f"input file not found: {p}")
-    return paths
-
-
-def _load_series(path: Path) -> ingest.HalfHourSeries:
-    try:
-        if path.suffix == ".json":
-            return ingest.series_from_json(path)
-        return ingest.series_from_csv(path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed series ({type(exc).__name__}: {exc})") from exc
-
-
 def cmd_segment(args: argparse.Namespace) -> None:
     sources: dict[str, Path] = {}
     for path in _existing(args.inputs):
-        series = _load_series(path)
+        series = ingest.series_from_json(path) if path.suffix == ".json" else ingest.series_from_csv(path)
         _hold(sources, series.sector, path)
         _segment(args, series, path)
-
-
-def _read_segment_table(path: Path) -> tuple[str, list[segmenter.Segment], list[divergence.Boundary]]:
-    """Sector, segments and boundaries of a segment table JSON file."""
-    try:
-        return segmenter.read_segment_table(path)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def cmd_cluster(args: argparse.Namespace) -> None:
     sources: dict[str, Path] = {}
     for path in _existing(args.inputs):
-        sector, segments, _ = _read_segment_table(path)
+        sector, segments, _ = segmenter.read_segment_table(path)
         _hold(sources, sector, path)
         try:
             _cluster(args, sector, [s.stats for s in segments])
         except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_analyze(args: argparse.Namespace) -> None:
@@ -472,21 +442,18 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     sources: dict[str, Path] = {}
     for seg_path in sorted(Path(p) for p in args.segments):
         if not seg_path.exists():
-            raise DataError(f"segment table not found: {seg_path}")
-        sector, segments, sector_boundaries = _read_segment_table(seg_path)
+            raise ValueError(f"segment table not found: {seg_path}")
+        sector, segments, sector_boundaries = segmenter.read_segment_table(seg_path)
         _hold(sources, sector, seg_path)
         asg_path = Path(args.assignments_dir) / f"{sector}.assignment.csv"
         if not asg_path.exists():
-            raise DataError(f"assignment not found: {asg_path}")
-        try:
-            assignment = cluster.read_assignment(asg_path, len(segments))
-        except ValueError as exc:
-            raise DataError(f"{asg_path}: malformed assignment ({exc})") from exc
+            raise ValueError(f"assignment not found: {asg_path}")
+        assignment = cluster.read_assignment(asg_path, len(segments))
         if not all(0 <= seg.start < seg.end < len(cal) for seg in segments):
-            raise DataError(f"{seg_path}: a segment lies outside the {len(cal)}-point calendar grid")
+            raise ValueError(f"{seg_path}: a segment lies outside the {len(cal)}-point calendar grid")
         for row, (prev, seg) in enumerate(zip(segments, segments[1:]), start=2):
             if seg.start != prev.end:
-                raise DataError(
+                raise ValueError(
                     f"{seg_path}: row {row}: start {seg.start + 1} does not follow the end {prev.end} "
                     f"of row {row - 1}; rows must tile the series"
                 )
@@ -599,19 +566,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser, registry = build_parser()
     try:
         args = _apply_config_file(parser, registry, list(argv) if argv is not None else sys.argv[1:])
-    except SystemExit as exc:  # argparse usage errors and --help
-        return int(exc.code) if exc.code is not None else 0
-    except DataError as exc:
-        print(f"volseg: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    # set apart from basicConfig, which changes nothing where logging is already set up
-    logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
-    try:
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        # set apart from basicConfig, which changes nothing where logging is already set up
+        logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
         _check_ranges(args)
         args.func(args)
         _write_resolved_config(args, Path(args.out))  # last, so a failed run writes none
-    except (DataError, ValueError, OSError) as exc:
+    except SystemExit as exc:  # argparse usage errors and --help
+        return int(exc.code) if exc.code is not None else 0
+    except (ValueError, OSError) as exc:
         print(f"volseg: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

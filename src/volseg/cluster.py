@@ -448,27 +448,41 @@ def _cluster_id(text: str | None) -> int:
 def read_assignment(path: str | Path, n_segments: int) -> ClusterAssignment:
     """The labels, colors and phases of an assignment CSV of ``n_segments``
     segments; the file holds no volatilities, so ``mean_vol`` is zeros.
-    Raises ``ValueError`` on a missing column, a cluster id that is not a
-    non-negative integer or is ``n_segments`` or more, a color off the
-    ladder, or a row count other than ``n_segments``."""
+    Raises ``ValueError`` naming ``path`` on a missing column, a cluster
+    id that is not a non-negative integer or is ``n_segments`` or more, a
+    color off the ladder, a phase other than its color's, a cluster id
+    given two colors, or a row count other than ``n_segments``."""
     labels: list[int] = []
-    named: dict[int, tuple[str, str]] = {}  # cluster id -> color and phase of its last row
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ASSIGNMENT_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"assignment lacks columns {missing}")
-        for rec in reader:
-            if rec["color"] not in PHASE_BY_COLOR:
-                raise ValueError(f"segment {rec['segment']}: unknown color {rec['color']!r}")
-            labels.append(_cluster_id(rec["cluster"]))
-            named[labels[-1]] = rec["color"], rec["phase"]
-    if len(labels) != n_segments:
-        raise ValueError(f"{len(labels)} labels for {n_segments} segments")
-    k = max(labels) + 1
-    if k > n_segments:
-        raise ValueError(f"cluster id {k - 1} for {n_segments} segments")
-    colors, phases = zip(*(named.get(c, ("", "")) for c in range(k)))
+    named: dict[int, tuple[str, str, str]] = {}  # cluster id -> color, phase and segment of its first row
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in ASSIGNMENT_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"assignment lacks columns {missing}")
+            for rec in reader:
+                segment, color, phase = rec["segment"], rec["color"], rec["phase"]
+                if color not in PHASE_BY_COLOR:
+                    raise ValueError(f"segment {segment}: unknown color {color!r}")
+                label = _cluster_id(rec["cluster"])
+                if phase != PHASE_BY_COLOR[color]:
+                    raise ValueError(
+                        f"segment {segment}: phase {phase!r} is not {PHASE_BY_COLOR[color]!r}, the phase of {color}"
+                    )
+                first_color, _, first_segment = named.setdefault(label, (color, phase, segment))
+                if color != first_color:
+                    raise ValueError(
+                        f"segment {segment}: cluster {label} is {color}, but {first_color} at segment {first_segment}"
+                    )
+                labels.append(label)
+        if len(labels) != n_segments:
+            raise ValueError(f"{len(labels)} labels for {n_segments} segments")
+        k = max(labels) + 1
+        if k > n_segments:
+            raise ValueError(f"cluster id {k - 1} for {n_segments} segments")
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed assignment ({exc})") from exc
+    colors, phases, _ = zip(*(named.get(c, ("", "", "")) for c in range(k)))
     return ClusterAssignment(tuple(labels), (0.0,) * k, k, colors=colors, phases=phases)
 
 

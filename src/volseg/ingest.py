@@ -37,7 +37,6 @@ calendar = _lazy("volseg.calendar")  # series I/O never executes it
 np = _lazy("numpy")
 log = logging.getLogger(__name__)
 
-TICK_HEADER = "#RIC,Date[G],Time[G],GMT Offset,Type,Price"
 DEFAULT_PRE_OPEN_GRACE = dt.timedelta(minutes=30)
 
 
@@ -540,15 +539,18 @@ def series_to_csv(series: HalfHourSeries, path: str | Path) -> None:
 
 
 def series_from_csv(path: str | Path) -> HalfHourSeries:
-    """The series of a ``timestamp,value`` file; its sector is the file's stem."""
+    """The series of a ``timestamp,value`` file; its sector is the file's
+    stem.  A malformed file raises ValueError naming ``path``."""
     grid: list[dt.datetime] = []
     values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            grid.append(dt.datetime.fromisoformat(row["timestamp"]))
-            values.append(float(row["value"]))
-    return HalfHourSeries(Path(path).stem, tuple(grid), np.array(values))
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                grid.append(dt.datetime.fromisoformat(row["timestamp"]))
+                values.append(float(row["value"]))
+        return HalfHourSeries(Path(path).stem, tuple(grid), np.array(values))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed series ({type(exc).__name__}: {exc})") from exc
 
 
 def _write_strings(fh: BinaryIO, n: int, render: Callable[[slice], np.ndarray]) -> None:
@@ -574,7 +576,11 @@ def series_to_json(series: HalfHourSeries, path: str | Path) -> None:
 
 
 def series_from_json(path: str | Path) -> HalfHourSeries:
-    payload = json.loads(Path(path).read_text())
-    grid = tuple(map(dt.datetime.fromisoformat, payload["timestamps"]))
-    values = np.array(list(map(float, payload["values"])))
-    return HalfHourSeries(payload["sector"], grid, values)
+    """The series ``series_to_json`` wrote; a malformed file raises ValueError naming ``path``."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        grid = tuple(map(dt.datetime.fromisoformat, payload["timestamps"]))
+        values = np.array(list(map(float, payload["values"])))
+        return HalfHourSeries(payload["sector"], grid, values)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed series ({type(exc).__name__}: {exc})") from exc

@@ -542,17 +542,17 @@ def read_segment_table(path: str | Path) -> tuple[str, list[Segment], list[Bound
     boundaries of a table ``write_segment_json`` wrote.  Rows need not
     tile a series.  A row after the first has a boundary before it
     unless its ``delta`` and ``delta_err`` are empty.  A malformed table
-    raises ValueError."""
+    raises ValueError naming ``path``."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
         sector = payload.get("sector") or path.stem
         rows = payload["rows"]
         if not rows:
-            raise _TableError("segment table has no rows")
+            raise _TableError(f"{path}: segment table has no rows")
         missing = sorted({c for row in rows for c in TABLE_COLUMNS if c not in row})
         if missing:
-            raise _TableError(f"segment table rows lack columns {missing}")
+            raise _TableError(f"{path}: segment table rows lack columns {missing}")
         segments = [_row_segment(row) for row in rows]
         boundaries = [
             Boundary(seg.start, float(row["delta"]), float(row["delta_err"]))
@@ -562,5 +562,5 @@ def read_segment_table(path: str | Path) -> tuple[str, list[Segment], list[Bound
     except _TableError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed segment table ({type(exc).__name__}: {exc})") from exc
+        raise ValueError(f"{path}: malformed segment table ({type(exc).__name__}: {exc})") from exc
     return sector, segments, boundaries

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import inspect
 import json
 import logging
 import math
@@ -213,6 +214,17 @@ class TestSegmentCommand:
         cfg.write_text("[5]")
         assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
         assert f"volseg: {cfg}: " in capsys.readouterr().err
+
+    def test_config_file_not_utf8_is_data_error_naming_the_file(self, tmp_path, capsys):
+        path = self.make_series_file(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"cutoff": "\xff"}')
+        assert run(["segment", str(path), "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"volseg: {cfg}: cannot read config file: "
+            "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value", [("--cutoff", "inf")])
     def test_refinement_that_cannot_end_is_data_error(self, tmp_path, flag, value):
@@ -669,6 +681,31 @@ class TestAnalyzeCommand:
         assert str(tmp_path / "ZZ.assignment.csv") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            (
+                "segment,cluster,color,phase\n1,0,blue,growth\n2,0,red,crash\n",
+                "segment 2: cluster 0 is red, but blue at segment 1",
+            ),
+            (
+                "segment,cluster,color,phase\n1,0,blue,crash\n2,1,red,crash\n",
+                "segment 1: phase 'crash' is not 'growth', the phase of blue",
+            ),
+        ],
+        ids=["cluster-with-two-colors", "phase-not-its-colors"],
+    )
+    def test_contradictory_assignment_is_data_error_naming_the_file_and_segment(
+        self, tmp_path, capsys, assignment, message
+    ):
+        # the timeline takes each cluster's color and each color's phase, so
+        # a file that contradicts itself would be read as something it does not say
+        table, calendar = self.two_row_inputs(tmp_path)
+        capsys.readouterr()
+        assert self.analyze(tmp_path, table, calendar, assignment) == 2
+        asg = tmp_path / "ZZ.assignment.csv"
+        assert capsys.readouterr().err == f"volseg: {asg}: malformed assignment ({message})\n"
+
+    @pytest.mark.parametrize(
         "key, value",
         [("days", None), ("samples_per_day", None), ("open_local", None), ("tz", None), ("tz", "Nowhere/Such")],
     )
@@ -911,7 +948,7 @@ class TestPipelineComposition:
             raise AssertionError("pipeline read back a file it wrote")
 
         monkeypatch.setattr(ingest, "series_from_json", read_back)
-        monkeypatch.setattr(cli, "_read_segment_table", read_back)
+        monkeypatch.setattr(segmenter, "read_segment_table", read_back)
         monkeypatch.setattr(cluster, "read_assignment", read_back)
         monkeypatch.setattr(cli, "_read_calendar", read_back)
         argv = ["pipeline", *corpus["ticks"], "--out", str(tmp_path / "run"), "--holidays", corpus["holidays"]]
@@ -1064,6 +1101,35 @@ class TestOutsideFileValues:
         events.write_text("date,change,new_rate\n2005-01-05,-0.5,4.5\n" + ",".join(row.values()) + "\n")
         assert analyze.analyze(tmp_path, table, calendar, extra=("--events", str(events))) == 2
         assert f"volseg: {events}: line 3: non-finite rate" in capsys.readouterr().err
+
+
+def test_cli_defaults_equal_the_library_defaults_they_copy():
+    """``cli`` spells its defaults as literals so that ``--help`` executes
+    no stage module; each must stay equal to the library value it stands for."""
+    from volseg import analysis, calendar
+
+    _, registry = cli.build_parser()
+    default = registry["pipeline"].get_default  # pipeline takes every stage's options
+    per_day = calendar.DEFAULT_SAMPLES_PER_DAY
+    cfg = segmenter.SegmentationConfig()
+    recovery = inspect.signature(analysis.detect_recovery).parameters
+    responses = inspect.signature(analysis.classify_event_responses).parameters
+    pairs = {
+        "cutoff": (default("cutoff"), cfg.cutoff),
+        "min-seg": (default("min_seg"), cfg.min_segment_len),
+        "long-seg": (default("long_seg"), cfg.long_segment_len),
+        "max-opt-iters": (default("max_opt_iters"), cfg.max_opt_iters),
+        "samples-per-day": (default("samples_per_day"), per_day),
+        "pre-open-grace-min": (dt.timedelta(minutes=default("pre_open_grace_min")), ingest.DEFAULT_PRE_OPEN_GRACE),
+        "min-run-days": (default("min_run_days") * per_day, analysis.TWO_MONTHS_HALF_HOURS),
+        "match-window-days": (default("match_window_days") * per_day, analysis.DEFAULT_MATCH_WINDOW),
+        "predominance": (default("predominance"), recovery["predominance"].default),
+        "event-window-days": (default("event_window_days"), responses["window_days"].default),
+        "anticipation-days": (default("anticipation_days"), responses["anticipation_days"].default),
+    }
+    assert {flag: cli_value for flag, (cli_value, _) in pairs.items()} == {
+        flag: library_value for flag, (_, library_value) in pairs.items()
+    }
 
 
 class TestRemovedOptions:
