@@ -427,7 +427,7 @@ def cmd_segment(args: argparse.Namespace) -> None:
 def cmd_cluster(args: argparse.Namespace) -> None:
     sources: dict[str, Path] = {}
     for path in _existing(args.inputs):
-        sector, segments, _ = segmenter.read_segment_table(path)
+        sector, segments, *_ = segmenter.read_segment_table(path)
         _hold(sources, sector, path)
         try:
             _cluster(args, sector, [s.stats for s in segments])
@@ -443,7 +443,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     for seg_path in sorted(Path(p) for p in args.segments):
         if not seg_path.exists():
             raise ValueError(f"segment table not found: {seg_path}")
-        sector, segments, sector_boundaries = segmenter.read_segment_table(seg_path)
+        sector, segments, sector_boundaries, start_dates = segmenter.read_segment_table(seg_path)
         _hold(sources, sector, seg_path)
         asg_path = Path(args.assignments_dir) / f"{sector}.assignment.csv"
         if not asg_path.exists():
@@ -457,7 +457,16 @@ def cmd_analyze(args: argparse.Namespace) -> None:
                     f"{seg_path}: row {row}: start {seg.start + 1} does not follow the end {prev.end} "
                     f"of row {row - 1}; rows must tile the series"
                 )
-        # the timelines read only the grid times at run edges, one at a time from the calendar
+        # a table dates each row by its first return: a calendar that dates
+        # them otherwise is not the one the table was segmented on
+        for row, (seg, date) in enumerate(zip(segments, start_dates), start=1):
+            want = cal[seg.start].strftime(segmenter.START_DATE_FORMAT)
+            if date != want:
+                raise ValueError(
+                    f"{seg_path}: row {row}: start_date {date!r} is not {want}, the date of return "
+                    f"{seg.start + 1} in {args.calendar}"
+                )
+        # the timelines read the grid times at run edges, one at a time from the calendar
         timelines[sector] = analysis.build_timeline(segments, assignment, cal, sector)
         boundaries[sector] = sector_boundaries
     _analyze(args, cal, timelines, boundaries)
@@ -471,7 +480,7 @@ def cmd_pipeline(args: argparse.Namespace) -> None:
     boundaries: dict[str, Sequence[divergence.Boundary]] = {}
     for sector, result in results.items():
         assignment = _cluster(args, sector, [seg.stats for seg in result.segments])
-        timelines[sector] = analysis.build_timeline(result.segments, assignment, cal.grid, sector)
+        timelines[sector] = analysis.build_timeline(result.segments, assignment, cal, sector)
         boundaries[sector] = result.boundaries
     _analyze(args, cal, timelines, boundaries)
 

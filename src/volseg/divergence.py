@@ -24,10 +24,11 @@ Everything here operates on plain float64 arrays.  The running sums of
 PrefixSums make a full divergence scan O(n).  The side term
 n_L ln s_L^2 of a split depends only on the window's left end and the
 split, and n_R ln s_R^2 only on the split and the right end, so
-PrefixSums also keeps them per window endpoint: a scan that shares an
-endpoint with an earlier one computes only the splits that endpoint's
-terms lack.  The caches live until cut or released; the segmenter keeps
-them under 4 floats per point of the series.
+PrefixSums also keeps them per window endpoint: a scan whose splits an
+endpoint's terms cover slices them, and any other scan recomputes that
+endpoint's terms over the union of its splits and theirs.  The caches
+live until cut or released; the segmenter keeps them under 4 floats per
+point of the series.
 """
 
 from __future__ import annotations
@@ -234,31 +235,21 @@ class PrefixSums:
         Each endpoint keeps one array per side: (t - pos) ln var[pos, t)
         for splits after it, (pos - t) ln var[t, pos) for splits before
         it, NaN where the variance is at or below VARIANCE_FLOOR.  A term
-        depends only on the endpoint and the split, so an array is
-        extended by the splits it lacks and is otherwise reused by every
-        window with that endpoint, until ``keep_terms`` cuts it or
-        ``release`` drops it.
+        depends only on the endpoint and the split, so an array that
+        covers [lo, hi) is sliced, and any other request replaces it with
+        the terms of the union of its splits and [lo, hi), computed
+        afresh with the same bits.  An array serves every window with
+        that endpoint until ``keep_terms`` cuts it or ``release`` drops it.
         """
         cache = self._left if lo > pos else self._right
+        first, end = lo, hi
         entry = cache.get(pos)
-        if entry is None:
-            first = lo
-            terms, degenerate = self._terms(pos, lo, hi)
-        else:
-            first, terms, degenerate = entry
-            end = first + terms.size
-            if lo < first or hi > end:
-                pieces = [terms]
-                if lo < first:
-                    before, d = self._terms(pos, lo, first)
-                    pieces.insert(0, before)
-                    degenerate |= d
-                    first = lo
-                if hi > end:
-                    after, d = self._terms(pos, end, hi)
-                    pieces.append(after)
-                    degenerate |= d
-                terms = np.concatenate(pieces)
+        if entry is not None:
+            start, terms, degenerate = entry
+            if start <= lo and hi <= start + terms.size:
+                return terms[lo - start : hi - start], degenerate
+            first, end = min(lo, start), max(hi, start + terms.size)
+        terms, degenerate = self._terms(pos, first, end)
         cache[pos] = first, terms, degenerate
         return terms[lo - first : hi - first], degenerate
 

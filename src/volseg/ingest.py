@@ -409,14 +409,9 @@ def resample(
 
 def log_returns(series: HalfHourSeries) -> np.ndarray:
     """The float64 log-index movements x_t = ln X_{t+1} - ln X_t;
-    requires N >= 2 and positive levels."""
+    requires N >= 2.  The levels are positive: ``HalfHourSeries`` checks it."""
     if series.n < 2:
         raise ValueError("need at least two samples to form returns")
-    # positivity is a HalfHourSeries invariant, but re-check defensively
-    # so the error names the offending timestamp
-    nonpos = np.flatnonzero(series.values <= 0.0)
-    if nonpos.size:
-        raise ValueError(f"non-positive level at {series.grid[int(nonpos[0])].isoformat()}")
     return np.diff(np.log(series.values))
 
 

@@ -34,6 +34,7 @@ log = logging.getLogger(__name__)
 
 FLAG_AUTOMATIC = "automatic"
 FLAG_REFINED = "refined"
+START_DATE_FORMAT = "%d/%m/%Y"  # a table row's start_date, the date of its first return
 
 TABLE_COLUMNS = (
     "m",
@@ -482,7 +483,7 @@ def emit_segment_table(result: SegmentationResult, grid: Sequence[dt.datetime]) 
             "start": seg.start + 1,
             "end": seg.end,
             "duration": seg.length,
-            "start_date": grid[seg.start].strftime("%d/%m/%Y"),
+            "start_date": grid[seg.start].strftime(START_DATE_FORMAT),
             "mean": seg.stats.mean,
             "mean_err": seg.stats.mean_err,
             "stdev": seg.stats.stdev,
@@ -537,12 +538,13 @@ def _row_segment(row: dict[str, object]) -> Segment:
     return Segment(start - 1, end, stats)
 
 
-def read_segment_table(path: str | Path) -> tuple[str, list[Segment], list[Boundary]]:
-    """The sector (unchecked; by default the file's stem), segments and
-    boundaries of a table ``write_segment_json`` wrote.  Rows need not
-    tile a series.  A row after the first has a boundary before it
-    unless its ``delta`` and ``delta_err`` are empty.  A malformed table
-    raises ValueError naming ``path``."""
+def read_segment_table(path: str | Path) -> tuple[str, list[Segment], list[Boundary], list[object]]:
+    """The sector (unchecked; by default the file's stem), segments,
+    boundaries and rows' ``start_date`` cells (unchecked) of a table
+    ``write_segment_json`` wrote.  Rows need not tile a series.  A row
+    after the first has a boundary before it unless its ``delta`` and
+    ``delta_err`` are empty.  A malformed table raises ValueError naming
+    ``path``."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -563,4 +565,4 @@ def read_segment_table(path: str | Path) -> tuple[str, list[Segment], list[Bound
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed segment table ({type(exc).__name__}: {exc})") from exc
-    return sector, segments, boundaries
+    return sector, segments, boundaries, [row["start_date"] for row in rows]

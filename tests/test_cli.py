@@ -29,6 +29,7 @@ from volseg.synthetic import (
 )
 
 HEADER = "#RIC,Date[G],Time[G],GMT Offset,Type,Price"
+ONE_DAY = dt.timedelta(days=1)
 
 
 @pytest.fixture(scope="module")
@@ -513,7 +514,7 @@ class TestClusterCommand:
         path = tmp_path / "FL.json"
         segmenter.write_segment_json(rows + extra, path, "FL", result.config, result.converged)
 
-        _, segments, _ = segmenter.read_segment_table(path)
+        _, segments, *_ = segmenter.read_segment_table(path)
         stats = [s.stats for s in segments]
         assert stats[: len(rows)] == [s.stats for s in result.segments]
         assert [(s.n, s.mean, s.stdev, s.mean_err, s.stdev_err) for s in stats[len(rows) :]] == [
@@ -528,7 +529,7 @@ class TestClusterCommand:
         rows = [self.table_row(1, 2, window.stdev), self.table_row(2, 30, 1e-14), self.table_row(3, 30, 0.0)]
         path = tmp_path / "DG.json"
         segmenter.write_segment_json(rows, path, "DG", segmenter.SegmentationConfig(), True)
-        _, segments, _ = segmenter.read_segment_table(path)
+        _, segments, *_ = segmenter.read_segment_table(path)
         normal = segment_stats([-1e-3, 1e-3] * 15)
         distances = [cluster.segment_distance(s.stats, normal) for s in segments]
         assert distances[0] == math.inf and math.isfinite(distances[1]) and distances[2] == math.inf
@@ -561,6 +562,13 @@ class TestAnalyzeCommand:
         row = TestClusterCommand.table_row(1, len(cal.grid) - 1, 1e-3)
         return {"sector": "ZZ", "rows": [row]}, calendar
 
+    @staticmethod
+    def dated(tmp_path, rows: list[dict]) -> list[dict]:
+        """``rows`` with each start_date the date of the row's first return
+        on the calendar ``valid_inputs`` wrote."""
+        cal = cli._read_calendar(tmp_path / "calendar.json")
+        return [dict(row, start_date=cal[row["start"] - 1].strftime("%d/%m/%Y")) for row in rows]
+
     def test_valid_inputs_pass(self, tmp_path):
         table, calendar = self.valid_inputs(tmp_path)
         assert self.analyze(tmp_path, table, calendar) == 0
@@ -586,7 +594,7 @@ class TestAnalyzeCommand:
         (row,) = table["rows"]
         half = row["end"] // 2
         second = dict(row, m=2, start=half + 1, duration=row["end"] - half, delta=3.5, delta_err=0.4)
-        table["rows"] = [dict(row, end=half, duration=half), second]
+        table["rows"] = self.dated(tmp_path, [dict(row, end=half, duration=half), second])
         assert self.analyze(tmp_path, table, calendar, self.TWO_ROW_ASSIGNMENT) == 0
         return table, calendar
 
@@ -602,7 +610,7 @@ class TestAnalyzeCommand:
         table, calendar = self.valid_inputs(tmp_path)
         (row,) = table["rows"]
         second = dict(row, m=2, start=first_end + 1, duration=row["end"] - first_end, delta=3.5, delta_err=0.4)
-        table["rows"] = [dict(row, end=first_end, duration=first_end), second]
+        table["rows"] = self.dated(tmp_path, [dict(row, end=first_end, duration=first_end), second])
         assert self.analyze(tmp_path, table, calendar, assignment, ("--min-run-days", "1")) == 0
         rows = (tmp_path / "out" / "analysis" / "recovery.csv").read_text().splitlines()
         assert rows == ["sector,date,censored", f"ZZ,2005-01-03,{censored}"]
@@ -745,6 +753,48 @@ class TestAnalyzeCommand:
         assert self.analyze(tmp_path, table, calendar, extra=("--events", str(events))) == 2
         assert f"volseg: {events}: {message}" in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def two_sector_run(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("two_sector")
+        paths = make_demo_corpus(base, sectors=("BM", "CY"), n_days=60, seed=1)
+        out = base / "run"
+        ticks = [str(paths[s]) for s in ("BM", "CY")]
+        assert run(["pipeline", *ticks, "--out", str(out), "--holidays", str(paths["holidays"])]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cal: dict(cal, samples_per_day=60),
+            lambda cal: dict(cal, samples_per_day=15),
+            # the first day dropped and the next day appended
+            lambda cal: dict(cal, days=[*cal["days"][1:], str(dt.date.fromisoformat(cal["days"][-1]) + ONE_DAY)]),
+        ],
+        ids=["60-a-day", "15-a-day", "days-shifted"],
+    )
+    def test_calendar_that_dates_the_rows_otherwise_is_data_error_naming_the_table_and_row(
+        self, two_sector_run, tmp_path, capsys, edit
+    ):
+        # each edit keeps every segment inside the grid, but moves the
+        # dates of its returns away from those the tables were written with
+        calendar = json.loads((two_sector_run / "calendar.json").read_text())
+        assert dt.date.fromisoformat(calendar["days"][-1]).weekday() < 4  # the appended day is a weekday
+        (tmp_path / "calendar.json").write_text(json.dumps(edit(calendar)))
+        tables = sorted(map(str, (two_sector_run / "segments").glob("*.json")))
+        argv = [
+            "analyze", "--segments", *tables, "--assignments-dir", str(two_sector_run / "clusters"),
+            "--calendar", str(tmp_path / "calendar.json"), "--out", str(tmp_path / "out"),
+        ]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"volseg: {re.escape(tables[0])}: row \d+: start_date '\d\d/\d\d/\d{{4}}' is not "
+            rf"\d\d/\d\d/\d{{4}}, the date of return \d+ in {re.escape(str(tmp_path / 'calendar.json'))}\n",
+            err,
+        ), err
+        assert not (tmp_path / "out").exists()
+
     def test_skips_rate_analysis_without_events(self, corpus, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["pipeline", *corpus["ticks"], "--out", str(out), "--holidays", corpus["holidays"]]) == 0
@@ -859,16 +909,17 @@ class TestAnalyzeGrid:
         assert artifact_tree(again / "analysis") == expected
 
 
-    def test_standalone_analyze_reads_the_grid_only_at_run_edges(self, tmp_path, monkeypatch):
-        # four segments in two runs of two: the grid is read at 0, 60 and the end
+    def test_standalone_analyze_reads_the_grid_only_at_row_starts_and_run_edges(self, tmp_path, monkeypatch):
+        # four segments in two runs of two: the start dates are checked at
+        # 0, 30, 60 and 90, and the runs read the grid at 0, 60 and the end
         analyze = TestAnalyzeCommand()
         table, calendar = analyze.valid_inputs(tmp_path)
         (row,) = table["rows"]
         cuts = [0, 30, 60, 90, row["end"]]
-        table["rows"] = [dict(row, m=1, end=30, duration=30)] + [
+        table["rows"] = analyze.dated(tmp_path, [dict(row, m=1, end=30, duration=30)] + [
             dict(row, m=k + 1, start=a + 1, end=b, duration=b - a, delta=3.5, delta_err=0.4)
             for k, (a, b) in enumerate(zip(cuts[1:], cuts[2:]), start=1)
-        ]
+        ])
         assignment = "segment,cluster,color,phase\n1,0,blue,growth\n2,0,blue,growth\n3,1,red,crash\n4,1,red,crash\n"
         read = []
         getitem = TradingCalendar.__getitem__
@@ -879,7 +930,7 @@ class TestAnalyzeGrid:
 
         monkeypatch.setattr(TradingCalendar, "__getitem__", recording_getitem)
         assert analyze.analyze(tmp_path, table, calendar, assignment) == 0
-        assert sorted(read) == [0, 60, 60, row["end"]]
+        assert sorted(read) == sorted([0, 30, 60, 90] + [0, 60, 60, row["end"]])
 
 def artifact_tree(root: Path) -> dict[Path, bytes]:
     """Every file under ``root`` but the invocation echo, by relative path."""

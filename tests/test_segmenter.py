@@ -415,8 +415,9 @@ class TestSegmentTable:
         path = tmp_path / "RT.json"
         rows = emit_segment_table(result, weekday_calendar(dt.date(2000, 7, 17), 201).grid)
         write_segment_json(rows, path, "RT", result.config, result.converged)
-        sector, segments, boundaries = read_segment_table(path)
+        sector, segments, boundaries, start_dates = read_segment_table(path)
         assert sector == "RT"
+        assert start_dates == [row["start_date"] for row in rows]
 
         def fields(seg: Segment) -> tuple:
             s = seg.stats
