@@ -156,33 +156,3 @@ def test_released_and_cut_terms_are_recomputed_with_the_same_bits():
         else:
             ps.keep_terms(pos, pos + int(rng.integers(-20, 200)))
     assert ps.terms_computed > 0
-
-
-# (endpoint's cache, side of its splits the second scan extends): the
-# first scan fills the caches at a and b; the second shares one endpoint
-# and asks for splits below, above or on both sides of its cached splits
-EXTENSIONS = {
-    ("left", "below"): ((200, 400, 10), (200, 380, 2)),
-    ("left", "above"): ((200, 400, 2), (200, 420, 2)),
-    ("left", "both"): ((200, 400, 10), (200, 420, 2)),
-    ("right", "below"): ((200, 400, 2), (180, 400, 2)),
-    ("right", "above"): ((200, 400, 10), (220, 400, 2)),
-    ("right", "both"): ((200, 400, 10), (180, 400, 2)),
-}
-
-
-@pytest.mark.parametrize("side, extended", list(EXTENSIONS))
-def test_extended_terms_are_those_of_the_union_with_the_same_bits(side, extended):
-    x = kernel_corpus(3, 600)
-    first, second = EXTENSIONS[side, extended]
-    ps, oracle = divergence.PrefixSums(x), OraclePrefixSums(x)
-    for a, b, margin in (first, second):
-        assert bits(ps.scan(a, b, margin)) == bits(oracle.scan(a, b, margin)), (a, b, margin)
-    cache, pos = (ps._left, second[0]) if side == "left" else (ps._right, second[1])
-    start, terms, degenerate = cache[pos]
-    (old_lo, old_hi), (lo, hi) = ((a + m, b - m + 1) for a, b, m in (first, second))
-    assert (lo < old_lo, hi > old_hi) == (extended != "above", extended != "below")
-    # one array over the union of both scans' splits, as a fresh kernel computes it
-    assert (start, start + terms.size) == (min(lo, old_lo), max(hi, old_hi))
-    fresh, fresh_degenerate = divergence.PrefixSums(x)._terms(pos, start, start + terms.size)
-    assert (terms.tobytes(), degenerate) == (fresh.tobytes(), fresh_degenerate)
