@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -163,17 +166,16 @@ def find_recovery(timeline: PhaseTimeline, min_run: int, predominance: float) ->
     growth share of the remaining timeline (run start to the end) must
     reach ``predominance``.
     """
-    total_end = timeline.end
-    for i, run in enumerate(timeline.runs):
-        if run.phase != "growth" or run.duration < min_run:
-            continue
-        span = total_end - run.start
-        growth = sum(
-            r.duration for r in timeline.runs[i:] if r.phase == "growth"
-        )
-        if span > 0 and growth / span >= predominance:
-            return PhaseDate(run.start_ts.date(), i == 0)
-    return None
+    found = None
+    growth = 0  # growth half-hours from the run at i to the end
+    for i in range(len(timeline.runs) - 1, -1, -1):
+        run = timeline.runs[i]
+        if run.phase == "growth":
+            growth += run.duration
+            span = timeline.end - run.start
+            if run.duration >= min_run and span > 0 and growth / span >= predominance:
+                found = PhaseDate(run.start_ts.date(), i == 0)
+    return found
 
 
 def detect_recovery(
@@ -259,62 +261,52 @@ def match_shocks(
     half-hours of a common reference (the median start of the group).
 
     Greedy and deterministic: the earliest unassigned shock seeds a
-    group, each sector contributes its nearest unassigned shock to the
-    provisional reference, and missing sectors are kept in
-    ``MatchedGroup.missing``, not imputed.  Requires all sectors to
-    share one sampling grid.
+    group (ties to the first sector, then the lower index).  The seed's
+    start and each other sector's earliest unassigned start in
+    [seed, seed + window] give a provisional reference, their lower
+    median.  Each other sector then contributes its unassigned shock
+    nearest that reference within +-window (ties to the earlier start,
+    then the lower index); the group's reference is the lower median of
+    its members' starts.  Sectors with no member are kept in
+    ``MatchedGroup.missing``, not imputed.  Requires all sectors to share
+    one sampling grid.
     """
     if len(shocks_by_sector) < 1:
         raise ValueError("need at least one sector")
     sectors = sorted(shocks_by_sector)
-    unassigned: set[tuple[str, int]] = set()
-    pool: dict[tuple[str, int], Shock] = {}
-    for sec in sectors:
-        for idx, s in enumerate(shocks_by_sector[sec]):
-            pool[(sec, idx)] = s
-            unassigned.add((sec, idx))
+    # each sector's unassigned shocks as (start, index), kept sorted
+    queues = {sec: sorted((s.start, i) for i, s in enumerate(shocks_by_sector[sec])) for sec in sectors}
+    start = itemgetter(0)
 
     def median(values: list[int]) -> int:
         vals = sorted(values)
         return vals[(len(vals) - 1) // 2]  # lower median: deterministic
 
     groups: list[MatchedGroup] = []
-    while unassigned:
-        seed_key = min(unassigned, key=lambda k: (pool[k].start, k[0], k[1]))
-        seed = pool[seed_key]
-        # provisional group: earliest unassigned per sector within a
-        # forward window of the seed
-        provisional: dict[str, tuple[str, int]] = {seed_key[0]: seed_key}
-        for sec in sectors:
-            if sec == seed_key[0]:
-                continue
-            cands = [
-                k
-                for k in unassigned
-                if k[0] == sec and seed.start <= pool[k].start <= seed.start + window
-            ]
-            if cands:
-                provisional[sec] = min(cands, key=lambda k: (pool[k].start, k[1]))
-        ref = median([pool[k].start for k in provisional.values()])
-        # final membership: per sector, nearest unassigned within +-window of ref
-        members: dict[str, tuple[str, int]] = {seed_key[0]: seed_key}
-        for sec in sectors:
-            if sec == seed_key[0]:
-                continue
-            cands = [
-                k for k in unassigned if k[0] == sec and abs(pool[k].start - ref) <= window
-            ]
-            if cands:
-                members[sec] = min(cands, key=lambda k: (abs(pool[k].start - ref), pool[k].start, k[1]))
-        chosen = [members[sec] for sec in sorted(members)]
+    while heads := [(q[0][0], sec) for sec, q in queues.items() if q]:
+        seed_start, seed_sec = min(heads)
+        members = {seed_sec: queues[seed_sec].pop(0)[1]}
+        others = [sec for sec in sectors if sec != seed_sec]
+        provisional = [seed_start]
+        for sec in others:
+            q = queues[sec]
+            j = bisect_left(q, seed_start, key=start)
+            if j < len(q) and q[j][0] <= seed_start + window:
+                provisional.append(q[j][0])
+        ref = median(provisional)
+        for sec in others:
+            q = queues[sec]
+            near = range(bisect_left(q, ref - window, key=start), bisect_right(q, ref + window, key=start))
+            if near:  # the first nearest: ties go to the earlier start, then the lower index
+                members[sec] = q.pop(min(near, key=lambda j: abs(q[j][0] - ref)))[1]
+        chosen = [shocks_by_sector[sec][members[sec]] for sec in sorted(members)]
         groups.append(
             MatchedGroup(
-                reference=median([pool[k].start for k in chosen]),
-                shocks=tuple(pool[k] for k in chosen),
+                reference=median([s.start for s in chosen]),
+                shocks=tuple(chosen),
                 missing=tuple(sec for sec in sectors if sec not in members),
             )
         )
-        unassigned -= set(chosen)
     groups.sort(key=lambda g: g.reference)
     return groups
 
@@ -468,41 +460,36 @@ def classify_event_responses(
     ``anticipation_days`` before the event) sets the anticipatory flag.
     Events outside a timeline's span are skipped with a warning.
     """
+    # trading-day index of a date: offsets are differences of two indices
+    day_index = functools.partial(cal.trading_days_between, cal.days[0])
+    event_days = [day_index(event.date) for event in events]
     responses: list[EventResponse] = []
     for sector in sorted(timelines):
         tl = timelines[sector]
         span_lo = tl.runs[0].start_ts.date()
         span_hi = tl.runs[-1].end_ts.date()
         transitions = [
-            (a.end_ts, a.color, b.color) for a, b in zip(tl.runs, tl.runs[1:])
+            (day_index(a.end_ts.date()), a.end_ts, a.color, b.color) for a, b in zip(tl.runs, tl.runs[1:])
         ]
-        for event in events:
+        for event, event_day in zip(events, event_days):
             if not span_lo <= event.date <= span_hi:
                 log.warning("%s: event %s outside timeline span, skipped", tl.sector, event.date)
                 continue
             in_window: list[tuple[int, dt.datetime, str, str]] = []
             anticipatory = False
-            for ts, c_from, c_to in transitions:
-                offset = cal.trading_days_between(event.date, ts.date())
+            for day, ts, c_from, c_to in transitions:
+                offset = day - event_day
                 if abs(offset) <= window_days:
                     in_window.append((offset, ts, c_from, c_to))
                 elif -anticipation_days <= offset < -window_days:
                     anticipatory = True
             if in_window:
-                offset, ts, c_from, c_to = min(
-                    in_window, key=lambda t: (abs(t[0]), t[0], t[1])
-                )
+                offset, ts, c_from, c_to = min(in_window, key=lambda t: (abs(t[0]), t[0], t[1]))
                 direction = COLOR_LADDER.index(c_to) - COLOR_LADDER.index(c_from)
                 classification = "effective" if direction < 0 else "counter-effective"
-                responses.append(
-                    EventResponse(
-                        tl.sector, event, classification, anticipatory, ts, c_from, c_to
-                    )
-                )
             else:
-                responses.append(
-                    EventResponse(tl.sector, event, "ineffective", anticipatory, None, None, None)
-                )
+                classification, ts, c_from, c_to = "ineffective", None, None, None
+            responses.append(EventResponse(tl.sector, event, classification, anticipatory, ts, c_from, c_to))
     return responses
 
 
